@@ -82,9 +82,14 @@ def _qmul_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_product_bound(a: np.ndarray, b: np.ndarray, contract_len: int):
+    # One matmul entry is at most ma * mb * K.  An output component sums
+    # coeff times such entries over its table rows, and the coefficients per
+    # component sum to 32 (w = 0: 1 + 6 + 10 + 15), 12, 8 and 6, so 60 here
+    # over-counts.  Admitting 60 * ma * mb * K < 2^62 bounds a contraction
+    # by (32/60) * 2^62, and the three-term sum t1 + t2 + t3 in
+    # derivation_axiom_holds by 1.6 * 2^62 < 2^63: no int64 overflow.
     ma = int(np.abs(a).max(initial=0))
     mb = int(np.abs(b).max(initial=0))
-    # each output component receives 4 table terms, coeff <= 15
     bound = 4 * 15 * ma * mb * max(contract_len, 1)
     if bound >= _INT64_LIMIT:
         raise OverflowError("quadruple contraction may overflow int64")

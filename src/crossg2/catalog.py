@@ -16,9 +16,10 @@ from typing import Sequence
 
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, d_operator, derivation_algebra
-from .linalg import Matrix, Subspace, Vec, char_poly, commutator, kernel, rref
+from .linalg import (Matrix, Subspace, Vec, char_poly, commutator, kernel,
+                     poly_from_roots_squared, projection_matrix)
 from .lts import LtsCarrier, generated_subtriple, matrix_lts
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, Scalar
 
 __all__ = [
     "AssocSubalg", "Grading", "PrincipalTds", "ProbeReport",
@@ -29,18 +30,6 @@ __all__ = [
 ]
 
 GL7 = matrix_lts(7)
-
-
-def matrix_inverse(m: Matrix) -> Matrix:
-    n, n2 = m.shape
-    if n != n2:
-        raise ValueError("inverse of a non-square matrix")
-    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)]
-           for i, r in enumerate(m.rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix([r[n:] for r in red[:n]])
 
 
 def is_associative(v: Subspace) -> bool:
@@ -98,15 +87,10 @@ class AssocSubalg:
             raise ValueError("vectors do not span a 3-dimensional subalgebra")
         return cls(space)
 
-    def projection(self) -> Matrix:
-        """Orthogonal projection onto V (exact; no normalisation needed)."""
-        b = Matrix(self.space.rows)            # 3 x 7
-        gram_inv = matrix_inverse(b @ b.transpose())
-        return b.transpose() @ gram_inv @ b
-
     def theta(self) -> Matrix:
         """theta_V = 2 pi_V - 1: +id on V, -id on the complement."""
-        return self.projection().scale(Scalar.of(2)) - Matrix.identity(7)
+        pi = projection_matrix(self.space)
+        return pi.scale(Scalar.of(2)) - Matrix.identity(7)
 
     def complement(self) -> Subspace:
         return self.space.complement()
@@ -197,13 +181,10 @@ def mapping_space(source: Subspace, target: Subspace,
 
 def annihilator_subalg(u: Sequence[Scalar], g2: G2 | None = None) -> Subspace:
     """{d : d(u) = 0} in basis coordinates; a subalgebra of dimension 8."""
-    g2 = g2 or derivation_algebra()
     u = [Scalar.of(x) for x in u]
     if not any(u):
         raise ValueError("annihilator of the zero vector is the whole algebra")
-    images = [b.apply(u) for b in g2.basis]
-    rows = [[images[t][r] for t in range(g2.dim)] for r in range(7)]
-    return kernel(rows, g2.dim)
+    return mapping_space(Subspace.span([u], 7), Subspace.zero(7), g2)
 
 
 @dataclass
@@ -220,14 +201,6 @@ class PrincipalTds:
         return [self.h1, self.h2, self.h3]
 
 
-def _expected_char(s: Scalar) -> list[Scalar]:
-    """lambda (lambda^2 + s)(lambda^2 + 4 s)(lambda^2 + 9 s), ascending."""
-    c1 = Scalar.of(36) * s * s * s
-    c3 = Scalar.of(49) * s * s
-    c5 = Scalar.of(14) * s
-    return [ZERO, c1, ZERO, c3, ZERO, c5, ZERO, ONE]
-
-
 def principal_eigenstructure(m: Matrix) -> Scalar | None:
     """The scale s if char(m) = lambda prod(lambda^2 + k^2 s), else None."""
     cp = char_poly(m)
@@ -236,7 +209,7 @@ def principal_eigenstructure(m: Matrix) -> Scalar | None:
     s = cp[5] / Scalar.of(14)
     if s.sign() <= 0:
         return None
-    return s if cp == _expected_char(s) else None
+    return s if cp == poly_from_roots_squared([s, 4 * s, 9 * s]) else None
 
 
 def principal_tds(frame: Frame, g2: G2 | None = None) -> PrincipalTds:

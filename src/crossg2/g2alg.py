@@ -22,30 +22,35 @@ from .linalg import (Matrix, Subspace, Vec, commutator, dot, kernel, vadd,
                      vscale, vsub)
 from .scalar import ONE, ZERO, Scalar
 
-__all__ = ["G2", "Frame", "derivation_algebra", "d_operator",
+__all__ = ["G2", "Frame", "derivation_algebra", "leibniz_rows", "d_operator",
            "lambda_operator", "rho_operator"]
 
 
-def _leibniz_rows() -> list[Vec]:
-    """Rows of the 147 x 49 system; unknown (r, c) is flat index 7*r + c."""
+def leibniz_rows(pairs: Sequence[tuple[Vec, Vec]]) -> list[Vec]:
+    """Rows of d(x cross y) = d(x) cross y + x cross d(y), 7 per pair (x, y).
+
+    The unknown is a 7x7 matrix d; entry (r, c) is flat index 7*r + c.
+    """
     e = [basis_vector(i) for i in range(7)]
     rows = []
-    for i, j in combinations(range(7), 2):
-        target = cross(e[i], e[j])
+    for x, y in pairs:
+        target = cross(x, y)
+        ey = [cross(e[r], y) for r in range(7)]   # e_r x y
+        xe = [cross(x, e[r]) for r in range(7)]   # x x e_r
         for m in range(7):
             row = [ZERO] * 49
-            # d(e_i x e_j) component m
+            # d(x cross y), component m
             for c in range(7):
                 if target[c]:
                     row[7 * m + c] = row[7 * m + c] + target[c]
-            # - d(e_i) x e_j - e_i x d(e_j), component m
+            # - d(x) cross y - x cross d(y), component m
             for r in range(7):
-                v = cross(e[r], e[j])
-                if v[m]:
-                    row[7 * r + i] = row[7 * r + i] - v[m]
-                w = cross(e[i], e[r])
-                if w[m]:
-                    row[7 * r + j] = row[7 * r + j] - w[m]
+                v, w = ey[r][m], xe[r][m]
+                for c in range(7):
+                    if x[c] and v:
+                        row[7 * r + c] = row[7 * r + c] - x[c] * v
+                    if y[c] and w:
+                        row[7 * r + c] = row[7 * r + c] - y[c] * w
             rows.append(row)
     return rows
 
@@ -54,7 +59,9 @@ class G2:
     """The 14-dimensional derivation algebra with cached structure data."""
 
     def __init__(self):
-        self.space = kernel(_leibniz_rows(), 49)
+        e = [basis_vector(i) for i in range(7)]
+        pairs = [(e[i], e[j]) for i, j in combinations(range(7), 2)]
+        self.space = kernel(leibniz_rows(pairs), 49)
         self.dim = self.space.dim
         self.basis = [Matrix.from_flat(row, 7, 7) for row in self.space.rows]
         self._brackets: list[list[Vec]] | None = None
@@ -140,18 +147,7 @@ class G2:
         return self._trace_form
 
     def killing(self, m1: Matrix, m2: Matrix) -> Scalar:
-        c1 = self.coords(m1)
-        c2 = self.coords(m2)
-        k = self.killing_form()
-        acc = ZERO
-        for i, a in enumerate(c1):
-            if not a:
-                continue
-            row = k.rows[i]
-            for j, b in enumerate(c2):
-                if b and row[j]:
-                    acc = acc + a * b * row[j]
-        return acc
+        return dot(self.coords(m1), self.killing_form().apply(self.coords(m2)))
 
     def killing_trace_ratio(self) -> Scalar:
         """Observed constant kappa / tr-form; recorded, not asserted."""
@@ -172,27 +168,23 @@ class G2:
 
     def normalizer(self, s: Subspace) -> Subspace:
         """{d : [d, s] <= s}, one linear solve in basis coordinates."""
-        self._check_subspace(s)
-        if s.dim == 0:
-            return Subspace.full(self.dim)
-        beta = self._action_on(s)
-        rows = []
-        for r in range(s.dim):
-            residuals = [s.reduce(beta[t][r]) for t in range(self.dim)]
-            for c in range(self.dim):
-                rows.append([residuals[t][c] for t in range(self.dim)])
-        return kernel(rows, self.dim)
+        return self._stabilizer(s, s)
 
     def centralizer(self, s: Subspace) -> Subspace:
         """{d : [d, s] = 0}."""
+        return self._stabilizer(s, Subspace.zero(self.dim))
+
+    def _stabilizer(self, s: Subspace, target: Subspace) -> Subspace:
+        """{d : [d, s] <= target}: each residual of [d, m_r] mod target is 0."""
         self._check_subspace(s)
         if s.dim == 0:
             return Subspace.full(self.dim)
         beta = self._action_on(s)
         rows = []
         for r in range(s.dim):
+            residuals = [target.reduce(beta[t][r]) for t in range(self.dim)]
             for c in range(self.dim):
-                rows.append([beta[t][r][c] for t in range(self.dim)])
+                rows.append([residuals[t][c] for t in range(self.dim)])
         return kernel(rows, self.dim)
 
     def _check_subspace(self, s: Subspace):

@@ -8,14 +8,14 @@ plain comparison.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
     "Matrix", "Subspace", "vec", "dot", "vadd", "vsub", "vscale",
-    "is_zero_vec", "rref", "kernel", "rank", "char_poly", "solve",
+    "is_zero_vec", "rref", "kernel", "rank", "char_poly", "solve", "inverse",
+    "projection_matrix",
 ]
 
 Vec = list[Scalar]
@@ -68,6 +68,13 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def unit(cls, n: int, m: int, r: int, c: int) -> "Matrix":
+        """The n x m matrix unit E_rc (0-based): one 1 at (r, c)."""
+        out = cls.zeros(n, m)
+        out.rows[r][c] = ONE
+        return out
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[Scalar]]) -> "Matrix":
@@ -205,6 +212,19 @@ def kernel(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> "Subsp
     return Subspace.span(basis, ncols)
 
 
+def inverse(m: Matrix) -> Matrix:
+    """Exact inverse by Gauss-Jordan on (M | I)."""
+    n, n2 = m.shape
+    if n != n2:
+        raise ValueError("inverse of a non-square matrix")
+    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)]
+           for i, r in enumerate(m.rows)]
+    red, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix([r[n:] for r in red[:n]])
+
+
 def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Vec | None:
     """One solution of A x = rhs, or None if inconsistent."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -270,15 +290,14 @@ class Subspace:
         return is_zero_vec(self.reduce(v))
 
     def coords(self, v: Sequence[Scalar]) -> Vec | None:
-        """Coefficients of v on the canonical basis, or None if outside."""
-        cs = [v[pc] for pc in self.pivots]
-        residual = list(v)
-        for c, r in zip(cs, self.rows):
-            if c:
-                residual = [x - c * y for x, y in zip(residual, r)]
-        if not is_zero_vec(residual):
+        """Coefficients of v on the canonical basis, or None if outside.
+
+        No basis row changes another row's pivot entry, so the coefficient
+        of row r is v at r's pivot column.
+        """
+        if not is_zero_vec(self.reduce(v)):
             return None
-        return cs
+        return [v[pc] for pc in self.pivots]
 
     def _require_same_ambient(self, other: "Subspace"):
         if self.n != other.n:
@@ -343,6 +362,15 @@ class Subspace:
         return f"Subspace(dim={self.dim}, n={self.n})"
 
 
+def projection_matrix(space: "Subspace") -> Matrix:
+    """Orthogonal projection B^t (B B^t)^-1 B onto the row space of B.
+
+    Exact: no normalisation of the basis is needed.
+    """
+    b = Matrix(space.rows)
+    return b.transpose() @ inverse(b @ b.transpose()) @ b
+
+
 def char_poly(m: Matrix) -> list[Scalar]:
     """Monic characteristic polynomial det(lambda*I - M).
 
@@ -363,7 +391,7 @@ def char_poly(m: Matrix) -> list[Scalar]:
     return list(reversed(coeffs))
 
 
-def poly_from_roots_squared(squares: Sequence[int]) -> list[Scalar]:
+def poly_from_roots_squared(squares: Sequence[Scalar | int]) -> list[Scalar]:
     """lambda * prod(lambda^2 + s) for s in squares, ascending coefficients."""
     poly = [ZERO, ONE]  # lambda
     for s in squares:

@@ -15,7 +15,7 @@ The four defining axioms:
 
 (ii)-(iv) are verified exhaustively on basis tuples; (iv) is the
 quadratic one and routes through the integer-cleared numpy kernel at
-dimension >= 9.
+dimension >= 8.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class AxiomReport:
         return self.antisymmetry and self.cyclic and self.derivation
 
 
-def check_axioms(carrier: LtsCarrier, force_pure: bool = False) -> AxiomReport:
+def check_axioms(carrier: LtsCarrier) -> AxiomReport:
     """Verify axioms (ii)-(iv) exhaustively on basis tuples."""
     rows = carrier.space.rows
     n = len(rows)
@@ -208,18 +208,20 @@ def check_axioms(carrier: LtsCarrier, force_pure: bool = False) -> AxiomReport:
             continue
         break
 
-    derivation = _derivation_axiom(struct, n, force_pure)
+    derivation = _derivation_axiom(struct, n)
     if not derivation:
         witness = witness or "derivation identity fails on some basis tuple"
     return AxiomReport(antisym, cyclic, derivation, witness)
 
 
-def _derivation_axiom(struct, n: int, force_pure: bool) -> bool:
-    if n >= 8 and not force_pure:
+def _derivation_axiom(struct, n: int) -> bool:
+    if n >= 8:
+        # Imported here, not at the top: runs whose carriers stay below
+        # dimension 8 (closure probes, for one) never pay for importing numpy.
+        from ._intops import derivation_axiom_holds
         try:
-            from ._intops import derivation_axiom_holds
             return derivation_axiom_holds(struct)
-        except (ImportError, OverflowError):
+        except OverflowError:
             pass
     return _derivation_axiom_pure(struct, n)
 
@@ -266,34 +268,26 @@ def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
         raise ValueError("seed is not contained in the ambient carrier")
     ambient.struct()  # certify ambient closure before using the shortcut
     triple = ambient.system.triple
-    rows, pivots = rref(seed.rows)
+    # a private copy of the canonical seed basis, grown in place
+    closed = Subspace(seed.n, list(seed.rows), list(seed.pivots), _trusted=True)
     while True:
-        if len(rows) == ambient.dim:
+        if closed.dim == ambient.dim:
             return ambient.space
         grown = False
-        basis_now = [list(r) for r in rows]
+        basis_now = list(closed.rows)
         k = len(basis_now)
         for c in range(k):
             for a in range(k):
                 for b in range(a + 1, k):
                     prod = triple(basis_now[a], basis_now[b], basis_now[c])
-                    residual = _reduce_against(prod, rows, pivots)
+                    residual = closed.reduce(prod)
                     if not is_zero_vec(residual):
-                        _insert_row(residual, rows, pivots)
+                        _insert_row(residual, closed.rows, closed.pivots)
                         grown = True
-                        if len(rows) == ambient.dim:
+                        if closed.dim == ambient.dim:
                             return ambient.space
         if not grown:
-            return Subspace.span(rows, ambient.system.dim)
-
-
-def _reduce_against(v: Vec, rows: list[Vec], pivots: list[int]) -> Vec:
-    out = list(v)
-    for r, pc in zip(rows, pivots):
-        f = out[pc]
-        if f:
-            out = [x - f * y for x, y in zip(out, r)]
-    return out
+            return closed
 
 
 def _insert_row(residual: Vec, rows: list[Vec], pivots: list[int]):

@@ -12,23 +12,30 @@ product {m1,m2,m3} = [m1,m2,m3] + gamma(m1,m2,m3).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
+from .catalog import AssocSubalg, grading
 from .cross7 import basis_vector, cross
-from .g2alg import G2, Frame, derivation_algebra
+from .g2alg import G2, Frame, derivation_algebra, leibniz_rows
 from .linalg import (Matrix, Subspace, Vec, char_poly, dot, is_zero_vec,
-                     kernel, solve)
+                     kernel, projection_matrix, solve)
 from .lts import LtsCarrier, TripleSystem, triple_in_lie
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
     "Projection", "projection_onto", "in_ms_prime", "gr3_tangent",
     "ms_tangent", "row_matrix", "from_row_matrix", "matches_template",
-    "m34_triple", "m34_system", "m34_template_basis", "LiftMap",
+    "skew_triple", "m34_triple", "m34_system", "m34_template_basis", "LiftMap",
     "alpha", "sl3_triple", "to_sl3", "from_sl3", "metric", "d_st",
     "sl3_system", "sl3_full_carrier", "sl3_catalog", "curvature_check",
     "metric_gram_is_positive_definite",
 ]
+
+
+# matrix units E_rc (0-based) of the 3x3 and 3x4 models
+_e33 = partial(Matrix.unit, 3, 3)
+_e34 = partial(Matrix.unit, 3, 4)
 
 
 class Projection:
@@ -59,10 +66,7 @@ class Projection:
 
 def projection_onto(space: Subspace) -> Projection:
     """Orthogonal projection onto a 3-dimensional subspace, exact."""
-    from .catalog import matrix_inverse
-    b = Matrix(space.rows)
-    gram_inv = matrix_inverse(b @ b.transpose())
-    return Projection(b.transpose() @ gram_inv @ b)
+    return Projection(projection_matrix(space))
 
 
 def in_ms_prime(p: Projection) -> bool:
@@ -118,25 +122,8 @@ def ms_tangent(p: Projection, frame: Frame) -> Subspace:
     for f in (frame.i, frame.j, frame.k):
         if not fixed.contains(f):
             raise ValueError("frame does not span the fixed space of p")
-    e = [basis_vector(i) for i in range(7)]
-    rows = _gr3_rows(p)
-    for x, y in ((frame.i, frame.j), (frame.i, frame.k), (frame.j, frame.k)):
-        target = cross(x, y)
-        for m in range(7):
-            row = [ZERO] * 49
-            for c in range(7):
-                if target[c]:
-                    row[7 * m + c] = row[7 * m + c] + target[c]
-            for r in range(7):
-                v = cross(e[r], y)
-                w = cross(x, e[r])
-                for c in range(7):
-                    if x[c] and v[m]:
-                        row[7 * r + c] = row[7 * r + c] - x[c] * v[m]
-                    if y[c] and w[m]:
-                        row[7 * r + c] = row[7 * r + c] - y[c] * w[m]
-            rows.append(row)
-    return kernel(rows, 49)
+    pairs = ((frame.i, frame.j), (frame.i, frame.k), (frame.j, frame.k))
+    return kernel(_gr3_rows(p) + leibniz_rows(pairs), 49)
 
 
 def frame_v_basis(frame: Frame) -> list[Vec]:
@@ -183,13 +170,18 @@ def matches_template(rm: Matrix) -> bool:
     return rm.rows[2] == expected
 
 
+def skew_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
+    """a b^t c - b a^t c + c b^t a - c a^t b."""
+    at, bt = a.transpose(), b.transpose()
+    return (a @ bt @ c) - (b @ at @ c) + (c @ bt @ a) - (c @ at @ b)
+
+
 def m34_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
-    """a b^t c - b a^t c + c b^t a - c a^t b on 3x4 blocks."""
+    """The skew triple on 3x4 blocks."""
     for m in (a, b, c):
         if m.shape != (3, 4):
             raise ValueError("arguments must be 3x4")
-    at, bt = a.transpose(), b.transpose()
-    return (a @ bt @ c) - (b @ at @ c) + (c @ bt @ a) - (c @ at @ b)
+    return skew_triple(a, b, c)
 
 
 def m34_system() -> TripleSystem:
@@ -201,16 +193,12 @@ def m34_system() -> TripleSystem:
 
 def m34_template_basis() -> list[Matrix]:
     """The eight block matrices spanning the template space."""
-    def eij(i: int, j: int, sign: int = 1) -> Matrix:
-        m = Matrix.zeros(3, 4)
-        m.rows[i - 1][j - 1] = Scalar.of(sign)
-        return m
-
+    e = _e34
     return [
-        eij(1, 1) - eij(3, 3), eij(1, 2) - eij(3, 4),
-        eij(1, 3) + eij(3, 1), eij(1, 4) + eij(3, 2),
-        eij(2, 1) + eij(3, 2), eij(2, 2) - eij(3, 1),
-        eij(2, 3) - eij(3, 4), eij(2, 4) + eij(3, 3),
+        e(0, 0) - e(2, 2), e(0, 1) - e(2, 3),
+        e(0, 2) + e(2, 0), e(0, 3) + e(2, 1),
+        e(1, 0) + e(2, 1), e(1, 1) - e(2, 0),
+        e(1, 2) - e(2, 3), e(1, 3) + e(2, 2),
     ]
 
 
@@ -223,8 +211,7 @@ class LiftMap:
     sweep and recorded as `sign`.
     """
 
-    def __init__(self, v, frame: Frame, g2: G2 | None = None):
-        from .catalog import grading
+    def __init__(self, v: AssocSubalg, frame: Frame, g2: G2 | None = None):
         g2 = g2 or derivation_algebra()
         self.g2 = g2
         self.frame = frame
@@ -308,8 +295,7 @@ def _outer(u: Vec, w: Vec) -> Matrix:
 
 
 def _sl3_triple_raw(m1: Matrix, m2: Matrix, m3: Matrix) -> Matrix:
-    t1, t2, t3 = m1.transpose(), m2.transpose(), m3.transpose()
-    bracket = (m1 @ t2 @ m3) - (m2 @ t1 @ m3) + (m3 @ t2 @ m1) - (m3 @ t1 @ m2)
+    bracket = skew_triple(m1, m2, m3)
     a1, a2, a3 = alpha(m1), alpha(m2), alpha(m3)
     gamma = ((_outer(a1, a2) - _outer(a2, a1)) @ m3
              + _outer(a3, a2) @ m1 - _outer(a3, a1) @ m2)
@@ -379,42 +365,31 @@ def _span_carrier(mats: Sequence[Matrix], name: str) -> LtsCarrier:
 
 def sl3_full_carrier() -> LtsCarrier:
     """All traceless 3x3 matrices as a carrier of the twisted product."""
-    basis = []
-    m = Matrix.zeros(3, 3); m.rows[0][0] = ONE; m.rows[1][1] = -ONE; basis.append(m)
-    m = Matrix.zeros(3, 3); m.rows[1][1] = ONE; m.rows[2][2] = -ONE; basis.append(m)
-    for r in range(3):
-        for c in range(3):
-            if r != c:
-                m = Matrix.zeros(3, 3)
-                m.rows[r][c] = ONE
-                basis.append(m)
+    basis = [_e33(0, 0) - _e33(1, 1), _e33(1, 1) - _e33(2, 2)]
+    basis += [_e33(r, c) for r in range(3) for c in range(3) if r != c]
     return _span_carrier(basis, "sl3")
 
 
 def sl3_catalog(kind: str) -> LtsCarrier:
     """The four families: sphere (dim 2), sym5, col4, refl4; plus refl4's
     metric orthocomplement gotro, itself closed."""
-    def eij(r: int, c: int, sign: int = 1) -> Matrix:
-        m = Matrix.zeros(3, 3)
-        m.rows[r][c] = Scalar.of(sign)
-        return m
-
+    e = _e33
     if kind == "sphere":
         mats = [d_st(1, 0), d_st(0, 1)]
     elif kind == "sym5":
-        mats = [eij(0, 0) - eij(1, 1), eij(1, 1) - eij(2, 2),
-                eij(0, 1) + eij(1, 0), eij(0, 2) + eij(2, 0),
-                eij(1, 2) + eij(2, 1)]
+        mats = [e(0, 0) - e(1, 1), e(1, 1) - e(2, 2),
+                e(0, 1) + e(1, 0), e(0, 2) + e(2, 0),
+                e(1, 2) + e(2, 1)]
     elif kind == "col4":
         # first row zero: rows (0,0,0), (b1,b2,b3), (b0,b3,-b2)
-        mats = [eij(2, 0), eij(1, 0), eij(1, 1) - eij(2, 2),
-                eij(1, 2) + eij(2, 1)]
+        mats = [e(2, 0), e(1, 0), e(1, 1) - e(2, 2),
+                e(1, 2) + e(2, 1)]
     elif kind == "refl4":
         # diag-plus-lower-block family (s1, 0, 0; 0, s2, s3; 0, s4, -s1-s2)
-        mats = [eij(0, 0) - eij(2, 2), eij(1, 1) - eij(2, 2),
-                eij(1, 2), eij(2, 1)]
+        mats = [e(0, 0) - e(2, 2), e(1, 1) - e(2, 2),
+                e(1, 2), e(2, 1)]
     elif kind == "gotro":
-        mats = [eij(0, 1), eij(0, 2), eij(1, 0), eij(2, 0)]
+        mats = [e(0, 1), e(0, 2), e(1, 0), e(2, 0)]
     else:
         raise ValueError(f"unknown catalogue kind {kind!r}")
     return _span_carrier(mats, kind)

@@ -242,24 +242,33 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
+        """Inverse of show(); also reads compact terms such as "3/2", "r6"
+        and "-1/3*r10".  Malformed text raises ValueError."""
         coeffs = {"": Fraction(0), "r6": Fraction(0),
                   "r10": Fraction(0), "r15": Fraction(0)}
-        for raw in text.replace("- ", "+ -").split("+"):
-            term = raw.strip()
-            if not term:
-                continue
+        terms = [t.strip() for t in text.replace("- ", "+ -").split("+")]
+        terms = [t for t in terms if t]
+        if not terms:
+            raise ValueError(f"no terms in {text!r}")
+        for term in terms:
             if "*" in term:
-                num, tag = term.split("*")
+                num, tag = term.split("*", 1)
             elif term in ("r6", "r10", "r15"):
                 num, tag = "1", term
             elif term in ("-r6", "-r10", "-r15"):
                 num, tag = "-1", term[1:]
             else:
                 num, tag = term, ""
-            tag = tag.strip()
+            tag, num = tag.strip(), num.strip()
             if tag not in coeffs:
                 raise ValueError(f"bad radical tag {tag!r} in {text!r}")
-            coeffs[tag] += Fraction(num.strip())
+            # an exponent could ask for an arbitrarily large power of ten
+            if "e" in num.lower():
+                raise ValueError(f"bad coefficient {num!r} in {text!r}")
+            try:
+                coeffs[tag] += Fraction(num)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad coefficient {num!r} in {text!r}") from None
         return cls.from_coeffs(coeffs[""], coeffs["r6"], coeffs["r10"], coeffs["r15"])
 
     def __str__(self):

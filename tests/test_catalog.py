@@ -5,7 +5,8 @@ import pytest
 from crossg2 import catalog, lts
 from crossg2.cross7 import basis_vector
 from crossg2.g2alg import lambda_operator, rho_operator
-from crossg2.linalg import Matrix, Subspace, char_poly, commutator, is_zero_vec
+from crossg2.linalg import (Matrix, Subspace, char_poly, commutator, is_zero_vec,
+                            projection_matrix)
 from crossg2.scalar import ONE, ZERO, Scalar
 
 E = [basis_vector(i) for i in range(7)]
@@ -31,7 +32,8 @@ def test_theta(v_std):
     assert th.apply(E[0]) == E[0]
     assert th.apply(E[2]) == [-t for t in E[2]]
     assert th @ th == Matrix.identity(7)
-    assert th == v_std.projection().scale(Scalar.of(2)) - Matrix.identity(7)
+    pi = projection_matrix(v_std.space)
+    assert th == pi.scale(Scalar.of(2)) - Matrix.identity(7)
 
 
 def test_grading(v_std, g2, grading_std, frame):

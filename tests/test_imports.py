@@ -1,0 +1,47 @@
+"""Import hygiene: no import cycles and no function-level imports."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import crossg2
+
+PKG = Path(crossg2.__file__).parent
+MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__main__")
+
+# the one deferred import: the numpy kernel, needed only at dimension >= 8
+ALLOWED_LOCAL = {("lts.py", "_derivation_axiom", "_intops")}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    name = "crossg2" if module == "__init__" else f"crossg2.{module}"
+    src = str(PKG.parent)
+    proc = subprocess.run([sys.executable, "-c", f"import {name}"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
+def _local_imports(path: Path):
+    tree = ast.parse(path.read_text())
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield fn.name, alias.name
+            elif isinstance(node, ast.ImportFrom):
+                yield fn.name, node.module or ""
+
+
+def test_no_function_level_imports():
+    found = {(path.name, fn, mod)
+             for path in sorted(PKG.glob("*.py"))
+             for fn, mod in _local_imports(path)}
+    assert found == ALLOWED_LOCAL

@@ -1,0 +1,79 @@
+"""The int64 guard of the numpy derivation kernel, at and past its bound.
+
+The derivation identity is homogeneous of degree two in the structure
+constants, so scaling a valid structure by any integer keeps it valid.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from crossg2 import matmodel
+from crossg2._intops import (_INT64_LIMIT, _check_product_bound, clear_tensor,
+                             derivation_axiom_holds)
+from crossg2.linalg import Subspace
+from crossg2.lts import (LtsCarrier, _derivation_axiom_pure, abstract_lts,
+                         check_axioms)
+from crossg2.scalar import Scalar
+
+N = 8
+SL3 = matmodel.sl3_full_carrier().struct()
+SL3_MAX = int(np.abs(clear_tensor(SL3)).max())
+# the guard admits 60 * max^2 * n < 2^62 (see _check_product_bound)
+K_MAX = math.isqrt((_INT64_LIMIT - 1) // (60 * N)) // SL3_MAX
+
+
+def scaled(k: int):
+    ks = Scalar.of(k)
+    return [[[[ks * x for x in vec] for vec in line] for line in plane]
+            for plane in SL3]
+
+
+def test_k_max_is_the_guard_edge():
+    at = clear_tensor(scaled(K_MAX))
+    _check_product_bound(at, at, N)
+    past = clear_tensor(scaled(K_MAX + 1))
+    with pytest.raises(OverflowError):
+        _check_product_bound(past, past, N)
+
+
+@settings(max_examples=6, deadline=None)
+@example(ab=[0, 1], e=0, l=0, value=-K_MAX * SL3_MAX)
+@given(ab=st.lists(st.integers(0, N - 1), min_size=2, max_size=2,
+                   unique=True).map(sorted),
+       e=st.integers(0, N - 1), l=st.integers(0, N - 1),
+       value=st.integers(-K_MAX * SL3_MAX, K_MAX * SL3_MAX))
+def test_kernel_agrees_with_pure_path_at_the_guard(ab, e, l, value):
+    a, b = ab
+    struct = scaled(K_MAX)
+    assert derivation_axiom_holds(struct)
+    # corrupt one constant, keeping antisymmetry in the first two slots
+    struct[a][b][e][l] = Scalar.of(value)
+    struct[b][a][e][l] = Scalar.of(-value)
+    assert derivation_axiom_holds(struct) == _derivation_axiom_pure(struct, N)
+
+
+def test_corruption_at_the_guard_is_detected():
+    struct = scaled(K_MAX)
+    a, b, e, l = next((a, b, e, l) for a in range(N) for b in range(a + 1, N)
+                      for e in range(N) for l in range(N) if struct[a][b][e][l])
+    struct[a][b][e][l] = -struct[a][b][e][l]
+    struct[b][a][e][l] = -struct[b][a][e][l]
+    assert not derivation_axiom_holds(struct)
+    assert not _derivation_axiom_pure(struct, N)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_past_the_guard_falls_back_to_the_pure_path(corrupt):
+    struct = scaled(K_MAX + 1)
+    if corrupt:
+        struct[0][1][2][3] = struct[0][1][2][3] + Scalar.of(K_MAX)
+        struct[1][0][2][3] = struct[1][0][2][3] - Scalar.of(K_MAX)
+    with pytest.raises(OverflowError):
+        derivation_axiom_holds(struct)
+    carrier = LtsCarrier(abstract_lts(struct, "scaled"), Subspace.full(N))
+    report = check_axioms(carrier)
+    assert report.derivation == _derivation_axiom_pure(struct, N)
+    assert report.derivation is not corrupt

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from crossg2.linalg import (Matrix, Subspace, char_poly, commutator, kernel,
-                            poly_from_roots_squared, rank, solve)
-from crossg2.scalar import ONE, ZERO, Scalar
+from crossg2.linalg import (Matrix, Subspace, char_poly, commutator, inverse,
+                            kernel, poly_from_roots_squared, projection_matrix,
+                            rank, solve)
+from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
 
 def rand_rows(rng, r, c):
     return [[Scalar.of(rng.randint(-4, 4)) for _ in range(c)] for _ in range(r)]
@@ -91,6 +92,68 @@ def test_char_poly_product_helper():
     assert poly_from_roots_squared([1, 4, 9]) == [
         ZERO, Scalar.of(36), ZERO, Scalar.of(49), ZERO, Scalar.of(14),
         ZERO, ONE]
+
+
+def test_char_poly_product_helper_takes_scalars():
+    s = SQRT6
+    assert poly_from_roots_squared([s, 4 * s, 9 * s]) == [
+        ZERO, 36 * s * s * s, ZERO, 49 * s * s, ZERO, 14 * s, ZERO, ONE]
+
+
+def test_inverse_of_random_integer_matrices():
+    rng = random.Random(5)
+    tried = 0
+    while tried < 12:
+        n = rng.randint(1, 5)
+        m = Matrix(rand_rows(rng, n, n))
+        if rank(m.rows) < n:
+            continue
+        tried += 1
+        assert inverse(m) @ m == Matrix.identity(n)
+        assert m @ inverse(m) == Matrix.identity(n)
+
+
+def test_inverse_rejects_singular_and_non_square():
+    singular = Matrix([[ONE, Scalar.of(2)], [Scalar.of(2), Scalar.of(4)]])
+    with pytest.raises(ValueError):
+        inverse(singular)
+    with pytest.raises(ValueError):
+        inverse(Matrix.zeros(3, 3))
+    with pytest.raises(ValueError):
+        inverse(Matrix.zeros(2, 3))
+
+
+def test_projection_matrix_of_random_3_spaces():
+    rng = random.Random(11)
+    for _ in range(5):
+        rows = rand_rows(rng, 3, 7)
+        if rank(rows) < 3:
+            continue
+        space = Subspace.span(rows, 7)
+        p = projection_matrix(space)
+        assert p == p.transpose()
+        assert p @ p == p
+        assert p.trace() == Scalar.of(3)
+        assert kernel((p - Matrix.identity(7)).rows, 7) == space
+
+
+def test_coords_on_canonical_basis():
+    rng = random.Random(17)
+    space = Subspace.span(rand_rows(rng, 3, 6), 6)
+    coeffs = [Scalar.of(rng.randint(-4, 4)) for _ in range(space.dim)]
+    v = [ZERO] * 6
+    for c, r in zip(coeffs, space.rows):
+        v = [x + c * y for x, y in zip(v, r)]
+    assert space.coords(v) == coeffs
+    outside = space.complement().rows[0]
+    assert space.coords(outside) is None
+
+
+def test_matrix_unit():
+    u = Matrix.unit(3, 4, 2, 1)
+    assert u.shape == (3, 4)
+    assert u.rows[2][1] == ONE
+    assert sum(1 for x in u.flatten() if x) == 1
 
 
 def test_char_poly_is_invariant_under_similarity():

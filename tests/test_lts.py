@@ -3,10 +3,12 @@ import random
 import pytest
 
 from crossg2 import catalog, matmodel
+from crossg2._intops import derivation_axiom_holds
 from crossg2.linalg import Matrix, Subspace
-from crossg2.lts import (LtsCarrier, NotClosedError, abstract_lts,
-                         check_axioms, envelope_dim, generated_subtriple,
-                         is_ideal, matrix_lts, triple_in_lie)
+from crossg2.lts import (LtsCarrier, NotClosedError, _derivation_axiom_pure,
+                         abstract_lts, check_axioms, envelope_dim,
+                         generated_subtriple, is_ideal, matrix_lts,
+                         triple_in_lie)
 from crossg2.scalar import ONE, ZERO, Scalar
 
 
@@ -33,16 +35,19 @@ def test_counterexample_fails_derivation_axiom():
 
 
 def test_pure_and_fast_derivation_checks_agree():
-    # an 8-dim passing carrier and the 2-dim failing one, both paths
+    # an 8-dim passing carrier and the 2-dim failing one: the pure oracle,
+    # the integer kernel and check_axioms (which routes n >= 8 to the kernel)
     full = matmodel.sl3_full_carrier()
-    assert check_axioms(full, force_pure=True).all_pass()
-    assert check_axioms(full, force_pure=False).all_pass()
+    assert _derivation_axiom_pure(full.struct(), 8)
+    assert derivation_axiom_holds(full.struct())
+    assert check_axioms(full).all_pass()
     z2 = [ZERO, ZERO]
     struct = [[[list(z2) for _ in range(2)] for _ in range(2)] for _ in range(2)]
     struct[0][1][0] = [ONE, ZERO]
     struct[1][0][0] = [-ONE, ZERO]
     bad = LtsCarrier(abstract_lts(struct), Subspace.full(2))
-    assert not check_axioms(bad, force_pure=True).derivation
+    assert not _derivation_axiom_pure(bad.struct(), 2)
+    assert not check_axioms(bad).derivation
 
 
 def test_fast_path_detects_failure_at_dim_8():
@@ -54,11 +59,11 @@ def test_fast_path_detects_failure_at_dim_8():
     struct[0][1][2][3] = struct[0][1][2][3] + ONE
     struct[1][0][2][3] = struct[1][0][2][3] - ONE
     bad = LtsCarrier(abstract_lts(struct, "corrupted"), Subspace.full(8))
-    fast = check_axioms(bad, force_pure=False)
-    pure = check_axioms(bad, force_pure=True)
-    assert fast.antisymmetry and pure.antisymmetry
-    assert not fast.derivation
-    assert not pure.derivation
+    report = check_axioms(bad)
+    assert report.antisymmetry
+    assert not report.derivation
+    assert not derivation_axiom_holds(bad.struct())
+    assert not _derivation_axiom_pure(bad.struct(), 8)
 
 
 def test_not_closed_detection():

@@ -101,3 +101,21 @@ def test_parse_compact_forms():
         Fraction(1, 2), Fraction(0), Fraction(-1, 3), Fraction(0))
     with pytest.raises(ValueError):
         Scalar.parse("2*r7")
+
+
+@pytest.mark.parametrize("text", ["", "  ", "1/0", "1*r6*r10", "1e5", "r6*2"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(ValueError) as info:
+        Scalar.parse(text)
+    assert repr(text) in str(info.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("0123456789 /*+-.er16_r10r15x"))
+       | st.text())
+def test_parse_only_raises_value_error(text):
+    try:
+        x = Scalar.parse(text)
+    except ValueError:
+        return
+    assert isinstance(x, Scalar)
