@@ -17,7 +17,8 @@ from typing import Sequence
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, d_operator, derivation_algebra
 from .linalg import (Matrix, Subspace, Vec, char_poly, commutator, kernel,
-                     poly_from_roots_squared, projection_matrix)
+                     poly_from_roots_squared, projection_matrix,
+                     solve_inclusion)
 from .lts import LtsCarrier, generated_subtriple, matrix_lts
 from .scalar import ONE, Scalar
 
@@ -170,13 +171,8 @@ def mapping_space(source: Subspace, target: Subspace,
                   g2: G2 | None = None) -> Subspace:
     """{d : d(source) <= target} in basis coordinates, one linear solve."""
     g2 = g2 or derivation_algebra()
-    rows = []
-    for s in source.rows:
-        images = [b.apply(s) for b in g2.basis]
-        residuals = [target.reduce(img) for img in images]
-        for comp in range(7):
-            rows.append([residuals[t][comp] for t in range(g2.dim)])
-    return kernel(rows, g2.dim)
+    images = [[b.apply(s) for b in g2.basis] for s in source.rows]
+    return solve_inclusion(images, target, g2.dim)
 
 
 def annihilator_subalg(u: Sequence[Scalar], g2: G2 | None = None) -> Subspace:

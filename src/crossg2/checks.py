@@ -18,8 +18,8 @@ from typing import Callable
 
 from . import catalog, cross7, g2alg, lts, matmodel
 from .linalg import (Matrix, Subspace, char_poly, commutator, dot,
-                     is_zero_vec, kernel, poly_from_roots_squared,
-                     projection_matrix, rank)
+                     is_positive_definite, is_zero_vec, kernel,
+                     poly_from_roots_squared, projection_matrix, rank)
 from .scalar import ONE, SQRT6, SQRT10, SQRT15, ZERO, Scalar
 
 __all__ = ["CheckResult", "CheckFailure", "SkipCheck", "Workspace",
@@ -488,12 +488,7 @@ def _g2_lambda_rho(ws, rng, trials):
 def _g2_killing(ws, rng, trials):
     g2 = ws.g2
     kf = g2.killing_form()
-    # negative definite iff (-1)^k det_k > 0; det_k = (-1)^k * charpoly(0),
-    # so the signed minor is the constant coefficient itself
-    for k in range(1, g2.dim + 1):
-        sub = Matrix([row[:k] for row in kf.rows[:k]])
-        require(char_poly(sub)[0].sign() > 0,
-                f"leading minor {k} has the wrong sign")
+    require(is_positive_definite(-kf), "Killing form is not negative definite")
     grading = ws.grading_std
     for er in grading.even.rows:
         for orow in grading.odd.rows:

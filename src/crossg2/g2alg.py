@@ -18,8 +18,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .cross7 import Octonion, basis_vector, cross, oct_associator
-from .linalg import (Matrix, Subspace, Vec, commutator, dot, kernel, vadd,
-                     vscale, vsub)
+from .linalg import (Matrix, Subspace, Vec, commutator, dot, kernel,
+                     solve_inclusion, vadd, vscale, vsub)
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = ["G2", "Frame", "derivation_algebra", "leibniz_rows", "d_operator",
@@ -161,11 +161,6 @@ class G2:
 
     # -- normalizer / centralizer ---------------------------------------
 
-    def _action_on(self, s: Subspace) -> list[list[Vec]]:
-        """beta[t][r] = coords([b_t, m_r]) for the basis rows m_r of s."""
-        mats = [self.mat(row) for row in s.rows]
-        return [[self.coords(commutator(b, m)) for m in mats] for b in self.basis]
-
     def normalizer(self, s: Subspace) -> Subspace:
         """{d : [d, s] <= s}, one linear solve in basis coordinates."""
         return self._stabilizer(s, s)
@@ -175,17 +170,11 @@ class G2:
         return self._stabilizer(s, Subspace.zero(self.dim))
 
     def _stabilizer(self, s: Subspace, target: Subspace) -> Subspace:
-        """{d : [d, s] <= target}: each residual of [d, m_r] mod target is 0."""
+        """{d : [d, s] <= target}, on the coords of [b_t, m_r] for rows m_r."""
         self._check_subspace(s)
-        if s.dim == 0:
-            return Subspace.full(self.dim)
-        beta = self._action_on(s)
-        rows = []
-        for r in range(s.dim):
-            residuals = [target.reduce(beta[t][r]) for t in range(self.dim)]
-            for c in range(self.dim):
-                rows.append([residuals[t][c] for t in range(self.dim)])
-        return kernel(rows, self.dim)
+        mats = [self.mat(row) for row in s.rows]
+        images = [[self.coords(commutator(b, m)) for b in self.basis] for m in mats]
+        return solve_inclusion(images, target, self.dim)
 
     def _check_subspace(self, s: Subspace):
         if s.n != self.dim:

@@ -1,21 +1,24 @@
 """Exact dense linear algebra over Scalar for small dimensions (<= 49).
 
-Provides vectors (plain lists of Scalar), a Matrix class, Gauss-Jordan
-reduction, kernels, characteristic polynomials, and a Subspace type whose
+Provides vectors (plain lists of Scalar), a Matrix class, one row
+reduction (reduced row echelon form built by inserting rows one at a
+time), kernels, characteristic polynomials, and a Subspace type whose
 canonical reduced-row-echelon representation makes subspace equality a
 plain comparison.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
     "Matrix", "Subspace", "vec", "dot", "vadd", "vsub", "vscale",
-    "is_zero_vec", "rref", "kernel", "rank", "char_poly", "solve", "inverse",
-    "projection_matrix",
+    "is_zero_vec", "rref", "insert_row", "kernel", "rank", "char_poly",
+    "solve", "solve_inclusion", "inverse", "projection_matrix",
+    "is_positive_definite",
 ]
 
 Vec = list[Scalar]
@@ -159,34 +162,43 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
+def _reduce(rows: list[Vec], pivots: list[int], v: Sequence[Scalar]) -> Vec:
+    """Residual of v after clearing each pivot column of the RREF rows."""
+    out = list(v)
+    for r, pc in zip(rows, pivots):
+        f = out[pc]
+        if f:
+            out = [x - f * y for x, y in zip(out, r)]
+    return out
+
+
+def insert_row(rows: list[Vec], pivots: list[int], residual: Vec):
+    """Add a nonzero residual of `_reduce` to RREF rows in place.
+
+    The residual is normalised at its first nonzero entry, that column is
+    cleared from the other rows, and it goes in at its pivot's position.
+    """
+    pc = next(i for i, x in enumerate(residual) if x)
+    inv = residual[pc].inverse()
+    new = [inv * x for x in residual]
+    for idx, r in enumerate(rows):
+        f = r[pc]
+        if f:
+            rows[idx] = [x - f * y for x, y in zip(r, new)]
+    pos = bisect_left(pivots, pc)
+    rows.insert(pos, new)
+    pivots.insert(pos, pc)
+
+
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+    out: list[Vec] = []
     pivots: list[int] = []
-    prow = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(prow, len(work)):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[prow], work[piv] = work[piv], work[prow]
-        inv = work[prow][col].inverse()
-        work[prow] = [inv * x for x in work[prow]]
-        for r in range(len(work)):
-            if r != prow and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == len(work):
-            break
-    return work[:prow], pivots
+    for r in rows:
+        residual = _reduce(out, pivots, r)
+        if any(residual):
+            insert_row(out, pivots, residual)
+    return out, pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -213,7 +225,7 @@ def kernel(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> "Subsp
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan on (M | I)."""
+    """Exact inverse by row reduction of (M | I)."""
     n, n2 = m.shape
     if n != n2:
         raise ValueError("inverse of a non-square matrix")
@@ -238,18 +250,29 @@ def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Vec | None
     return sol
 
 
+def solve_inclusion(images: Sequence[Sequence[Sequence[Scalar]]],
+                    target: "Subspace", nvars: int) -> "Subspace":
+    """{c : sum_t c_t images[r][t] lies in target for every r}, one kernel.
+
+    images[r][t] is the image of source vector r under unknown t.
+    """
+    rows: list[Sequence[Scalar]] = []
+    for per_source in images:
+        rows.extend(zip(*[target.reduce(img) for img in per_source]))
+    return kernel(rows, nvars)
+
+
 class Subspace:
     """Subspace of Scalar^n held as canonical RREF rows.
 
     Canonicalisation makes equality of subspaces equality of
-    representations; all constructors reduce their input.
+    representations.  The constructor stores rows that are already in
+    canonical form; `span` is what reduces.
     """
 
     __slots__ = ("n", "rows", "pivots")
 
-    def __init__(self, n: int, rows: list[Vec], pivots: list[int], _trusted=False):
-        if not _trusted:
-            rows, pivots = rref(rows)
+    def __init__(self, n: int, rows: list[Vec], pivots: list[int]):
         self.n = n
         self.rows = rows
         self.pivots = pivots
@@ -260,11 +283,11 @@ class Subspace:
             if len(v) != n:
                 raise ValueError("ambient dimension mismatch")
         rows, pivots = rref(vectors)
-        return cls(n, rows, pivots, _trusted=True)
+        return cls(n, rows, pivots)
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, [], [], _trusted=True)
+        return cls(n, [], [])
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
@@ -277,16 +300,11 @@ class Subspace:
 
     def reduce(self, v: Sequence[Scalar]) -> Vec:
         """Residual of v after elimination against the basis."""
-        out = list(v)
-        for r, pc in zip(self.rows, self.pivots):
-            f = out[pc]
-            if f:
-                out = [x - f * y for x, y in zip(out, r)]
-        return out
-
-    def contains(self, v: Sequence[Scalar]) -> bool:
         if len(v) != self.n:
             raise ValueError("ambient dimension mismatch")
+        return _reduce(self.rows, self.pivots, v)
+
+    def contains(self, v: Sequence[Scalar]) -> bool:
         return is_zero_vec(self.reduce(v))
 
     def coords(self, v: Sequence[Scalar]) -> Vec | None:
@@ -389,6 +407,16 @@ def char_poly(m: Matrix) -> list[Scalar]:
         if k < n:
             mk = mk + Matrix.identity(n).scale(ck)
     return list(reversed(coeffs))
+
+
+def is_positive_definite(m: Matrix) -> bool:
+    """Sylvester's criterion for a symmetric m: all leading minors > 0."""
+    for k in range(1, m.shape[0] + 1):
+        # the k x k minor is (-1)^k char_poly(block)[0]
+        det = char_poly(Matrix([row[:k] for row in m.rows[:k]]))[0]
+        if (det if k % 2 == 0 else -det).sign() <= 0:
+            return False
+    return True
 
 
 def poly_from_roots_squared(squares: Sequence[Scalar | int]) -> list[Scalar]:

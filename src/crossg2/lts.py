@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
-from .linalg import (Matrix, Subspace, Vec, commutator, is_zero_vec, rref,
-                     vadd, vscale)
+from .linalg import (Matrix, Subspace, Vec, commutator, insert_row,
+                     is_zero_vec, rref, vadd, vscale)
 from .scalar import ZERO, Scalar
 
 __all__ = [
@@ -156,6 +157,21 @@ class LtsCarrier:
         except NotClosedError:
             return False
 
+    @cached_property
+    def antisymmetry_witness(self) -> str | None:
+        """The first basis triple with [x, y, z] != -[y, x, z], or None;
+        read off the certified structure constants, diagonal included."""
+        struct = self.struct()
+        n = self.dim
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(n):
+                    if any(a + b for a, b in zip(struct[i][j][k], struct[j][i][k])):
+                        if i == j:
+                            return f"[b{i}, b{i}, b{k}] != 0"
+                        return f"[b{i}, b{j}, b{k}] != -[b{j}, b{i}, b{k}]"
+        return None
+
 
 @dataclass
 class AxiomReport:
@@ -170,25 +186,12 @@ class AxiomReport:
 
 def check_axioms(carrier: LtsCarrier) -> AxiomReport:
     """Verify axioms (ii)-(iv) exhaustively on basis tuples."""
-    rows = carrier.space.rows
-    n = len(rows)
-    triple = carrier.system.triple
-    witness = None
+    n = carrier.dim
+    struct = carrier.struct()
 
     # (ii) antisymmetry, including the diagonal [x, x, z] = 0
-    antisym = True
-    for i in range(n):
-        for k in range(n):
-            if not is_zero_vec(triple(rows[i], rows[i], rows[k])):
-                antisym = False
-                witness = witness or f"[b{i}, b{i}, b{k}] != 0"
-    struct = carrier.struct()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if any((a + b) for a, b in zip(struct[i][j][k], struct[j][i][k])):
-                    antisym = False
-                    witness = witness or f"[b{i}, b{j}, b{k}] != -[b{j}, b{i}, b{k}]"
+    witness = carrier.antisymmetry_witness
+    antisym = witness is None
 
     # (iii) cyclic sum
     cyclic = True
@@ -258,18 +261,21 @@ def _derivation_axiom_pure(struct, n: int) -> bool:
 def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
     """Least triple-closed subspace of the ambient carrier containing seed.
 
-    Iterates S <- S + span [S, S, S] to a fixpoint.  Products are consumed
-    lazily with incremental insertion; once S fills the ambient carrier the
-    fixpoint is the carrier itself (the carrier is closed by certification).
-    Relies on antisymmetry of the product in its first two slots, which
-    holds for every system constructed in this package.
+    Iterates S <- S + span [S, S, S] to a fixpoint, inserting rows as
+    `rref` does: each product is reduced against S and a nonzero residual
+    joins S as a canonical row.  Once S fills the ambient carrier the
+    fixpoint is the carrier itself (closed by certification).  Only
+    [a, b, c] with a before b is formed, so the product must be
+    antisymmetric in its first two slots; the ambient carrier is checked.
     """
     if not ambient.space.contains_subspace(seed):
         raise ValueError("seed is not contained in the ambient carrier")
-    ambient.struct()  # certify ambient closure before using the shortcut
+    witness = ambient.antisymmetry_witness  # also certifies ambient closure
+    if witness is not None:
+        raise ValueError(f"closure needs an antisymmetric product: {witness}")
     triple = ambient.system.triple
     # a private copy of the canonical seed basis, grown in place
-    closed = Subspace(seed.n, list(seed.rows), list(seed.pivots), _trusted=True)
+    closed = Subspace(seed.n, list(seed.rows), list(seed.pivots))
     while True:
         if closed.dim == ambient.dim:
             return ambient.space
@@ -282,28 +288,12 @@ def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
                     prod = triple(basis_now[a], basis_now[b], basis_now[c])
                     residual = closed.reduce(prod)
                     if not is_zero_vec(residual):
-                        _insert_row(residual, closed.rows, closed.pivots)
+                        insert_row(closed.rows, closed.pivots, residual)
                         grown = True
                         if closed.dim == ambient.dim:
                             return ambient.space
         if not grown:
             return closed
-
-
-def _insert_row(residual: Vec, rows: list[Vec], pivots: list[int]):
-    """Insert a reduced nonzero row, keeping rows in RREF."""
-    pc = next(i for i, x in enumerate(residual) if x)
-    inv = residual[pc].inverse()
-    new = [inv * x for x in residual]
-    for idx, r in enumerate(rows):
-        f = r[pc]
-        if f:
-            rows[idx] = [x - f * y for x, y in zip(r, new)]
-    pos = 0
-    while pos < len(pivots) and pivots[pos] < pc:
-        pos += 1
-    rows.insert(pos, new)
-    pivots.insert(pos, pc)
 
 
 def envelope_dim(carrier: LtsCarrier) -> int:
@@ -313,8 +303,7 @@ def envelope_dim(carrier: LtsCarrier) -> int:
     rows = list(carrier.space.rows)
     extra = [carrier.system.bracket(a, b)
              for a, b in itertools.combinations(carrier.space.rows, 2)]
-    red, _ = rref(rows + extra)
-    return len(red)
+    return len(rref(rows + extra)[0])
 
 
 def is_ideal(ideal: Subspace, carrier: LtsCarrier) -> bool:

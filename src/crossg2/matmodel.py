@@ -18,8 +18,8 @@ from typing import Sequence
 from .catalog import AssocSubalg, grading
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, derivation_algebra, leibniz_rows
-from .linalg import (Matrix, Subspace, Vec, char_poly, dot, is_zero_vec,
-                     kernel, projection_matrix, solve)
+from .linalg import (Matrix, Subspace, Vec, dot, is_positive_definite,
+                     is_zero_vec, kernel, projection_matrix, solve)
 from .lts import LtsCarrier, TripleSystem, triple_in_lie
 from .scalar import ONE, ZERO, Scalar
 
@@ -413,12 +413,12 @@ def curvature_check(grid_range: int = 2) -> dict:
                 cross_coeff = Scalar.of(s1 * t2 - s2 * t1)
                 target = d_st(t3, -s3)
                 trip = _sl3_triple_raw(m1, m2, m3)
-                if trip != target.scale(two_thirds * cross_coeff):
-                    return {"triple_coefficient_ok": False,
-                            "witness": (s1, t1, s2, t2, s3, t3)}
+                triple_ok = trip == target.scale(two_thirds * cross_coeff)
                 lhs = m2.scale(metric(m1, m3)) - m1.scale(metric(m2, m3))
-                if lhs != target.scale(minus_28_3 * cross_coeff):
-                    return {"metric_identity_ok": False,
+                metric_ok = lhs == target.scale(minus_28_3 * cross_coeff)
+                if not (triple_ok and metric_ok):
+                    return {"triple_coefficient_ok": triple_ok,
+                            "metric_identity_ok": metric_ok,
                             "witness": (s1, t1, s2, t2, s3, t3)}
     ratio = Scalar.rational(-2, 3) / Scalar.rational(-28, 3)
     return {"triple_coefficient_ok": True, "metric_identity_ok": True,
@@ -426,13 +426,6 @@ def curvature_check(grid_range: int = 2) -> dict:
 
 
 def metric_gram_is_positive_definite(mats: Sequence[Matrix]) -> bool:
-    """Leading principal minors of the Gram matrix are all positive."""
-    n = len(mats)
-    gram = Matrix([[metric(a, b) for b in mats] for a in mats])
-    for k in range(1, n + 1):
-        sub = Matrix([row[:k] for row in gram.rows[:k]])
-        cp = char_poly(sub)
-        det = cp[0] if k % 2 == 0 else -cp[0]
-        if det.sign() <= 0:
-            return False
-    return True
+    """The Gram matrix of the metric on mats is positive definite."""
+    return is_positive_definite(Matrix([[metric(a, b) for b in mats]
+                                        for a in mats]))

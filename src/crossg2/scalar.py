@@ -169,7 +169,7 @@ class Scalar:
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, o) -> bool:
-        if isinstance(o, int):
+        if isinstance(o, (int, Fraction)):
             o = Scalar.of(o)
         if not isinstance(o, Scalar):
             return NotImplemented
@@ -177,6 +177,9 @@ class Scalar:
                 and self.nd == o.nd and self.q == o.q)
 
     def __hash__(self):
+        # a rational value hashes like the equal int or Fraction
+        if not (self.nb or self.nc or self.nd):
+            return hash(Fraction(self.na, self.q))
         return hash((self.na, self.nb, self.nc, self.nd, self.q))
 
     def __bool__(self) -> bool:

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossg2.linalg import (Matrix, Subspace, char_poly, commutator, inverse,
-                            kernel, poly_from_roots_squared, projection_matrix,
-                            rank, solve)
+                            is_positive_definite, kernel,
+                            poly_from_roots_squared, projection_matrix, rank,
+                            rref, solve)
 from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
 
 def rand_rows(rng, r, c):
@@ -176,3 +178,65 @@ def test_matrix_ops():
     assert a.transpose().rows[0][1] == ZERO
     assert a.apply([ONE, ONE]) == [Scalar.of(3), ONE]
     assert Matrix.from_flat(a.flatten(), 2, 2) == a
+
+
+# mostly zeros, with rational and irrational entries
+entries = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, Scalar.of(2),
+                           Scalar.rational(-1, 3), SQRT6, Scalar(1, 0, 1, 0),
+                           Scalar(0, -2, 0, 3, 5)])
+
+
+@st.composite
+def row_systems(draw):
+    """(ncols, rows), wide or tall, with zero, duplicate and dependent rows."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         max_size=9))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "comb"]),
+                              max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([ZERO] * ncols)
+        elif kind == "dup":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(entries)
+            rows.append([x + c * y for x, y in zip(a, b)])
+    order = draw(st.permutations(range(len(rows))))
+    return ncols, [rows[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_systems())
+def test_rref_invariants(system):
+    ncols, rows = system
+    out, pivots = rref(rows)
+    assert len(out) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for r, pc in zip(out, pivots):
+        assert next(i for i, x in enumerate(r) if x) == pc
+        assert r[pc] == ONE
+    for i, pc in enumerate(pivots):
+        assert all(not r[pc] for j, r in enumerate(out) if j != i)
+    space = Subspace(ncols, out, pivots)
+    assert all(space.contains(r) for r in rows)
+    # row rank equals column rank, so with every row inside the span of
+    # the output the two spans agree
+    assert rank([list(col) for col in zip(*rows)]) == len(out)
+
+
+def test_reduce_checks_the_vector_length():
+    line = Subspace.span([[ONE, ZERO]], 2)
+    for call in (line.reduce, line.contains, line.coords):
+        with pytest.raises(ValueError):
+            call([ONE, ZERO, ONE])
+
+
+def test_is_positive_definite():
+    two = Scalar.of(2)
+    assert is_positive_definite(Matrix([[two, -ONE], [-ONE, two]]))
+    assert is_positive_definite(Matrix([[SQRT6]]))
+    assert not is_positive_definite(Matrix([[ONE, two], [two, ONE]]))
+    assert not is_positive_definite(Matrix([[ZERO, ONE], [ONE, ZERO]]))
+    assert not is_positive_definite(Matrix([[ONE, ZERO], [ZERO, ZERO]]))
+    assert not is_positive_definite(-Matrix.identity(3))

@@ -132,3 +132,18 @@ def test_is_ideal(ws):
 def test_m34_skew_symmetrization_is_lts():
     full = LtsCarrier(matmodel.m34_system(), Subspace.full(12))
     assert check_axioms(full).all_pass()
+
+
+def test_closure_rejects_a_product_that_is_not_antisymmetric():
+    # [b0, b0, b0] = b1: b0 generates a 2-dim subsystem, but a closure that
+    # forms [a, b, c] only for a before b would stop at span{b0}
+    struct = [[[[ZERO, ZERO] for _ in range(2)] for _ in range(2)]
+              for _ in range(2)]
+    struct[0][0][0] = [ZERO, ONE]
+    carrier = LtsCarrier(abstract_lts(struct), Subspace.full(2))
+    assert carrier.antisymmetry_witness == "[b0, b0, b0] != 0"
+    report = check_axioms(carrier)
+    assert not report.antisymmetry
+    assert report.witness == "[b0, b0, b0] != 0"
+    with pytest.raises(ValueError, match=r"\[b0, b0, b0\] != 0"):
+        generated_subtriple(Subspace.span([[ONE, ZERO]], 2), carrier)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from crossg2 import lts, matmodel
+from crossg2.checks import run_checks, select_checks
 from crossg2.cross7 import basis_vector
 from crossg2.linalg import Matrix, Subspace
 from crossg2.scalar import ONE, ZERO, Scalar
@@ -218,3 +219,15 @@ def test_sphere_matches_adapted_intersection(ws, frame):
         assert m == matmodel.d_st(s, t)
         images.append(m.flatten())
     assert Subspace.span(images, 9) == matmodel.sl3_catalog("sphere").space
+
+
+def test_grid_failure_names_the_metric_identity(monkeypatch):
+    # break only the -28/3 identity: the triple product does not use metric
+    metric = matmodel.metric
+    monkeypatch.setattr(matmodel, "metric", lambda a, b: metric(a, b) + ONE)
+    report = matmodel.curvature_check(1)
+    assert report["triple_coefficient_ok"] is True
+    assert report["metric_identity_ok"] is False
+    [result] = run_checks(select_checks(["matmodel.grid"]), 0, 1)
+    assert result.status == "fail"
+    assert result.witness.startswith("-28/3 identity fails at ")

@@ -119,3 +119,18 @@ def test_parse_only_raises_value_error(text):
     except ValueError:
         return
     assert isinstance(x, Scalar)
+
+
+def test_rational_values_equal_and_hash_like_fractions_and_ints():
+    half = Scalar.rational(1, 2)
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half != Fraction(1, 3) and SQRT6 != Fraction(6)
+    assert len({Scalar.of(1), 1}) == 1
+    assert len({half, Fraction(1, 2)}) == 1
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+def test_rational_hash_matches_fraction(p, q):
+    f = Fraction(p, q)
+    assert Scalar.rational(p, q) == f
+    assert hash(Scalar.rational(p, q)) == hash(f)
