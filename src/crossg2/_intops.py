@@ -1,7 +1,7 @@
 """Integer-cleared numpy kernels for bulk quadruple arithmetic.
 
 Scalars live on the basis {1, r6, r10, r15}; a Scalar tensor becomes an
-int64 array with a trailing component axis of length 4 over one common
+integer array with a trailing component axis of length 4 over one common
 denominator.  Multiplication of two components is the bilinear table
 
     (u, v) -> (w, coeff)
@@ -10,9 +10,9 @@ derived from r6*r10 = 2*r15, r6*r15 = 3*r10, r10*r15 = 5*r6.  The
 identity checks routed through here are homogeneous of equal degree on
 both sides, so the cleared denominator cancels and never needs tracking.
 
-Every entry point bounds the worst-case accumulator against int64 and
-raises OverflowError if exceeded (callers then fall back to the pure
-path; in practice the bound is never hit at these dimensions).
+The arithmetic is exact at any size: a contraction runs in int64 when its
+worst-case accumulator provably fits (see `contraction_dtype`) and on
+Python integers (dtype object) otherwise, with the same code.
 """
 
 from __future__ import annotations
@@ -35,35 +35,16 @@ _INT64_LIMIT = 2 ** 62
 
 
 def clear_tensor(nested) -> np.ndarray:
-    """Nested lists of Scalar -> int64 array [..., 4], common denominator dropped."""
-    flat: list[Scalar] = []
-
-    def walk(x):
-        if isinstance(x, Scalar):
-            flat.append(x)
-            return None
-        return [walk(y) for y in x]
-
-    shape_probe = walk(nested)
-
-    den = 1
-    for s in flat:
-        den = lcm(den, s.q)
-    arr = np.empty((len(flat), 4), dtype=object)
+    """Nested lists of Scalar -> Python-int array [..., 4] (dtype object),
+    the common denominator dropped."""
+    scalars = np.array(nested, dtype=object)
+    flat = scalars.reshape(-1)
+    den = lcm(*(s.q for s in flat))
+    cleared = np.empty((flat.size, 4), dtype=object)
     for idx, s in enumerate(flat):
         f = den // s.q
-        arr[idx] = (s.na * f, s.nb * f, s.nc * f, s.nd * f)
-
-    def shape_of(x):
-        if x is None:
-            return ()
-        return (len(x),) + shape_of(x[0])
-
-    shape = shape_of(shape_probe) + (4,)
-    maxabs = max((abs(int(v)) for v in arr.reshape(-1)), default=0)
-    if maxabs >= _INT64_LIMIT:
-        raise OverflowError("cleared tensor exceeds int64")
-    return arr.astype(np.int64).reshape(shape)
+        cleared[idx] = (s.na * f, s.nb * f, s.nc * f, s.nd * f)
+    return cleared.reshape(scalars.shape + (4,))
 
 
 def _qmul_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,24 +56,26 @@ def _qmul_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, k, _ = a.shape
     k2, n, _ = b.shape
     assert k == k2
-    out = np.zeros((m, n, 4), dtype=np.int64)
+    out = np.zeros((m, n, 4), dtype=a.dtype)
     for u, v, w, coeff in _PRODUCTS:
         out[:, :, w] += coeff * (a[:, :, u] @ b[:, :, v])
     return out
 
 
-def _check_product_bound(a: np.ndarray, b: np.ndarray, contract_len: int):
+def contraction_dtype(a: np.ndarray, b: np.ndarray, contract_len: int):
+    """int64 when every contraction of a with b, and the sums of three of
+    them in derivation_axiom_holds, provably fit in int64; else object."""
     # One matmul entry is at most ma * mb * K.  An output component sums
     # coeff times such entries over its table rows, and the coefficients per
     # component sum to 32 (w = 0: 1 + 6 + 10 + 15), 12, 8 and 6, so 60 here
     # over-counts.  Admitting 60 * ma * mb * K < 2^62 bounds a contraction
     # by (32/60) * 2^62, and the three-term sum t1 + t2 + t3 in
     # derivation_axiom_holds by 1.6 * 2^62 < 2^63: no int64 overflow.
+    # Past the bound, Python integers keep every sum exact.
     ma = int(np.abs(a).max(initial=0))
     mb = int(np.abs(b).max(initial=0))
     bound = 4 * 15 * ma * mb * max(contract_len, 1)
-    if bound >= _INT64_LIMIT:
-        raise OverflowError("quadruple contraction may overflow int64")
+    return np.int64 if bound < _INT64_LIMIT else object
 
 
 def derivation_axiom_holds(struct: list[list[list[list[Scalar]]]]) -> bool:
@@ -105,9 +88,11 @@ def derivation_axiom_holds(struct: list[list[list[list[Scalar]]]]) -> bool:
     for all basis tuples, using the antisymmetry of both sides in (X, Y)
     to halve the pair loop.
     """
+    if not struct:
+        return True  # the zero-dimensional system
     c = clear_tensor(struct)  # [n, n, n, n, 4]
     n = c.shape[0]
-    _check_product_bound(c, c, n)
+    c = c.astype(contraction_dtype(c, c, n))
     c_flat = c.reshape(n * n * n, n, 4)        # [(a b e), l, 4]
     c_pfirst = np.ascontiguousarray(np.transpose(c, (1, 0, 2, 3, 4)))
     for x in range(n):

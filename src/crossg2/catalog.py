@@ -354,7 +354,6 @@ class ProbeReport:
     trials: int
     passes: int
     failures: list[tuple[Vec, int]]  # (adjoined coordinates, closure dimension)
-    seed_note: str
 
     def all_passed(self) -> bool:
         return self.passes == self.trials and not self.failures
@@ -392,5 +391,4 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
             passes += 1
         else:
             failures.append((x, closed.dim))
-    return ProbeReport(trials, passes, failures,
-                       seed_note="small-integer coordinates, range +-3")
+    return ProbeReport(trials, passes, failures)

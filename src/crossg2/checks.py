@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable
 
 from . import catalog, cross7, g2alg, lts, matmodel
-from .linalg import (Matrix, Subspace, char_poly, commutator, dot,
+from .linalg import (Matrix, Subspace, char_poly, combine, commutator, dot,
                      is_positive_definite, is_zero_vec, kernel,
                      poly_from_roots_squared, projection_matrix, rank)
 from .scalar import ONE, SQRT6, SQRT10, SQRT15, ZERO, Scalar
@@ -127,24 +127,12 @@ class Workspace:
     @property
     def g2_triple_struct(self):
         def build():
+            # [[b_i, b_j], b_k] = sum_m sc[i][j][m] [b_m, b_k]
             sc = self.g2.bracket_coords()
             n = self.g2.dim
-            out = []
-            for i in range(n):
-                plane = []
-                for j in range(n):
-                    row_ij = sc[i][j]
-                    line = []
-                    for k in range(n):
-                        acc = [ZERO] * n
-                        for m in range(n):
-                            if row_ij[m]:
-                                acc = [u + row_ij[m] * w
-                                       for u, w in zip(acc, sc[m][k])]
-                        line.append(acc)
-                    plane.append(line)
-                out.append(plane)
-            return out
+            cols = [[sc[m][k] for m in range(n)] for k in range(n)]
+            return [[[combine(sc[i][j], cols[k]) for k in range(n)]
+                     for j in range(n)] for i in range(n)]
         return self._get("g2_triple_struct", build)
 
     @property
@@ -897,16 +885,11 @@ def _mm_ms_tangent(ws, rng, trials):
                              "skew product of the row matrices")
 def _mm_m34_match(ws, rng, trials):
     lift = ws.lift
-    fr = ws.frame
-    basis = lift.basis
-    rms = [matmodel.row_matrix(d, fr) for d in basis]
-    for x in range(8):
-        for y in range(8):
-            for z in range(8):
-                lhs = matmodel.row_matrix(
-                    lts.triple_in_lie(basis[x], basis[y], basis[z]), fr)
-                rhs = matmodel.m34_triple(rms[x], rms[y], rms[z])
-                require(lhs == rhs, f"mismatch at basis triple ({x},{y},{z})")
+    rms = [matmodel.row_matrix(d, ws.frame) for d in lift.basis]
+    # row_matrix is linear, so lhs is the row matrix of [[d_x, d_y], d_z]
+    for x, y, z, lhs in lift.triple_images(rms):
+        rhs = matmodel.m34_triple(rms[x], rms[y], rms[z])
+        require(lhs == rhs, f"mismatch at basis triple ({x},{y},{z})")
 
 
 @check("matmodel.lift", "each tangent element lifts to the unique odd "
@@ -936,14 +919,10 @@ def _mm_to_sl3(ws, rng, trials):
     for m in sl3s:
         require(matmodel.to_sl3(matmodel.from_sl3(m)) == m,
                 "to_sl3(from_sl3) is not the identity")
-    for x in range(8):
-        for y in range(8):
-            for z in range(8):
-                lhs = matmodel.to_sl3(matmodel.row_matrix(
-                    lts.triple_in_lie(lift.basis[x], lift.basis[y],
-                                      lift.basis[z]), fr))
-                rhs = matmodel.sl3_triple(sl3s[x], sl3s[y], sl3s[z])
-                require(lhs == rhs, f"intertwining fails at ({x},{y},{z})")
+    # to_sl3 and row_matrix are linear, so lhs is the image of [[d_x, d_y], d_z]
+    for x, y, z, lhs in lift.triple_images(sl3s):
+        rhs = matmodel.sl3_triple(sl3s[x], sl3s[y], sl3s[z])
+        require(lhs == rhs, f"intertwining fails at ({x},{y},{z})")
     require(lts.envelope_dim(ws.m4v) == 14, "envelope through the lift != 14")
 
 

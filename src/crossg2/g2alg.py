@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .cross7 import Octonion, basis_vector, cross, oct_associator
-from .linalg import (Matrix, Subspace, Vec, commutator, dot, kernel,
+from .linalg import (Matrix, Subspace, Vec, combine, commutator, dot, kernel,
                      solve_inclusion, vadd, vscale, vsub)
 from .scalar import ONE, ZERO, Scalar
 
@@ -80,11 +80,7 @@ class G2:
         return c
 
     def mat(self, coords: Sequence[Scalar]) -> Matrix:
-        flat = [ZERO] * 49
-        for c, row in zip(coords, self.space.rows):
-            if c:
-                flat = [x + c * y for x, y in zip(flat, row)]
-        return Matrix.from_flat(flat, 7, 7)
+        return Matrix.from_flat(combine(coords, self.space.rows), 7, 7)
 
     def subspace_from_matrices(self, mats: Sequence[Matrix]) -> Subspace:
         """Span of the given members, in basis coordinates."""
@@ -107,11 +103,6 @@ class G2:
                     sc[j][i] = [-x for x in c]
             self._brackets = sc
         return self._brackets
-
-    def ad(self, i: int) -> Matrix:
-        """ad(b_i) on basis coordinates: column j is coords([b_i, b_j])."""
-        sc = self.bracket_coords()
-        return Matrix.from_columns([sc[i][j] for j in range(self.dim)])
 
     def killing_form(self) -> Matrix:
         """kappa(b_i, b_j) = tr(ad b_i ad b_j) on the adjoint representation."""

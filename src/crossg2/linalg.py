@@ -15,17 +15,13 @@ from typing import Iterable, Sequence
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
-    "Matrix", "Subspace", "vec", "dot", "vadd", "vsub", "vscale",
+    "Matrix", "Subspace", "dot", "vadd", "vsub", "vscale", "combine",
     "is_zero_vec", "rref", "insert_row", "kernel", "rank", "char_poly",
     "solve", "solve_inclusion", "inverse", "projection_matrix",
     "is_positive_definite",
 ]
 
 Vec = list[Scalar]
-
-
-def vec(*entries) -> Vec:
-    return [Scalar.of(x) for x in entries]
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -46,6 +42,16 @@ def vsub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vec:
 
 def vscale(c: Scalar, u: Sequence[Scalar]) -> Vec:
     return [c * a for a in u]
+
+
+def combine(coeffs: Sequence[Scalar], vectors: Sequence[Sequence[Scalar]]) -> Vec:
+    """The linear combination sum_i coeffs[i] * vectors[i] of equal-length
+    vectors (at least one); zero coefficients are skipped."""
+    out = [ZERO] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, v)]
+    return out
 
 
 def is_zero_vec(u: Sequence[Scalar]) -> bool:
@@ -86,13 +92,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def row(self, i: int) -> Vec:
-        return list(self.rows[i])
 
     def column(self, j: int) -> Vec:
         return [r[j] for r in self.rows]
@@ -191,11 +190,14 @@ def insert_row(rows: list[Vec], pivots: list[int], residual: Vec):
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Entries may be Scalar, int or Fraction; they are coerced as Matrix does.
+    """
     out: list[Vec] = []
     pivots: list[int] = []
     for r in rows:
-        residual = _reduce(out, pivots, r)
+        residual = _reduce(out, pivots, [Scalar.of(x) for x in r])
         if any(residual):
             insert_row(out, pivots, residual)
     return out, pivots
@@ -339,14 +341,8 @@ class Subspace:
             sys_rows.append([self.rows[i][c] for i in range(k1)]
                             + [-other.rows[j][c] for j in range(k2)])
         ker = kernel(sys_rows, k1 + k2)
-        vecs = []
-        for comb in ker.rows:
-            v = [ZERO] * self.n
-            for i in range(k1):
-                if comb[i]:
-                    v = [x + comb[i] * y for x, y in zip(v, self.rows[i])]
-            vecs.append(v)
-        return Subspace.span(vecs, self.n)
+        return Subspace.span([combine(comb, self.rows) for comb in ker.rows],
+                             self.n)
 
     __and__ = intersect
 
@@ -372,9 +368,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.n, tuple(self.pivots)))
-
-    def basis(self) -> list[Vec]:
-        return [list(r) for r in self.rows]
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, n={self.n})"

@@ -14,8 +14,7 @@ The four defining axioms:
     (iv)  [X,Y,.] acts as a derivation of the triple product
 
 (ii)-(iv) are verified exhaustively on basis tuples; (iv) is the
-quadratic one and routes through the integer-cleared numpy kernel at
-dimension >= 8.
+quadratic one and always runs on the integer-cleared numpy kernel.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .linalg import (Matrix, Subspace, Vec, commutator, insert_row,
-                     is_zero_vec, rref, vadd, vscale)
+from .linalg import (Matrix, Subspace, Vec, combine, commutator, insert_row,
+                     is_zero_vec, rref, vadd)
 from .scalar import ZERO, Scalar
 
 __all__ = [
@@ -123,11 +122,7 @@ class LtsCarrier:
 
     def element(self, coords: Sequence[Scalar]) -> Vec:
         """Flat ambient vector of a coordinate combination of the basis."""
-        out = [ZERO] * self.system.dim
-        for c, row in zip(coords, self.space.rows):
-            if c:
-                out = vadd(out, vscale(c, row))
-        return out
+        return combine(coords, self.space.rows)
 
     def struct(self) -> list[list[list[Vec]]]:
         """Structure constants on the carrier basis; certifies closure."""
@@ -211,25 +206,17 @@ def check_axioms(carrier: LtsCarrier) -> AxiomReport:
             continue
         break
 
-    derivation = _derivation_axiom(struct, n)
+    # Imported here, not at the top: runs that never check axioms (closure
+    # probes, for one) never pay for importing numpy.
+    from ._intops import derivation_axiom_holds
+    derivation = derivation_axiom_holds(struct)
     if not derivation:
         witness = witness or "derivation identity fails on some basis tuple"
     return AxiomReport(antisym, cyclic, derivation, witness)
 
 
-def _derivation_axiom(struct, n: int) -> bool:
-    if n >= 8:
-        # Imported here, not at the top: runs whose carriers stay below
-        # dimension 8 (closure probes, for one) never pay for importing numpy.
-        from ._intops import derivation_axiom_holds
-        try:
-            return derivation_axiom_holds(struct)
-        except OverflowError:
-            pass
-    return _derivation_axiom_pure(struct, n)
-
-
 def _derivation_axiom_pure(struct, n: int) -> bool:
+    """Reference path of the derivation axiom, the oracle of the kernel's tests."""
     # both sides are antisymmetric in (x, y) and in (a, b)
     for x in range(n):
         for y in range(x + 1, n):
@@ -237,22 +224,11 @@ def _derivation_axiom_pure(struct, n: int) -> bool:
             for a in range(n):
                 for b in range(a + 1, n):
                     for e in range(n):
-                        abe = struct[a][b][e]
-                        lhs = [ZERO] * n
-                        for l in range(n):
-                            if abe[l]:
-                                lhs = [u + abe[l] * v for u, v in zip(lhs, op[l])]
-                        rhs = [ZERO] * n
-                        for p in range(n):
-                            if op[a][p]:
-                                rhs = [u + op[a][p] * v
-                                       for u, v in zip(rhs, struct[p][b][e])]
-                            if op[b][p]:
-                                rhs = [u + op[b][p] * v
-                                       for u, v in zip(rhs, struct[a][p][e])]
-                            if op[e][p]:
-                                rhs = [u + op[e][p] * v
-                                       for u, v in zip(rhs, struct[a][b][p])]
+                        lhs = combine(struct[a][b][e], op)
+                        rhs = vadd(vadd(
+                            combine(op[a], [struct[p][b][e] for p in range(n)]),
+                            combine(op[b], [struct[a][p][e] for p in range(n)])),
+                            combine(op[e], struct[a][b]))
                         if lhs != rhs:
                             return False
     return True

@@ -13,12 +13,13 @@ product {m1,m2,m3} = [m1,m2,m3] + gamma(m1,m2,m3).
 from __future__ import annotations
 
 from functools import partial
+from itertools import product
 from typing import Sequence
 
-from .catalog import AssocSubalg, grading
+from .catalog import GL7, AssocSubalg, grading
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, derivation_algebra, leibniz_rows
-from .linalg import (Matrix, Subspace, Vec, dot, is_positive_definite,
+from .linalg import (Matrix, Subspace, Vec, combine, dot, is_positive_definite,
                      is_zero_vec, kernel, projection_matrix, solve)
 from .lts import LtsCarrier, TripleSystem, triple_in_lie
 from .scalar import ONE, ZERO, Scalar
@@ -209,6 +210,11 @@ class LiftMap:
     on V0; the bijection intertwines the two triple products up to one
     global sign, fixed empirically at construction from an exhaustive basis
     sweep and recorded as `sign`.
+
+    `triples[x][y][z]` holds the coordinates of [[d_x, d_y], d_z] on the
+    tangent basis `basis`, computed once; building them certifies that the
+    tangent space is closed under the triple product.  The image of such a
+    triple under any linear map is the same combination of the basis images.
     """
 
     def __init__(self, v: AssocSubalg, frame: Frame, g2: G2 | None = None):
@@ -232,6 +238,7 @@ class LiftMap:
             raise AssertionError("odd derivations are not determined by V0 values")
         self._sysrows = sysrows
         self.basis = [Matrix.from_flat(r, 7, 7) for r in self.tangent.rows]
+        self.triples = LtsCarrier(GL7, self.tangent, "tangent").struct()
         self.lifted = [self.lift(m) for m in self.basis]
         lift_coords = [g2.coords(m) for m in self.lifted]
         if Subspace.span(lift_coords, g2.dim) != odd:
@@ -245,38 +252,39 @@ class LiftMap:
         x = solve(self._sysrows, rhs)
         if x is None:
             raise ValueError("element does not lift to an odd derivation")
-        out = Matrix.zeros(7, 7)
-        for coeff, m in zip(x, self.m4v_mats):
-            if coeff:
-                out = out + m.scale(coeff)
+        out = self.g2.mat(combine(x, self.m4v_space.rows))
         for f in (self.frame.i, self.frame.j, self.frame.k):
             if out.apply(f) != d.apply(f):
                 raise AssertionError("lift does not restrict correctly")
         return out
 
+    def triple_images(self, images: Sequence[Matrix]):
+        """Yield (x, y, z, f([[d_x, d_y], d_z])) over all basis triples, for
+        the linear map f that sends basis[i] to images[i]."""
+        flat = [m.flatten() for m in images]
+        rows, cols = images[0].shape
+        for x, y, z in product(range(8), repeat=3):
+            yield x, y, z, Matrix.from_flat(
+                combine(self.triples[x][y][z], flat), rows, cols)
+
     def _fix_sign(self) -> int:
         sign = 0
-        for x in range(8):
-            for y in range(8):
-                for z in range(8):
-                    lhs = self.lift(triple_in_lie(self.basis[x], self.basis[y],
-                                                  self.basis[z]))
-                    rhs = triple_in_lie(self.lifted[x], self.lifted[y],
-                                        self.lifted[z])
-                    if lhs.is_zero() and rhs.is_zero():
-                        continue
-                    if sign == 0:
-                        if lhs == rhs:
-                            sign = 1
-                        elif lhs == -rhs:
-                            sign = -1
-                        else:
-                            raise AssertionError("lift is not a triple morphism "
-                                                 "up to a global sign")
-                    else:
-                        expected = rhs if sign == 1 else -rhs
-                        if lhs != expected:
-                            raise AssertionError("global sign is not constant")
+        for x, y, z, lhs in self.triple_images(self.lifted):
+            rhs = triple_in_lie(self.lifted[x], self.lifted[y], self.lifted[z])
+            if lhs.is_zero() and rhs.is_zero():
+                continue
+            if sign == 0:
+                if lhs == rhs:
+                    sign = 1
+                elif lhs == -rhs:
+                    sign = -1
+                else:
+                    raise AssertionError("lift is not a triple morphism "
+                                         "up to a global sign")
+            else:
+                expected = rhs if sign == 1 else -rhs
+                if lhs != expected:
+                    raise AssertionError("global sign is not constant")
         if sign == 0:
             raise AssertionError("triple product vanished identically")
         return sign
@@ -404,6 +412,7 @@ def curvature_check(grid_range: int = 2) -> dict:
     With R = -{.,.,.} the curvature-form ratio is (-2/3)/(-28/3) = 1/14.
     """
     rng = range(-grid_range, grid_range + 1)
+    # the grid is symmetric under (s, t) -> (t, -s), so it holds every target
     mats = {(s, t): d_st(s, t) for s in rng for t in rng}
     two_thirds = Scalar.rational(2, 3)
     minus_28_3 = Scalar.rational(-28, 3)
@@ -411,7 +420,7 @@ def curvature_check(grid_range: int = 2) -> dict:
         for (s2, t2), m2 in mats.items():
             for (s3, t3), m3 in mats.items():
                 cross_coeff = Scalar.of(s1 * t2 - s2 * t1)
-                target = d_st(t3, -s3)
+                target = mats[(t3, -s3)]
                 trip = _sl3_triple_raw(m1, m2, m3)
                 triple_ok = trip == target.scale(two_thirds * cross_coeff)
                 lhs = m2.scale(metric(m1, m3)) - m1.scale(metric(m2, m3))

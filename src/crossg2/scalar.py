@@ -154,18 +154,6 @@ class Scalar:
     def __rtruediv__(self, o):
         return Scalar.of(o) * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, o) -> bool:

@@ -13,8 +13,8 @@ import crossg2
 PKG = Path(crossg2.__file__).parent
 MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__main__")
 
-# the one deferred import: the numpy kernel, needed only at dimension >= 8
-ALLOWED_LOCAL = {("lts.py", "_derivation_axiom", "_intops")}
+# the one deferred import: the numpy kernel, needed only by axiom checks
+ALLOWED_LOCAL = {("lts.py", "check_axioms", "_intops")}
 
 
 @pytest.mark.parametrize("module", MODULES)

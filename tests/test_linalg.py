@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossg2.linalg import (Matrix, Subspace, char_poly, commutator, inverse,
+from crossg2.linalg import (Matrix, Subspace, char_poly, combine, commutator, inverse,
                             is_positive_definite, kernel,
                             poly_from_roots_squared, projection_matrix, rank,
                             rref, solve)
@@ -80,6 +81,28 @@ def test_solve():
     x = solve(a, [Scalar.of(3), ONE])
     assert x == [Scalar.of(2), ONE]
     assert solve([[ONE, ONE], [ONE, ONE]], [ZERO, ONE]) is None
+
+
+def test_span_kernel_and_solve_take_int_and_fraction_entries():
+    half = Fraction(1, 2)
+    line = Subspace.span([[1, 0]], 2)
+    assert line == Subspace.span([[ONE, ZERO]], 2)
+    assert all(isinstance(x, Scalar) for r in line.rows for x in r)
+    assert (Subspace.span([[2, 1], [half, Fraction(1, 4)]], 2)
+            == Subspace.span([[Scalar.of(2), ONE]], 2))
+    assert kernel([[1, 0]], 2) == Subspace.span([[ZERO, ONE]], 2)
+    assert kernel([[half, 1]], 2) == Subspace.span([[Scalar.of(-2), ONE]], 2)
+    assert solve([[1, 1], [1, -1]], [3, 1]) == [Scalar.of(2), ONE]
+    assert solve([[half, 0], [0, 1]], [Fraction(3, 2), 2]) == [Scalar.of(3),
+                                                              Scalar.of(2)]
+    assert solve([[1, 1], [1, 1]], [0, half]) is None
+
+
+def test_combine():
+    vectors = [[ONE, ONE], [SQRT6, SQRT6], [ZERO, -ONE]]
+    assert combine([ONE, ZERO, Scalar.of(2)], vectors) == [ONE, -ONE]
+    assert combine([ZERO, SQRT6, ZERO], vectors) == [Scalar.of(6)] * 2
+    assert combine([], vectors) == [ZERO, ZERO]
 
 
 def test_char_poly_examples():

@@ -36,7 +36,7 @@ def test_counterexample_fails_derivation_axiom():
 
 def test_pure_and_fast_derivation_checks_agree():
     # an 8-dim passing carrier and the 2-dim failing one: the pure oracle,
-    # the integer kernel and check_axioms (which routes n >= 8 to the kernel)
+    # the integer kernel and check_axioms (which always runs the kernel)
     full = matmodel.sl3_full_carrier()
     assert _derivation_axiom_pure(full.struct(), 8)
     assert derivation_axiom_holds(full.struct())
@@ -147,3 +147,7 @@ def test_closure_rejects_a_product_that_is_not_antisymmetric():
     assert report.witness == "[b0, b0, b0] != 0"
     with pytest.raises(ValueError, match=r"\[b0, b0, b0\] != 0"):
         generated_subtriple(Subspace.span([[ONE, ZERO]], 2), carrier)
+
+
+def test_zero_dimensional_carrier_passes_the_axioms():
+    assert check_axioms(LtsCarrier(matrix_lts(2), Subspace.zero(4))).all_pass()

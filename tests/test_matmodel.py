@@ -1,9 +1,11 @@
+import copy
 import random
 
 import pytest
 
 from crossg2 import lts, matmodel
-from crossg2.checks import run_checks, select_checks
+from crossg2.checks import (CHECKS, CheckFailure, Workspace, run_checks,
+                            select_checks)
 from crossg2.cross7 import basis_vector
 from crossg2.linalg import Matrix, Subspace
 from crossg2.scalar import ONE, ZERO, Scalar
@@ -115,6 +117,32 @@ def test_lift(ws):
     for f in (lift.frame.i, lift.frame.j, lift.frame.k):
         assert lifted.apply(f) == d.apply(f)
     assert ws.g2.contains(lifted)
+
+
+def test_triple_images_match_direct_products(ws):
+    lift = ws.lift
+    rng = random.Random(7)
+    picks = {tuple(rng.randrange(8) for _ in range(3)) for _ in range(12)}
+    for x, y, z, image in lift.triple_images(lift.basis):
+        if (x, y, z) in picks:
+            assert image == lts.triple_in_lie(lift.basis[x], lift.basis[y],
+                                              lift.basis[z])
+
+
+@pytest.mark.parametrize("check_id", ["matmodel.m34_match", "matmodel.to_sl3"])
+def test_corrupted_triple_constants_fail_with_a_witness(ws, check_id):
+    # negate one nonzero structure constant of a copy of the shared lift
+    lift = copy.copy(ws.lift)
+    lift.triples = copy.deepcopy(lift.triples)
+    x, y, z, l = next((x, y, z, l) for x in range(8) for y in range(8)
+                      for z in range(8) for l in range(8)
+                      if lift.triples[x][y][z][l])
+    lift.triples[x][y][z][l] = -lift.triples[x][y][z][l]
+    bad = Workspace()
+    bad._cache.update(lift=lift, frame=ws.frame)
+    check = next(c for c in CHECKS if c.id == check_id)
+    with pytest.raises(CheckFailure, match=rf"\({x},{y},{z}\)"):
+        check.fn(bad, random.Random(0), 1)
 
 
 def test_alpha():
