@@ -6,9 +6,12 @@ denominator.  Multiplication of two components is the bilinear table
 
     (u, v) -> (w, coeff)
 
-derived from r6*r10 = 2*r15, r6*r15 = 3*r10, r10*r15 = 5*r6.  The
-identity checks routed through here are homogeneous of equal degree on
-both sides, so the cleared denominator cancels and never needs tracking.
+derived from r6*r10 = 2*r15, r6*r15 = 3*r10, r10*r15 = 5*r6.  `qproduct`
+lifts a bilinear numpy op through this table, skipping each component pair
+with an all-zero operand, so a rational tensor costs one op, not sixteen.
+It has two clients: the derivation-axiom sweep, homogeneous of equal degree
+on both sides, so the cleared denominator cancels; and the sphere-family
+grid of `matmodel.curvature_check`, on tensors `clear_integral` checks.
 
 The arithmetic is exact at any size: a contraction runs in int64 when its
 worst-case accumulator provably fits (see `contraction_dtype`) and on
@@ -17,6 +20,7 @@ Python integers (dtype object) otherwise, with the same code.
 
 from __future__ import annotations
 
+from functools import partial
 from math import lcm
 
 import numpy as np
@@ -47,19 +51,34 @@ def clear_tensor(nested) -> np.ndarray:
     return cleared.reshape(scalars.shape + (4,))
 
 
-def _qmul_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quadruple product with contraction over the shared middle axis.
+def clear_integral(nested) -> np.ndarray:
+    """clear_tensor of Scalars that must all have denominator 1."""
+    if any(s.q != 1 for s in np.ravel(np.array(nested, dtype=object))):
+        raise ValueError("tensor is not integral on {1, r6, r10, r15}")
+    return clear_tensor(nested)
 
-    a: [..., K, 4], b: [K, ..., 4] is not supported in general; this helper
-    implements exactly (A @ B) for A: [M, K, 4], B: [K, N, 4] -> [M, N, 4].
-    """
-    m, k, _ = a.shape
-    k2, n, _ = b.shape
-    assert k == k2
-    out = np.zeros((m, n, 4), dtype=a.dtype)
-    for u, v, w, coeff in _PRODUCTS:
-        out[:, :, w] += coeff * (a[:, :, u] @ b[:, :, v])
+
+def qproduct(a: np.ndarray, b: np.ndarray, op=np.matmul) -> np.ndarray:
+    """The bilinear op (a callable, or an einsum spec) lifted to quadruple
+    arrays [..., 4]; component pairs with an all-zero operand are skipped."""
+    op = partial(np.einsum, op) if isinstance(op, str) else op
+    live_a = [a[..., u].any() for u in range(4)]
+    live_b = [b[..., v].any() for v in range(4)]
+    # with nothing live, the (0, 0) pair still gives the zero result's shape
+    pairs = [p for p in _PRODUCTS if live_a[p[0]] and live_b[p[1]]]
+    out = None
+    for u, v, w, coeff in pairs or _PRODUCTS[:1]:
+        term = coeff * op(a[..., u], b[..., v])  # scales the product in place
+        if out is None:
+            out = np.zeros(term.shape + (4,), dtype=term.dtype)
+        out[..., w] += term
+        del term  # at most one product buffer is alive at a time
     return out
+
+
+def _qmul_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A @ B on quadruples: [M, K, 4] x [K, N, 4] -> [M, N, 4]."""
+    return qproduct(a, b)
 
 
 def contraction_dtype(a: np.ndarray, b: np.ndarray, contract_len: int):

@@ -410,25 +410,46 @@ def curvature_check(grid_range: int = 2) -> dict:
       {d_{s1,t1}, d_{s2,t2}, d_{s3,t3}} = (2/3)(s1 t2 - s2 t1) d_{t3,-s3}
       <d1,d3> d2 - <d2,d3> d1 = -(28/3)(s1 t2 - s2 t1) d_{t3,-s3}
     With R = -{.,.,.} the curvature-form ratio is (-2/3)/(-28/3) = 1/14.
+
+    On D = 3 d_st (metric 9<d, d'>) the right sides are 6c D_{t3,-s3} and
+    -84c D_{t3,-s3}, c = s1 t2 - s2 t1.  Integer arrays evaluate every point,
+    one m1 at a time over all (m2, m3); the first failing point is the witness.
     """
+    from ._intops import _INT64_LIMIT, clear_integral, qproduct
     rng = range(-grid_range, grid_range + 1)
-    # the grid is symmetric under (s, t) -> (t, -s), so it holds every target
-    mats = {(s, t): d_st(s, t) for s in rng for t in rng}
-    two_thirds = Scalar.rational(2, 3)
-    minus_28_3 = Scalar.rational(-28, 3)
-    for (s1, t1), m1 in mats.items():
-        for (s2, t2), m2 in mats.items():
-            for (s3, t3), m3 in mats.items():
-                cross_coeff = Scalar.of(s1 * t2 - s2 * t1)
-                target = mats[(t3, -s3)]
-                trip = _sl3_triple_raw(m1, m2, m3)
-                triple_ok = trip == target.scale(two_thirds * cross_coeff)
-                lhs = m2.scale(metric(m1, m3)) - m1.scale(metric(m2, m3))
-                metric_ok = lhs == target.scale(minus_28_3 * cross_coeff)
-                if not (triple_ok and metric_ok):
-                    return {"triple_coefficient_ok": triple_ok,
-                            "metric_identity_ok": metric_ok,
-                            "witness": (s1, t1, s2, t2, s3, t3)}
+    points = [(s, t) for s in rng for t in rng]
+    mats = [d_st(s, t).scale(Scalar.of(3)) for s, t in points]
+    d = clear_integral([m.rows for m in mats])              # [P, 3, 3, 4]
+    a = clear_integral([alpha(m) for m in mats])            # [P, 3, 4]
+    g = clear_integral([[metric(x, y) for y in mats] for x in mats])
+    c = clear_integral([[Scalar.of(s1 * t2 - s2 * t1) for s2, t2 in points]
+                        for s1, t1 in points])              # [P, P, 4]
+    # M bounds |entries| of d, a, g, c.  A qproduct component is at most
+    # 60 M^2 per contracted index (4 table rows, coefficients <= 15): y
+    # reaches 240 M^2, z 180 M^2, v 360 M^2, the triple 180 (480 + 360) M^3
+    # + 60 * 360 M^3 < 2^18 M^3, the metric side and targets 84 * 60 M^2.
+    m = max(int(abs(x).max()) for x in (d, a, g, c))
+    dtype = "int64" if 2 ** 18 * m ** 3 < _INT64_LIMIT else object
+    d, a, g, c = (x.astype(dtype) for x in (d, a, g, c))
+    target = d[[points.index((t, -s)) for s, t in points]]  # D_{t3,-s3}
+    for i in range(len(points)):
+        y = (qproduct(d[i], d, "ab,jcb->jac")               # m1 m2^t
+             + qproduct(a[i], a, "r,jc->jrc"))              # + a1 a2^t
+        z = qproduct(d, d[i], "jba,bc->jac")                # m2^t m1
+        v = qproduct(a, d[i], "jb,bc->jc") - qproduct(a[i], d, "b,jbc->jc")
+        trip = (qproduct(y - y.swapaxes(1, 2), d, "jab,kbc->jkac")
+                + qproduct(d, z - z.swapaxes(1, 2), "kab,jbc->jkac")
+                + qproduct(a, v, "ka,jc->jkac"))          # [m2, m3, 3, 3, 4]
+        lhs = (qproduct(g[i], d, "k,jab->jkab")
+               - qproduct(g, d[i], "jk,ab->jkab"))
+        rhs = qproduct(c[i], target, "j,kab->jkab")
+        triple_ok = (trip == 6 * rhs).all(axis=(2, 3, 4))
+        metric_ok = (lhs == -84 * rhs).all(axis=(2, 3, 4))
+        if not (both := triple_ok & metric_ok).all():
+            j, k = divmod(int(both.argmin()), len(points))
+            return {"triple_coefficient_ok": bool(triple_ok[j, k]),
+                    "metric_identity_ok": bool(metric_ok[j, k]),
+                    "witness": points[i] + points[j] + points[k]}
     ratio = Scalar.rational(-2, 3) / Scalar.rational(-28, 3)
     return {"triple_coefficient_ok": True, "metric_identity_ok": True,
             "curvature_over_metric_form": ratio}

@@ -13,8 +13,10 @@ import crossg2
 PKG = Path(crossg2.__file__).parent
 MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__main__")
 
-# the one deferred import: the numpy kernel, needed only by axiom checks
-ALLOWED_LOCAL = {("lts.py", "check_axioms", "_intops")}
+# the deferred imports of the numpy kernel, needed only by axiom checks and
+# the sphere-family grid: closure probes never import numpy
+ALLOWED_LOCAL = {("lts.py", "check_axioms", "_intops"),
+                 ("matmodel.py", "curvature_check", "_intops")}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -24,6 +26,19 @@ def test_module_imports_alone(module):
     proc = subprocess.run([sys.executable, "-c", f"import {name}"],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_closure_probes_leave_numpy_unimported():
+    code = ("import sys\n"
+            "from crossg2.checks import run_checks, select_checks\n"
+            "ids = ['catalog.maximality', 'matmodel.sl3_maximality']\n"
+            "results = run_checks(select_checks(ids), 0, 2)\n"
+            "assert [r.status for r in results] == ['pass', 'pass'], results\n"
+            "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True,
+                          env={**os.environ, "PYTHONPATH": str(PKG.parent)})
     assert proc.returncode == 0, proc.stderr
 
 

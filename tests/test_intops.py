@@ -1,4 +1,5 @@
-"""The int64 bound of the numpy derivation kernel, at and past its edge.
+"""The zero-skipping quadruple kernel, and the int64 bound of the
+derivation sweep at and past its edge.
 
 The derivation identity is homogeneous of degree two in the structure
 constants, so scaling a valid structure by any integer keeps it valid.
@@ -6,14 +7,16 @@ Up to the bound the kernel runs in int64; past it, on Python integers.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crossg2 import matmodel
-from crossg2._intops import (_INT64_LIMIT, clear_tensor, contraction_dtype,
-                             derivation_axiom_holds)
+from crossg2._intops import (_INT64_LIMIT, _PRODUCTS, clear_tensor,
+                             contraction_dtype, derivation_axiom_holds,
+                             qproduct)
 from crossg2.linalg import Subspace
 from crossg2.lts import (LtsCarrier, _derivation_axiom_pure, abstract_lts,
                          check_axioms)
@@ -76,3 +79,62 @@ def test_past_the_guard_kernel_oracle_and_check_axioms_agree(corrupt):
     assert derivation_axiom_holds(struct) is not corrupt
     assert _derivation_axiom_pure(struct, N) is not corrupt
     assert report.derivation is not corrupt
+
+
+def dense_qproduct(a, b, op):
+    """All 16 component pairs, none skipped: the reference of qproduct."""
+    op = partial(np.einsum, op) if isinstance(op, str) else op
+    terms = {}
+    for u, v, w, coeff in _PRODUCTS:
+        terms[w] = terms.get(w, 0) + coeff * op(a[..., u], b[..., v])
+    return np.stack([terms[w] for w in range(4)], axis=-1)
+
+
+@st.composite
+def quad_operands(draw, dtype):
+    """[M, K, 4] and [K, N, 4] arrays, each with some all-zero components."""
+    m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
+    bound = 2 ** 70 if dtype is object else 10 ** 6
+
+    def operand(shape):
+        live = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        size = math.prod(shape)
+        comps = [draw(st.lists(st.integers(-bound, bound), min_size=size,
+                               max_size=size)) if on else [0] * size
+                 for on in live]
+        return np.array(comps, dtype=dtype).reshape((4,) + shape).transpose(
+            tuple(range(1, len(shape) + 1)) + (0,))
+
+    return operand((m, k)), operand((k, n))
+
+
+@pytest.mark.parametrize("op", [np.matmul, "ab,bc->ac", "ab,bc->abc"],
+                         ids=["matmul", "einsum", "einsum-outer"])
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zero_skip_equals_the_dense_loop(data, dtype, op):
+    a, b = data.draw(quad_operands(dtype))
+    out = qproduct(a, b, op)
+    dense = dense_qproduct(a, b, op)
+    assert out.shape == dense.shape
+    assert out.dtype == dense.dtype
+    assert np.array_equal(out, dense)
+
+
+def test_all_zero_operand_gives_zeros_of_the_product_shape():
+    a = np.zeros((2, 3, 4), dtype=np.int64)
+    b = np.ones((3, 5, 4), dtype=np.int64)
+    out = qproduct(a, b)
+    assert out.shape == (2, 5, 4) and not out.any()
+
+
+def test_corruption_in_an_otherwise_zero_component_is_detected():
+    # SL3 is rational: its r15 component is zero except at the corruption
+    struct = scaled(1)
+    r15 = Scalar(0, 0, 0, 1)
+    struct[0][1][2][3] = struct[0][1][2][3] + r15
+    struct[1][0][2][3] = struct[1][0][2][3] - r15
+    assert np.count_nonzero(clear_tensor(struct)[..., 3]) == 2
+    assert not derivation_axiom_holds(struct)
+    assert not _derivation_axiom_pure(struct, N)

@@ -217,6 +217,74 @@ def test_curvature_check():
     assert report["curvature_over_metric_form"] == Scalar.rational(1, 14)
 
 
+def _grid_oracle(grid_range):
+    """The Scalar loop over the grid, the reference of curvature_check."""
+    rng = range(-grid_range, grid_range + 1)
+    mats = {(s, t): matmodel.d_st(s, t) for s in rng for t in rng}
+    two_thirds = Scalar.rational(2, 3)
+    minus_28_3 = Scalar.rational(-28, 3)
+    for (s1, t1), m1 in mats.items():
+        for (s2, t2), m2 in mats.items():
+            for (s3, t3), m3 in mats.items():
+                cross_coeff = Scalar.of(s1 * t2 - s2 * t1)
+                target = mats[(t3, -s3)]
+                trip = matmodel._sl3_triple_raw(m1, m2, m3)
+                triple_ok = trip == target.scale(two_thirds * cross_coeff)
+                lhs = (m2.scale(matmodel.metric(m1, m3))
+                       - m1.scale(matmodel.metric(m2, m3)))
+                metric_ok = lhs == target.scale(minus_28_3 * cross_coeff)
+                if not (triple_ok and metric_ok):
+                    return {"triple_coefficient_ok": triple_ok,
+                            "metric_identity_ok": metric_ok,
+                            "witness": (s1, t1, s2, t2, s3, t3)}
+    ratio = Scalar.rational(-2, 3) / Scalar.rational(-28, 3)
+    return {"triple_coefficient_ok": True, "metric_identity_ok": True,
+            "curvature_over_metric_form": ratio}
+
+
+def test_grid_kernel_matches_the_scalar_oracle():
+    assert matmodel.curvature_check(1) == _grid_oracle(1)
+
+
+def _at(point, delta):
+    return lambda s, t: delta if (s, t) == point else Matrix.zeros(3, 3)
+
+
+R15 = Scalar(0, 0, 0, 1)
+U = {(r, c): Matrix.unit(3, 3, r, c) for r in range(3) for c in range(3)}
+# corrupted families d_st + delta(s, t), each with 3 d_st still integral, and
+# the flags each gives at its first failing point
+CORRUPTIONS = {
+    "entry-st": (lambda s, t: U[0, 1].scale(Scalar.of(s * t)), False, False),
+    "r15-point": (_at((1, -1), U[2, 2].scale(R15)), False, False),
+    "e00-point": (_at((1, -1), U[0, 0]), True, False),
+    "e11-e22-point": (_at((1, -1), U[1, 1] - U[2, 2]), False, True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_grid_kernel_and_oracle_agree_on_a_corrupted_family(monkeypatch, kind):
+    delta, triple_ok, metric_ok = CORRUPTIONS[kind]
+    clean = matmodel.d_st
+    monkeypatch.setattr(matmodel, "d_st",
+                        lambda s, t: clean(s, t) + delta(s, t))
+    report = matmodel.curvature_check(1)
+    assert report == _grid_oracle(1)
+    assert (report["triple_coefficient_ok"], report["metric_identity_ok"]) == (
+        triple_ok, metric_ok)
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("d_st", lambda f: lambda s, t: f(s, t).scale(Scalar.rational(1, 2))),
+    ("metric", lambda f: lambda a, b: f(a, b) + Scalar.rational(1, 2)),
+])
+def test_grid_rejects_a_non_integral_family(monkeypatch, name, broken):
+    # 3 d_st and 9 metric must clear with denominator 1
+    monkeypatch.setattr(matmodel, name, broken(getattr(matmodel, name)))
+    with pytest.raises(ValueError, match="not integral"):
+        matmodel.curvature_check(1)
+
+
 def test_sl3_catalog_dims_and_closure():
     for kind, dim in (("sphere", 2), ("sym5", 5), ("col4", 4), ("refl4", 4),
                       ("gotro", 4)):
