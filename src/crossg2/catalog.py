@@ -27,7 +27,7 @@ __all__ = [
     "is_associative", "theta_map", "grading", "verify_grading",
     "annihilator_subalg", "principal_tds", "is_adapted", "maximal_lts",
     "intersection_profile", "maximality_probe", "random_assoc",
-    "gl7_carrier", "mapping_space",
+    "gl7_carrier", "mapping_space", "is_subalgebra",
 ]
 
 GL7 = matrix_lts(7)
@@ -237,7 +237,7 @@ def principal_tds(frame: Frame, g2: G2 | None = None) -> PrincipalTds:
     return PrincipalTds(h1, h2, h3, space, frame)
 
 
-def _is_subalgebra(space: Subspace, g2: G2) -> bool:
+def is_subalgebra(space: Subspace, g2: G2) -> bool:
     mats = [g2.mat(r) for r in space.rows]
     for a, b in combinations(mats, 2):
         if not space.contains(g2.coords(commutator(a, b))):
@@ -258,7 +258,7 @@ def is_adapted(h: Subspace, v: AssocSubalg, g2: G2 | None = None) -> bool:
     consistency failure, not a result.
     """
     g2 = g2 or derivation_algebra()
-    if h.dim != 3 or not _is_subalgebra(h, g2):
+    if h.dim != 3 or not is_subalgebra(h, g2):
         raise ValueError("adaptedness is defined for 3-dimensional subalgebras")
     mats = [g2.mat(r) for r in h.rows]
     if not any(principal_eigenstructure(m) for m in mats):

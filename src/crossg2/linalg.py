@@ -1,10 +1,11 @@
 """Exact dense linear algebra over Scalar for small dimensions (<= 49).
 
-Provides vectors (plain lists of Scalar), a Matrix class, one row
-reduction (reduced row echelon form built by inserting rows one at a
-time), kernels, characteristic polynomials, and a Subspace type whose
-canonical reduced-row-echelon representation makes subspace equality a
-plain comparison.
+Provides vectors (plain lists of Scalar), a Matrix class, one commutator
+(ab - ba on matrices flattened row by row), one row reduction (reduced row
+echelon form built by inserting rows one at a time), kernels,
+characteristic polynomials, and a Subspace type whose canonical
+reduced-row-echelon representation makes subspace equality a plain
+comparison.  The commutator and the elimination skip zero entries.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ __all__ = [
     "Matrix", "Subspace", "dot", "vadd", "vsub", "vscale", "combine",
     "is_zero_vec", "rref", "insert_row", "kernel", "rank", "char_poly",
     "solve", "solve_inclusion", "inverse", "projection_matrix",
-    "is_positive_definite",
+    "is_positive_definite", "flat_commutator",
 ]
 
 Vec = list[Scalar]
@@ -157,8 +158,26 @@ class Matrix:
             "[" + ", ".join(str(x) for x in r) + "]" for r in self.rows) + "])"
 
 
+def flat_commutator(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> Vec:
+    """ab - ba on n x n matrices flattened row by row, skipping zero entries."""
+    out = [ZERO] * (n * n)
+    for left, right, negate in ((a, b, False), (b, a, True)):
+        for ik, x in enumerate(left):
+            if x:
+                i, k = divmod(ik, n)
+                x = -x if negate else x
+                # left[i][k] * right[k][j] goes to out[i][j], at i * n + j
+                for ij, y in enumerate(right[k * n:(k + 1) * n], i * n):
+                    if y:
+                        out[ij] = out[ij] + x * y
+    return out
+
+
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
+    n = a.shape[0]
+    if a.shape != b.shape or a.shape != (n, n):
+        raise ValueError(f"commutator of shapes {a.shape} and {b.shape}")
+    return Matrix.from_flat(flat_commutator(a.flatten(), b.flatten(), n), n, n)
 
 
 def _reduce(rows: list[Vec], pivots: list[int], v: Sequence[Scalar]) -> Vec:
@@ -167,7 +186,7 @@ def _reduce(rows: list[Vec], pivots: list[int], v: Sequence[Scalar]) -> Vec:
     for r, pc in zip(rows, pivots):
         f = out[pc]
         if f:
-            out = [x - f * y for x, y in zip(out, r)]
+            out = [x - f * y if y else x for x, y in zip(out, r)]
     return out
 
 
@@ -183,7 +202,7 @@ def insert_row(rows: list[Vec], pivots: list[int], residual: Vec):
     for idx, r in enumerate(rows):
         f = r[pc]
         if f:
-            rows[idx] = [x - f * y for x, y in zip(r, new)]
+            rows[idx] = [x - f * y if y else x for x, y in zip(r, new)]
     pos = bisect_left(pivots, pc)
     rows.insert(pos, new)
     pivots.insert(pos, pc)

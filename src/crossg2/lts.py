@@ -1,10 +1,11 @@
 """Lie-triple-system framework: carriers, axioms, closure, envelopes.
 
 A carrier is a subspace of some ambient coordinate space together with a
-trilinear product on that space.  Closure under the product is certified
-at construction by expressing every basis triple product back in the
-carrier basis; those coordinates double as the structure constants used
-by the axiom checks.
+trilinear product on that space; on gl(n) (`matrix_lts`) the bracket and
+[[x,y],z] come from `linalg.flat_commutator`.  Closure under the product
+is certified at construction by expressing every basis triple product
+back in the carrier basis; those coordinates are the structure constants
+used by the axiom checks, for g2 itself as for every family.
 
 The four defining axioms:
 
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .linalg import (Matrix, Subspace, Vec, combine, commutator, insert_row,
-                     is_zero_vec, rref, vadd)
+from .linalg import (Matrix, Subspace, Vec, combine, commutator,
+                     flat_commutator, insert_row, is_zero_vec, rref, vadd)
 from .scalar import ZERO, Scalar
 
 __all__ = [
@@ -49,23 +50,18 @@ class TripleSystem:
 
 
 def triple_in_lie(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
-    """The double commutator [[x, y], z]."""
-    if not (x.shape == y.shape == z.shape) or x.shape[0] != x.shape[1]:
-        raise ValueError("triple product needs three equal square shapes")
+    """The double commutator [[x, y], z]; `commutator` checks the shapes."""
     return commutator(commutator(x, y), z)
 
 
 def matrix_lts(n: int) -> TripleSystem:
-    """gl(n) flattened to R^(n*n) with [[x,y],z] and the commutator."""
-
-    def triple(a: Vec, b: Vec, c: Vec) -> Vec:
-        ma = Matrix.from_flat(a, n, n)
-        mb = Matrix.from_flat(b, n, n)
-        mc = Matrix.from_flat(c, n, n)
-        return triple_in_lie(ma, mb, mc).flatten()
+    """gl(n) flattened row by row to R^(n*n): bracket ab - ba, triple [[x,y],z]."""
 
     def bracket(a: Vec, b: Vec) -> Vec:
-        return commutator(Matrix.from_flat(a, n, n), Matrix.from_flat(b, n, n)).flatten()
+        return flat_commutator(a, b, n)
+
+    def triple(a: Vec, b: Vec, c: Vec) -> Vec:
+        return bracket(bracket(a, b), c)
 
     return TripleSystem(f"gl{n}", n * n, triple, bracket)
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossg2.linalg import (Matrix, Subspace, char_poly, combine, commutator, inverse,
-                            is_positive_definite, kernel,
+from crossg2.linalg import (Matrix, Subspace, char_poly, combine, commutator,
+                            flat_commutator, inverse, is_positive_definite, kernel,
                             poly_from_roots_squared, projection_matrix, rank,
                             rref, solve)
 from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
@@ -263,3 +263,37 @@ def test_is_positive_definite():
     assert not is_positive_definite(Matrix([[ZERO, ONE], [ONE, ZERO]]))
     assert not is_positive_definite(Matrix([[ONE, ZERO], [ZERO, ZERO]]))
     assert not is_positive_definite(-Matrix.identity(3))
+
+
+# mostly zeros, with irrational values (r6, r15/3) and large rationals
+commutator_entries = st.sampled_from(
+    [ZERO] * 6 + [ONE, -ONE, SQRT6, Scalar(0, 0, 0, 1, 3),
+                  Scalar.rational(2 ** 70 + 1, 3), Scalar.rational(-10 ** 20, 7)])
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(st.integers(1, 4))
+    square = st.lists(st.lists(commutator_entries, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return n, Matrix(draw(square)), Matrix(draw(square))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_pairs())
+def test_commutator_equals_the_dense_products(pair):
+    n, a, b = pair
+    expected = a @ b - b @ a
+    assert flat_commutator(a.flatten(), b.flatten(), n) == expected.flatten()
+    assert commutator(a, b) == expected
+
+
+def test_commutator_rejects_unequal_or_non_square_shapes():
+    # 2x3 and 3x2 have both products ab and ba, of different shapes
+    for a, b in ((Matrix.identity(2), Matrix.identity(3)),
+                 (Matrix.zeros(2, 3), Matrix.zeros(3, 2)),
+                 (Matrix.zeros(2, 3), Matrix.zeros(2, 3)),
+                 (Matrix.zeros(3, 2), Matrix.identity(3)),
+                 (Matrix.identity(3), Matrix.zeros(3, 2))):
+        with pytest.raises(ValueError):
+            commutator(a, b)

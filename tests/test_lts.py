@@ -4,7 +4,7 @@ import pytest
 
 from crossg2 import catalog, matmodel
 from crossg2._intops import derivation_axiom_holds
-from crossg2.linalg import Matrix, Subspace
+from crossg2.linalg import Matrix, Subspace, combine
 from crossg2.lts import (LtsCarrier, NotClosedError, _derivation_axiom_pure,
                          abstract_lts, check_axioms, envelope_dim,
                          generated_subtriple, is_ideal, matrix_lts,
@@ -19,6 +19,20 @@ def test_triple_in_lie_examples():
     assert triple_in_lie(e12, e12, e21).is_zero()
     with pytest.raises(ValueError):
         triple_in_lie(e12, e21, Matrix.identity(3))
+
+
+def test_g2_structure_constants_match_the_bracket_constants(g2):
+    rows = [b.flatten() for b in g2.basis]
+    carrier = LtsCarrier(catalog.GL7, Subspace.span(rows, 49), "g2")
+    assert carrier.space.rows == rows  # struct() is on g2's own basis
+    # oracle: [[b_i, b_j], b_k] = sum_m sc[i][j][m] [b_m, b_k]
+    sc = g2.bracket_coords()
+    n = g2.dim
+    cols = [[sc[m][k] for m in range(n)] for k in range(n)]
+    expected = [[[combine(sc[i][j], cols[k]) for k in range(n)]
+                 for j in range(n)] for i in range(n)]
+    assert carrier.struct() == expected
+    assert check_axioms(carrier).all_pass()
 
 
 def test_counterexample_fails_derivation_axiom():
