@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, d_operator, derivation_algebra
-from .linalg import (Matrix, Subspace, Vec, char_poly, commutator, kernel,
+from .linalg import (Matrix, Subspace, Vec, char_poly, commutator,
                      poly_from_roots_squared, projection_matrix,
                      solve_inclusion)
 from .lts import LtsCarrier, generated_subtriple, matrix_lts
@@ -131,20 +131,16 @@ class Grading:
     odd: Subspace   # basis coordinates; dimension 8
 
 
-def _conjugation_matrix(g2: G2, th: Matrix) -> Matrix:
-    cols = [g2.coords(th @ b @ th) for b in g2.basis]
-    return Matrix.from_columns(cols)
-
-
 def grading(v: AssocSubalg, g2: G2 | None = None) -> Grading:
-    """Even/odd parts as eigenspaces of conjugation by theta_V."""
+    """Even part {d : d(V-perp) <= V-perp} and odd part {d : d(V) <= V-perp
+    and d(V-perp) <= V}: the +1 and -1 eigenspaces of conjugation by
+    theta_V, one kernel each."""
     g2 = g2 or derivation_algebra()
-    conj = _conjugation_matrix(g2, v.theta())
-    ident = Matrix.identity(g2.dim)
-    even = kernel((conj - ident).rows, g2.dim)
-    odd = kernel((conj + ident).rows, g2.dim)
+    space, comp = v.space, v.complement()
+    even = mapping_space([(comp, comp)], g2)
+    odd = mapping_space([(space, comp), (comp, space)], g2)
     if even.dim + odd.dim != g2.dim:
-        raise AssertionError("conjugation is not an involution on the algebra")
+        raise AssertionError("even and odd parts do not span the algebra")
     return Grading(even, odd)
 
 
@@ -167,12 +163,14 @@ def verify_grading(g: Grading, g2: G2 | None = None) -> bool:
     return True
 
 
-def mapping_space(source: Subspace, target: Subspace,
+def mapping_space(systems: Sequence[tuple[Subspace, Subspace]],
                   g2: G2 | None = None) -> Subspace:
-    """{d : d(source) <= target} in basis coordinates, one linear solve."""
+    """{d : d(source) <= target for every (source, target)} in basis
+    coordinates, one linear solve."""
     g2 = g2 or derivation_algebra()
-    images = [[b.apply(s) for b in g2.basis] for s in source.rows]
-    return solve_inclusion(images, target, g2.dim)
+    return solve_inclusion(
+        [([[b.apply(s) for b in g2.basis] for s in source.rows], target)
+         for source, target in systems], g2.dim)
 
 
 def annihilator_subalg(u: Sequence[Scalar], g2: G2 | None = None) -> Subspace:
@@ -180,7 +178,7 @@ def annihilator_subalg(u: Sequence[Scalar], g2: G2 | None = None) -> Subspace:
     u = [Scalar.of(x) for x in u]
     if not any(u):
         raise ValueError("annihilator of the zero vector is the whole algebra")
-    return mapping_space(Subspace.span([u], 7), Subspace.zero(7), g2)
+    return mapping_space([(Subspace.span([u], 7), Subspace.zero(7))], g2)
 
 
 @dataclass
@@ -254,8 +252,9 @@ def is_adapted(h: Subspace, v: AssocSubalg, g2: G2 | None = None) -> bool:
 
     Both characterisations are computed: homogeneity (the odd projection
     (d - theta d theta)/2 stays inside h) and the intersection dimension
-    dim(h cap odd) = 2.  They must agree; a disagreement is an internal
-    consistency failure, not a result.
+    dim(h cap odd) = 2.  The odd part comes from `grading`'s membership
+    solve, not from theta, so the two routes are independent.  They must
+    agree; a disagreement is an internal consistency failure, not a result.
     """
     g2 = g2 or derivation_algebra()
     if h.dim != 3 or not is_subalgebra(h, g2):

@@ -598,24 +598,28 @@ def _catalog_theta(ws, rng, trials):
 @check("catalog.grading", "even/odd dims 6 and 8; bracket laws; even part = "
                           "span of the lambda/rho operators")
 def _catalog_grading(ws, rng, trials):
-    g = ws.grading_std
+    g, g2 = ws.grading_std, ws.g2
     require(g.even.dim == 6 and g.odd.dim == 8,
             f"grading dims ({g.even.dim}, {g.odd.dim}) != (6, 8)")
-    require(catalog.verify_grading(g, ws.g2), "bracket laws fail")
+    # grading solves membership (d(V-perp) <= V-perp, resp. d swaps V and
+    # V-perp); cross-check with the eigenspaces of conjugation by theta
+    th = ws.v_std.theta()
+    conj = Matrix.from_columns([g2.coords(th @ b @ th) for b in g2.basis])
+    for part, sign, name in ((g.even, 1, "even"), (g.odd, -1, "odd")):
+        eigen = kernel((conj - Matrix.identity(g2.dim).scale(sign)).rows, g2.dim)
+        if eigen != part:
+            stray = next(r for a, b in ((part, eigen), (eigen, part))
+                         for r in a.rows if not b.contains(r))
+            raise CheckFailure(
+                f"{name} part != {sign:+d}-eigenspace of conjugation by theta"
+                f" (dims {part.dim}, {eigen.dim}); in one only: "
+                f"[{', '.join(map(str, stray))}]")
+    require(catalog.verify_grading(g, g2), "bracket laws fail")
     fr = ws.frame
     mats = [g2alg.lambda_operator(a, fr) for a in (fr.i, fr.j, fr.k)]
     mats += [g2alg.rho_operator(a, fr) for a in (fr.i, fr.j, fr.k)]
-    require(ws.g2.subspace_from_matrices(mats) == g.even,
+    require(g2.subspace_from_matrices(mats) == g.even,
             "even part is not the lambda/rho span")
-    # membership characterisations: even = {d : d(V-perp) <= V-perp},
-    # odd = {d : d(V-perp) <= V and d(V) <= V-perp}
-    v = ws.v_std.space
-    comp = ws.v_std.complement()
-    require(catalog.mapping_space(comp, comp, ws.g2) == g.even,
-            "even part != {d : d(V-perp) <= V-perp}")
-    require(catalog.mapping_space(comp, v, ws.g2).intersect(
-        catalog.mapping_space(v, comp, ws.g2)) == g.odd,
-            "odd part != {d : d swaps V and V-perp}")
 
 
 @check("catalog.annihilator", "dim {d : d(u) = 0} = 8; closed under the "

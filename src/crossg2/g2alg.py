@@ -165,7 +165,7 @@ class G2:
         self._check_subspace(s)
         mats = [self.mat(row) for row in s.rows]
         images = [[self.coords(commutator(b, m)) for b in self.basis] for m in mats]
-        return solve_inclusion(images, target, self.dim)
+        return solve_inclusion([(images, target)], self.dim)
 
     def _check_subspace(self, s: Subspace):
         if s.n != self.dim:

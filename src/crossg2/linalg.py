@@ -1,11 +1,11 @@
 """Exact dense linear algebra over Scalar for small dimensions (<= 49).
 
-Provides vectors (plain lists of Scalar), a Matrix class, one commutator
-(ab - ba on matrices flattened row by row), one row reduction (reduced row
-echelon form built by inserting rows one at a time), kernels,
+Provides vectors (plain lists of Scalar), a Matrix class, one product of
+matrices flattened row by row (for @ and the commutator), one row reduction
+(reduced row echelon form built by inserting rows one at a time), kernels,
 characteristic polynomials, and a Subspace type whose canonical
 reduced-row-echelon representation makes subspace equality a plain
-comparison.  The commutator and the elimination skip zero entries.
+comparison.  The product and the elimination skip zero entries.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def column(self, j: int) -> Vec:
-        return [r[j] for r in self.rows]
-
     def __add__(self, o: "Matrix") -> "Matrix":
         return Matrix([vadd(a, b) for a, b in zip(self.rows, o.rows)])
 
@@ -115,11 +112,9 @@ class Matrix:
         k2, m = o.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {o.shape}")
-        ocols = [o.column(j) for j in range(m)]
-        out = []
-        for r in self.rows:
-            out.append([dot(r, col) for col in ocols])
-        return Matrix(out)
+        out = [ZERO] * (n * m)
+        flat_product(out, self.flatten(), o.flatten(), k, m)
+        return Matrix.from_flat(out, n, m)
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
         n, m = self.shape
@@ -158,18 +153,26 @@ class Matrix:
             "[" + ", ".join(str(x) for x in r) + "]" for r in self.rows) + "])"
 
 
+def flat_product(out: Vec, a: Sequence[Scalar], b: Sequence[Scalar],
+                 k: int, m: int) -> None:
+    """Add a @ b to out, all flattened row by row, for a with k columns and b
+    with m; lists b's nonzeros row by row once and skips a's zero entries."""
+    nonzero = [[(j, y) for j, y in enumerate(b[r * m:(r + 1) * m]) if y]
+               for r in range(k)]
+    for ir, x in enumerate(a):
+        if x:
+            i, r = divmod(ir, k)
+            # a[i][r] * b[r][j] goes to out[i][j], at i * m + j
+            for j, y in nonzero[r]:
+                ij = i * m + j
+                out[ij] = out[ij] + x * y
+
+
 def flat_commutator(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> Vec:
     """ab - ba on n x n matrices flattened row by row, skipping zero entries."""
     out = [ZERO] * (n * n)
-    for left, right, negate in ((a, b, False), (b, a, True)):
-        for ik, x in enumerate(left):
-            if x:
-                i, k = divmod(ik, n)
-                x = -x if negate else x
-                # left[i][k] * right[k][j] goes to out[i][j], at i * n + j
-                for ij, y in enumerate(right[k * n:(k + 1) * n], i * n):
-                    if y:
-                        out[ij] = out[ij] + x * y
+    flat_product(out, a, b, n, n)
+    flat_product(out, [-x if x else x for x in b], a, n, n)
     return out
 
 
@@ -271,15 +274,17 @@ def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Vec | None
     return sol
 
 
-def solve_inclusion(images: Sequence[Sequence[Sequence[Scalar]]],
-                    target: "Subspace", nvars: int) -> "Subspace":
-    """{c : sum_t c_t images[r][t] lies in target for every r}, one kernel.
+def solve_inclusion(systems: Sequence[tuple[Sequence[Sequence[Vec]], "Subspace"]],
+                    nvars: int) -> "Subspace":
+    """{c : sum_t c_t images[r][t] lies in target for every r}, for every
+    (images, target) of systems, as one kernel of the stacked rows.
 
     images[r][t] is the image of source vector r under unknown t.
     """
     rows: list[Sequence[Scalar]] = []
-    for per_source in images:
-        rows.extend(zip(*[target.reduce(img) for img in per_source]))
+    for images, target in systems:
+        for per_source in images:
+            rows.extend(zip(*[target.reduce(img) for img in per_source]))
     return kernel(rows, nvars)
 
 

@@ -20,32 +20,24 @@ from math import gcd, isqrt
 __all__ = ["Scalar", "ZERO", "ONE", "SQRT6", "SQRT10", "SQRT15"]
 
 
-def _gcd5(a: int, b: int, c: int, d: int, e: int) -> int:
-    g = gcd(a, b)
-    if g == 1:
-        return 1
-    g = gcd(g, c)
-    if g == 1:
-        return 1
-    g = gcd(g, d)
-    if g == 1:
-        return 1
-    return gcd(g, e)
-
-
 class Scalar:
     """An element na/q + (nb/q)*r6 + (nc/q)*r10 + (nd/q)*r15."""
 
     __slots__ = ("na", "nb", "nc", "nd", "q")
 
     def __init__(self, na: int, nb: int, nc: int, nd: int, q: int = 1):
-        if q == 0:
-            raise ZeroDivisionError("zero denominator")
-        if q < 0:
-            na, nb, nc, nd, q = -na, -nb, -nc, -nd, -q
-        g = _gcd5(abs(na), abs(nb), abs(nc), abs(nd), q)
-        if g > 1:
-            na //= g; nb //= g; nc //= g; nd //= g; q //= g
+        # a float is inexact, and numpy integers wrap around
+        if not (type(na) is int and type(nb) is int and type(nc) is int
+                and type(nd) is int and type(q) is int):
+            raise TypeError("Scalar components must be Python ints")
+        if q != 1:
+            if q == 0:
+                raise ZeroDivisionError("zero denominator")
+            if q < 0:
+                na, nb, nc, nd, q = -na, -nb, -nc, -nd, -q
+            g = gcd(na, nb, nc, nd, q)  # rational zero gets q = 1
+            if g > 1:
+                na //= g; nb //= g; nc //= g; nd //= g; q //= g
         self.na = na; self.nb = nb; self.nc = nc; self.nd = nd; self.q = q
 
     # -- constructors -------------------------------------------------
@@ -55,7 +47,7 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, int):
-            return cls(x, 0, 0, 0, 1)
+            return cls(int(x), 0, 0, 0, 1)
         if isinstance(x, Fraction):
             return cls(x.numerator, 0, 0, 0, x.denominator)
         raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
@@ -113,16 +105,24 @@ class Scalar:
     def __sub__(self, o):
         if not isinstance(o, Scalar):
             o = Scalar.of(o)
-        return self + (-o)
+        q1, q2 = self.q, o.q
+        if q1 == q2:
+            return Scalar(self.na - o.na, self.nb - o.nb,
+                          self.nc - o.nc, self.nd - o.nd, q1)
+        return Scalar(self.na * q2 - o.na * q1, self.nb * q2 - o.nb * q1,
+                      self.nc * q2 - o.nc * q1, self.nd * q2 - o.nd * q1,
+                      q1 * q2)
 
     def __rsub__(self, o):
-        return Scalar.of(o) + (-self)
+        return Scalar.of(o) - self
 
     def __mul__(self, o):
         if not isinstance(o, Scalar):
             o = Scalar.of(o)
         a1, b1, c1, d1 = self.na, self.nb, self.nc, self.nd
         a2, b2, c2, d2 = o.na, o.nb, o.nc, o.nd
+        if not (b1 or c1 or d1 or b2 or c2 or d2):
+            return Scalar(a1 * a2, 0, 0, 0, self.q * o.q)
         return Scalar(
             a1 * a2 + 6 * b1 * b2 + 10 * c1 * c2 + 15 * d1 * d2,
             a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from crossg2 import catalog, lts
+from crossg2.checks import run_checks, select_checks
 from crossg2.cross7 import basis_vector
 from crossg2.g2alg import lambda_operator, rho_operator
 from crossg2.linalg import (Matrix, Subspace, char_poly, commutator, is_zero_vec,
-                            projection_matrix)
+                            kernel, projection_matrix)
 from crossg2.scalar import ONE, ZERO, Scalar
 
 E = [basis_vector(i) for i in range(7)]
@@ -43,6 +44,41 @@ def test_grading(v_std, g2, grading_std, frame):
     mats = [lambda_operator(a, frame) for a in (frame.i, frame.j, frame.k)]
     mats += [rho_operator(a, frame) for a in (frame.i, frame.j, frame.k)]
     assert g2.subspace_from_matrices(mats) == grading_std.even
+
+
+def conjugation_eigenspaces(v, g2):
+    """The +1 and -1 eigenspaces of d -> theta d theta, in basis coordinates."""
+    th = v.theta()
+    conj = Matrix.from_columns([g2.coords(th @ b @ th) for b in g2.basis])
+    ident = Matrix.identity(g2.dim)
+    return (kernel((conj - ident).rows, g2.dim),
+            kernel((conj + ident).rows, g2.dim))
+
+
+def test_grading_equals_the_conjugation_eigenspaces(g2):
+    rng = random.Random(8)
+    for _ in range(10):
+        v = catalog.random_assoc(rng)
+        g = catalog.grading(v, g2)
+        assert (g.even.dim, g.odd.dim) == (6, 8)
+        assert (g.even, g.odd) == conjugation_eigenspaces(v, g2)
+
+
+def test_grading_check_rejects_a_corrupted_odd_part(monkeypatch):
+    clean = catalog.grading
+
+    def corrupted(v, g2=None):
+        g = clean(v, g2)
+        # still 8-dimensional, but one basis element gains an even part
+        rows = [[x + y for x, y in zip(g.odd.rows[0], g.even.rows[0])]]
+        return catalog.Grading(g.even, Subspace.span(rows + g.odd.rows[1:], 14))
+
+    monkeypatch.setattr(catalog, "grading", corrupted)
+    [result] = run_checks(select_checks(["catalog.grading"]), 0, 1)
+    assert result.status == "fail"
+    assert result.witness.startswith(
+        "odd part != -1-eigenspace of conjugation by theta (dims 8, 8); "
+        "in one only: [")
 
 
 def test_annihilator(g2):

@@ -266,24 +266,60 @@ def test_is_positive_definite():
 
 
 # mostly zeros, with irrational values (r6, r15/3) and large rationals
-commutator_entries = st.sampled_from(
+product_entries = st.sampled_from(
     [ZERO] * 6 + [ONE, -ONE, SQRT6, Scalar(0, 0, 0, 1, 3),
                   Scalar.rational(2 ** 70 + 1, 3), Scalar.rational(-10 ** 20, 7)])
+
+
+def matrices(n, m):
+    return st.lists(st.lists(product_entries, min_size=m, max_size=m),
+                    min_size=n, max_size=n).map(Matrix)
+
+
+def dense_product(a, b):
+    """The (i, k, j) triple loop, with no zero skipping."""
+    (n, k), m = a.shape, b.shape[1]
+    out = [[ZERO] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            for r in range(k):
+                out[i][j] = out[i][j] + a.rows[i][r] * b.rows[r][j]
+    return Matrix(out)
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(matrices(n, k)), draw(matrices(k, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_matmul_equals_the_dense_triple_loop(pair):
+    a, b = pair
+    product = a @ b
+    assert product.shape == (a.shape[0], b.shape[1])
+    assert product == dense_product(a, b)
+
+
+def test_matmul_rejects_mismatched_shapes():
+    for a, b in ((Matrix.zeros(2, 3), Matrix.zeros(2, 3)),
+                 (Matrix.identity(3), Matrix.zeros(2, 3))):
+        with pytest.raises(ValueError):
+            a @ b
 
 
 @st.composite
 def square_pairs(draw):
     n = draw(st.integers(1, 4))
-    square = st.lists(st.lists(commutator_entries, min_size=n, max_size=n),
-                      min_size=n, max_size=n)
-    return n, Matrix(draw(square)), Matrix(draw(square))
+    return n, draw(matrices(n, n)), draw(matrices(n, n))
 
 
 @settings(max_examples=150, deadline=None)
 @given(square_pairs())
 def test_commutator_equals_the_dense_products(pair):
     n, a, b = pair
-    expected = a @ b - b @ a
+    expected = dense_product(a, b) - dense_product(b, a)
     assert flat_commutator(a.flatten(), b.flatten(), n) == expected.flatten()
     assert commutator(a, b) == expected
 

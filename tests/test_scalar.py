@@ -1,5 +1,7 @@
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,3 +136,85 @@ def test_rational_hash_matches_fraction(p, q):
     f = Fraction(p, q)
     assert Scalar.rational(p, q) == f
     assert hash(Scalar.rational(p, q)) == hash(f)
+
+
+# components up to 2^70 in size, often zero, so that pure rationals, zero
+# numerators over q > 1 and mixed values all occur
+components = st.one_of(st.just(0), st.integers(-4, 4),
+                       st.integers(-2 ** 70, 2 ** 70))
+denominators = st.one_of(st.integers(1, 12), st.integers(1, 2 ** 70),
+                         st.integers(-2 ** 70, -1))
+
+
+@st.composite
+def wide_scalars(draw):
+    na, nb, nc, nd = (draw(components) for _ in range(4))
+    if draw(st.booleans()):
+        nb = nc = nd = 0
+    return Scalar(na, nb, nc, nd, draw(denominators))
+
+
+def coords(x):
+    return (Fraction(x.na, x.q), Fraction(x.nb, x.q),
+            Fraction(x.nc, x.q), Fraction(x.nd, x.q))
+
+
+def oracle_product(u, v):
+    """The basis rules r6 r10 = 2 r15, r6 r15 = 3 r10, r10 r15 = 5 r6."""
+    a1, b1, c1, d1 = u
+    a2, b2, c2, d2 = v
+    return (a1 * a2 + 6 * b1 * b2 + 10 * c1 * c2 + 15 * d1 * d2,
+            a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + 2 * (b1 * c2 + c1 * b2))
+
+
+def assert_canonical(x):
+    assert all(type(n) is int for n in (x.na, x.nb, x.nc, x.nd, x.q))
+    assert x.q > 0
+    assert gcd(x.na, x.nb, x.nc, x.nd, x.q) == 1
+    if not (x.na or x.nb or x.nc or x.nd):
+        assert (x.na, x.nb, x.nc, x.nd, x.q) == (0, 0, 0, 0, 1)
+    if not (x.nb or x.nc or x.nd):
+        f = Fraction(x.na, x.q)
+        assert x == f and hash(x) == hash(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_scalars(), wide_scalars())
+def test_arithmetic_matches_the_fraction_oracle(x, y):
+    u, v = coords(x), coords(y)
+    for x_op_y, expected in (
+            (x + y, tuple(s + t for s, t in zip(u, v))),
+            (x - y, tuple(s - t for s, t in zip(u, v))),
+            (x * y, oracle_product(u, v)),
+            (-x, tuple(-s for s in u))):
+        assert_canonical(x_op_y)
+        assert coords(x_op_y) == expected
+    assert_canonical(x)
+    if x:
+        inv = x.inverse()
+        assert_canonical(inv)
+        assert oracle_product(u, coords(inv)) == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("args", [
+    (np.int64(2 ** 62), 0, 0, 0),       # would wrap when squared
+    (0, 0, 0, 0, np.int64(3)),
+    (Fraction(1, 2), 0, 0, 0),
+    (1, 2, 3, 4, 1.0),
+    (0.5, 0, 0, 0),
+    (1, 0, 0, 0, Fraction(2)),
+])
+def test_components_must_be_python_ints(args):
+    with pytest.raises(TypeError):
+        Scalar(*args)
+
+
+def test_of_takes_ints_bools_fractions_and_scalars():
+    assert Scalar.of(True) == ONE and type(Scalar.of(True).na) is int
+    assert Scalar.of(Fraction(-3, 6)) == Scalar.rational(-1, 2)
+    assert Scalar.of(SQRT6) is SQRT6
+    for bad in (np.int64(2), 0.5):
+        with pytest.raises(TypeError):
+            Scalar.of(bad)
