@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, d_operator, derivation_algebra
-from .linalg import (Matrix, Subspace, Vec, char_poly, commutator,
-                     poly_from_roots_squared, projection_matrix,
-                     solve_inclusion)
+from .linalg import (Matrix, Subspace, Vec, char_poly, commutator, kernel,
+                     poly_from_roots_squared, projection_matrix)
 from .lts import LtsCarrier, generated_subtriple, matrix_lts
 from .scalar import ONE, Scalar
 
@@ -48,7 +48,7 @@ def is_associative(v: Subspace) -> bool:
 class AssocSubalg:
     """A 3-dimensional subspace closed under the cross product."""
 
-    __slots__ = ("space", "frame")
+    __slots__ = ("space", "frame", "_complement")
 
     def __init__(self, space: Subspace, frame: Frame | None = None):
         if not is_associative(space):
@@ -60,7 +60,7 @@ class AssocSubalg:
         self.space = space
         self.frame = frame
         # the induced split of R^7: V x V-perp <= V-perp, V-perp x V-perp <= V
-        comp = space.complement()
+        comp = self._complement = space.complement()
         for a in space.rows:
             for b in comp.rows:
                 if not comp.contains(cross(a, b)):
@@ -94,7 +94,7 @@ class AssocSubalg:
         return pi.scale(Scalar.of(2)) - Matrix.identity(7)
 
     def complement(self) -> Subspace:
-        return self.space.complement()
+        return self._complement
 
 
 def theta_map(v: AssocSubalg) -> Matrix:
@@ -137,8 +137,9 @@ def grading(v: AssocSubalg, g2: G2 | None = None) -> Grading:
     theta_V, one kernel each."""
     g2 = g2 or derivation_algebra()
     space, comp = v.space, v.complement()
-    even = mapping_space([(comp, comp)], g2)
-    odd = mapping_space([(space, comp), (comp, space)], g2)
+    # d(S) <= T-perp iff <d s, t> = 0 for s in S and t in T
+    even = mapping_space([(comp, space)], g2)
+    odd = mapping_space([(space, space), (comp, comp)], g2)
     if even.dim + odd.dim != g2.dim:
         raise AssertionError("even and odd parts do not span the algebra")
     return Grading(even, odd)
@@ -165,12 +166,11 @@ def verify_grading(g: Grading, g2: G2 | None = None) -> bool:
 
 def mapping_space(systems: Sequence[tuple[Subspace, Subspace]],
                   g2: G2 | None = None) -> Subspace:
-    """{d : d(source) <= target for every (source, target)} in basis
-    coordinates, one linear solve."""
+    """{d : <d s, t> = 0 for s in source, t in orthogonal} = {d : d(source) <=
+    orthogonal-perp} for every pair of systems, in basis coordinates."""
     g2 = g2 or derivation_algebra()
-    return solve_inclusion(
-        [([[b.apply(s) for b in g2.basis] for s in source.rows], target)
-         for source, target in systems], g2.dim)
+    return kernel([g2.pairing_row(s, t) for source, orth in systems
+                   for s in source.rows for t in orth.rows], g2.dim)
 
 
 def annihilator_subalg(u: Sequence[Scalar], g2: G2 | None = None) -> Subspace:
@@ -178,7 +178,7 @@ def annihilator_subalg(u: Sequence[Scalar], g2: G2 | None = None) -> Subspace:
     u = [Scalar.of(x) for x in u]
     if not any(u):
         raise ValueError("annihilator of the zero vector is the whole algebra")
-    return mapping_space([(Subspace.span([u], 7), Subspace.zero(7))], g2)
+    return mapping_space([(Subspace.span([u], 7), Subspace.full(7))], g2)
 
 
 @dataclass
@@ -243,6 +243,18 @@ def is_subalgebra(space: Subspace, g2: G2) -> bool:
     return True
 
 
+@lru_cache(maxsize=4)
+def _principal_matrices(h: Subspace, g2: G2) -> list[Matrix]:
+    """The matrices of h's basis once h passes as a 3-dimensional principal
+    subalgebra; a failure raises, and raised errors are not cached."""
+    if h.dim != 3 or not is_subalgebra(h, g2):
+        raise ValueError("adaptedness is defined for 3-dimensional subalgebras")
+    mats = [g2.mat(r) for r in h.rows]
+    if not any(principal_eigenstructure(m) for m in mats):
+        raise ValueError("subalgebra fails the principal eigenvalue-ladder check")
+    return mats
+
+
 class AdaptednessError(AssertionError):
     """The homogeneity and intersection-dimension criteria disagreed."""
 
@@ -257,11 +269,7 @@ def is_adapted(h: Subspace, v: AssocSubalg, g2: G2 | None = None) -> bool:
     agree; a disagreement is an internal consistency failure, not a result.
     """
     g2 = g2 or derivation_algebra()
-    if h.dim != 3 or not is_subalgebra(h, g2):
-        raise ValueError("adaptedness is defined for 3-dimensional subalgebras")
-    mats = [g2.mat(r) for r in h.rows]
-    if not any(principal_eigenstructure(m) for m in mats):
-        raise ValueError("subalgebra fails the principal eigenvalue-ladder check")
+    mats = _principal_matrices(h, g2)
     th = v.theta()
     half = Scalar.rational(1, 2)
     homogeneous = True

@@ -18,8 +18,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .cross7 import Octonion, basis_vector, cross, oct_associator
-from .linalg import (Matrix, Subspace, Vec, combine, commutator, dot, kernel,
-                     solve_inclusion, vadd, vscale, vsub)
+from .linalg import (Matrix, Subspace, Vec, cleared, combine, commutator, dot,
+                     kernel, vadd, vscale, vsub)
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = ["G2", "Frame", "derivation_algebra", "leibniz_rows", "d_operator",
@@ -64,6 +64,14 @@ class G2:
         self.space = kernel(leibniz_rows(pairs), 49)
         self.dim = self.space.dim
         self.basis = [Matrix.from_flat(row, 7, 7) for row in self.space.rows]
+        # the nonzero entries (i, j, b[i][j]) of each basis matrix b, and the
+        # same cleared by one common denominator (None if one is irrational)
+        self._terms = [[(k // 7, k % 7, x) for k, x in enumerate(row) if x]
+                       for row in self.space.rows]
+        flat = cleared([x for row in self.space.rows for x in row])
+        self._int_terms = flat and [[(i, j, flat[49 * b + 7 * i + j])
+                                     for i, j, _ in e]
+                                    for b, e in enumerate(self._terms)]
         self._brackets: list[list[Vec]] | None = None
         self._killing: Matrix | None = None
         self._trace_form: Matrix | None = None
@@ -81,6 +89,13 @@ class G2:
 
     def mat(self, coords: Sequence[Scalar]) -> Matrix:
         return Matrix.from_flat(combine(coords, self.space.rows), 7, 7)
+
+    def pairing_row(self, s: Sequence[Scalar], t: Sequence[Scalar]) -> list:
+        """[<b s, t> for each basis matrix b], the condition <d s, t> = 0 on d's
+        coordinates; on ints, times a positive factor, if all are rational."""
+        ints = (self._int_terms, cleared(s), cleared(t))
+        terms, s, t = ints if None not in ints else (self._terms, s, t)
+        return [sum(c * t[i] * s[j] for i, j, c in e) for e in terms]
 
     def subspace_from_matrices(self, mats: Sequence[Matrix]) -> Subspace:
         """Span of the given members, in basis coordinates."""
@@ -163,9 +178,9 @@ class G2:
     def _stabilizer(self, s: Subspace, target: Subspace) -> Subspace:
         """{d : [d, s] <= target}, on the coords of [b_t, m_r] for rows m_r."""
         self._check_subspace(s)
-        mats = [self.mat(row) for row in s.rows]
-        images = [[self.coords(commutator(b, m)) for b in self.basis] for m in mats]
-        return solve_inclusion([(images, target)], self.dim)
+        images = [[target.reduce(self.coords(commutator(b, m))) for b in self.basis]
+                  for m in map(self.mat, s.rows)]
+        return kernel([row for per_m in images for row in zip(*per_m)], self.dim)
 
     def _check_subspace(self, s: Subspace):
         if s.n != self.dim:

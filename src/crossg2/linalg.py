@@ -1,16 +1,17 @@
 """Exact dense linear algebra over Scalar for small dimensions (<= 49).
 
 Provides vectors (plain lists of Scalar), a Matrix class, one product of
-matrices flattened row by row (for @ and the commutator), one row reduction
-(reduced row echelon form built by inserting rows one at a time), kernels,
-characteristic polynomials, and a Subspace type whose canonical
-reduced-row-echelon representation makes subspace equality a plain
-comparison.  The product and the elimination skip zero entries.
+matrices flattened row by row (for @ and the commutator), one reduced row
+echelon form (on cleared integers for rational input, else by inserting
+rows one at a time), kernels, characteristic polynomials, and a Subspace
+type whose canonical reduced-row-echelon representation makes subspace
+equality a plain comparison.  Product and elimination skip zero entries.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .scalar import ONE, ZERO, Scalar
@@ -18,8 +19,8 @@ from .scalar import ONE, ZERO, Scalar
 __all__ = [
     "Matrix", "Subspace", "dot", "vadd", "vsub", "vscale", "combine",
     "is_zero_vec", "rref", "insert_row", "kernel", "rank", "char_poly",
-    "solve", "solve_inclusion", "inverse", "projection_matrix",
-    "is_positive_definite", "flat_commutator",
+    "solve", "inverse", "projection_matrix",
+    "is_positive_definite", "flat_commutator", "cleared",
 ]
 
 Vec = list[Scalar]
@@ -59,6 +60,14 @@ def is_zero_vec(u: Sequence[Scalar]) -> bool:
     return not any(u)
 
 
+def cleared(u: Sequence[Scalar]) -> list[int] | None:
+    """u times the lcm of its denominators, as ints; None if u is irrational."""
+    if any(x.nb or x.nc or x.nd for x in u):
+        return None
+    m = lcm(*[x.q for x in u])
+    return [x.na * (m // x.q) for x in u]
+
+
 class Matrix:
     """Dense matrix of Scalars, column-action convention (M @ column)."""
 
@@ -72,8 +81,15 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
+    def _computed(cls, rows: list[Vec]) -> "Matrix":
+        """A matrix on rows of Scalars just computed: no coercion or check."""
+        out = cls.__new__(cls)
+        out.rows = rows
+        return out
+
+    @classmethod
     def zeros(cls, n: int, m: int) -> "Matrix":
-        return cls([[ZERO] * m for _ in range(n)])
+        return cls._computed([[ZERO] * m for _ in range(n)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -95,17 +111,21 @@ class Matrix:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
     def __add__(self, o: "Matrix") -> "Matrix":
-        return Matrix([vadd(a, b) for a, b in zip(self.rows, o.rows)])
+        if self.shape != o.shape:
+            raise ValueError(f"shape mismatch {self.shape} + {o.shape}")
+        return Matrix._computed([vadd(a, b) for a, b in zip(self.rows, o.rows)])
 
     def __sub__(self, o: "Matrix") -> "Matrix":
-        return Matrix([vsub(a, b) for a, b in zip(self.rows, o.rows)])
+        if self.shape != o.shape:
+            raise ValueError(f"shape mismatch {self.shape} - {o.shape}")
+        return Matrix._computed([vsub(a, b) for a, b in zip(self.rows, o.rows)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self.rows])
+        return Matrix._computed([[-x for x in r] for r in self.rows])
 
     def scale(self, c) -> "Matrix":
         c = Scalar.of(c)
-        return Matrix([[c * x for x in r] for r in self.rows])
+        return Matrix._computed([[c * x for x in r] for r in self.rows])
 
     def __matmul__(self, o: "Matrix") -> "Matrix":
         n, k = self.shape
@@ -114,7 +134,7 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} @ {o.shape}")
         out = [ZERO] * (n * m)
         flat_product(out, self.flatten(), o.flatten(), k, m)
-        return Matrix.from_flat(out, n, m)
+        return Matrix._computed([out[i * m:(i + 1) * m] for i in range(n)])
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
         n, m = self.shape
@@ -123,8 +143,7 @@ class Matrix:
         return [dot(r, v) for r in self.rows]
 
     def transpose(self) -> "Matrix":
-        n, m = self.shape
-        return Matrix([[self.rows[i][j] for i in range(n)] for j in range(m)])
+        return Matrix._computed([list(col) for col in zip(*self.rows)])
 
     def trace(self) -> Scalar:
         acc = ZERO
@@ -180,7 +199,8 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     n = a.shape[0]
     if a.shape != b.shape or a.shape != (n, n):
         raise ValueError(f"commutator of shapes {a.shape} and {b.shape}")
-    return Matrix.from_flat(flat_commutator(a.flatten(), b.flatten(), n), n, n)
+    flat = flat_commutator(a.flatten(), b.flatten(), n)
+    return Matrix._computed([flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 def _reduce(rows: list[Vec], pivots: list[int], v: Sequence[Scalar]) -> Vec:
@@ -215,11 +235,46 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     Entries may be Scalar, int or Fraction; they are coerced as Matrix does.
+    All-rational input is eliminated on cleared integers, anything else by
+    row insertion; the RREF is unique, so both give the same result.
     """
+    ints = [list(r) if all(type(x) is int for x in r)
+            else cleared([Scalar.of(x) for x in r]) for r in rows]
+    if None in ints:
+        return _insertion_rref([[Scalar.of(x) for x in r] for r in rows])
+    pending = [r for r in ints if any(r)]
+    done, pivots = [], []
+    for c in range(len(ints[0]) if ints else 0):
+        k = next((k for k, r in enumerate(pending) if r[c]), None)
+        if k is not None:
+            top = pending.pop(k)
+            done = [_eliminate(r, top, c) for r in done] + [top]
+            pending = [r for r in pending if any(_eliminate(r, top, c))]
+            pivots.append(c)
+    # only now divide by the pivots, for the canonical Scalar rows
+    return [[Scalar(x, 0, 0, 0, r[c]) if x else ZERO for x in r]
+            for r, c in zip(done, pivots)], pivots
+
+
+def _eliminate(r: list[int], top: list[int], c: int) -> list[int]:
+    """r := top[c]*r - r[c]*top over the gcd of its entries, zero at c."""
+    f = r[c]
+    if f:
+        g = gcd(top[c], f)
+        p, f = top[c] // g, f // g
+        r[:] = [p * x - f * y if y else p * x for x, y in zip(r, top)]
+        g = gcd(*r)
+        if g > 1:
+            r[:] = [x // g for x in r]
+    return r
+
+
+def _insertion_rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
+    """RREF over the field, inserting the residual of each row in turn."""
     out: list[Vec] = []
     pivots: list[int] = []
     for r in rows:
-        residual = _reduce(out, pivots, [Scalar.of(x) for x in r])
+        residual = _reduce(out, pivots, r)
         if any(residual):
             insert_row(out, pivots, residual)
     return out, pivots
@@ -272,20 +327,6 @@ def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Vec | None
             return None
         sol[pc] = r[ncols]
     return sol
-
-
-def solve_inclusion(systems: Sequence[tuple[Sequence[Sequence[Vec]], "Subspace"]],
-                    nvars: int) -> "Subspace":
-    """{c : sum_t c_t images[r][t] lies in target for every r}, for every
-    (images, target) of systems, as one kernel of the stacked rows.
-
-    images[r][t] is the image of source vector r under unknown t.
-    """
-    rows: list[Sequence[Scalar]] = []
-    for images, target in systems:
-        for per_source in images:
-            rows.extend(zip(*[target.reduce(img) for img in per_source]))
-    return kernel(rows, nvars)
 
 
 class Subspace:
@@ -359,12 +400,9 @@ class Subspace:
         if not self.rows or not other.rows:
             return Subspace.zero(self.n)
         # columns: coefficients (a | b) with sum a_i u_i - sum b_j w_j = 0
-        k1, k2 = self.dim, other.dim
-        sys_rows = []
-        for c in range(self.n):
-            sys_rows.append([self.rows[i][c] for i in range(k1)]
-                            + [-other.rows[j][c] for j in range(k2)])
-        ker = kernel(sys_rows, k1 + k2)
+        sys_rows = [list(u) + [-x for x in w]
+                    for u, w in zip(zip(*self.rows), zip(*other.rows))]
+        ker = kernel(sys_rows, self.dim + other.dim)
         return Subspace.span([combine(comb, self.rows) for comb in ker.rows],
                              self.n)
 

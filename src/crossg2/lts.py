@@ -35,18 +35,21 @@ __all__ = [
     "generated_subtriple", "envelope_dim", "is_ideal",
 ]
 
-FlatTriple = Callable[[Vec, Vec, Vec], Vec]
+FlatOperator = Callable[[Vec, Vec], Callable[[Vec], Vec]]
 FlatBracket = Callable[[Vec, Vec], Vec]
 
 
 @dataclass(frozen=True)
 class TripleSystem:
-    """An ambient space R^dim with a trilinear product on flat vectors."""
+    """R^dim with the trilinear product operator(x, y)(z) = [x, y, z]."""
 
     name: str
     dim: int
-    triple: FlatTriple
+    operator: FlatOperator
     bracket: FlatBracket | None = None  # set when the ambient is a Lie algebra
+
+    def triple(self, x: Vec, y: Vec, z: Vec) -> Vec:
+        return self.operator(x, y)(z)
 
 
 def triple_in_lie(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
@@ -60,10 +63,11 @@ def matrix_lts(n: int) -> TripleSystem:
     def bracket(a: Vec, b: Vec) -> Vec:
         return flat_commutator(a, b, n)
 
-    def triple(a: Vec, b: Vec, c: Vec) -> Vec:
-        return bracket(bracket(a, b), c)
+    def operator(a: Vec, b: Vec) -> Callable[[Vec], Vec]:
+        ab = bracket(a, b)
+        return lambda c: bracket(ab, c)
 
-    return TripleSystem(f"gl{n}", n * n, triple, bracket)
+    return TripleSystem(f"gl{n}", n * n, operator, bracket)
 
 
 def abstract_lts(struct: Sequence[Sequence[Sequence[Sequence[Scalar]]]],
@@ -71,28 +75,22 @@ def abstract_lts(struct: Sequence[Sequence[Sequence[Sequence[Scalar]]]],
     """Triple system on R^dim given by structure constants c[i][j][k][l]."""
     dim = len(struct)
 
-    def triple(x: Vec, y: Vec, z: Vec) -> Vec:
-        out = [ZERO] * dim
+    def operator(x: Vec, y: Vec) -> Callable[[Vec], Vec]:
+        # images[k] = [x, y, b_k] = sum_ij x_i y_j c[i][j][k]
+        images = [[ZERO] * dim for _ in range(dim)]
         for i in range(dim):
             if not x[i]:
                 continue
-            ci = struct[i]
             for j in range(dim):
                 if not y[j]:
                     continue
-                cij = ci[j]
                 xy = x[i] * y[j]
-                for k in range(dim):
-                    if not z[k]:
-                        continue
-                    coeff = xy * z[k]
-                    row = cij[k]
-                    for l in range(dim):
-                        if row[l]:
-                            out[l] = out[l] + coeff * row[l]
-        return out
+                for k, row in enumerate(struct[i][j]):
+                    images[k] = [a + xy * b if b else a
+                                 for a, b in zip(images[k], row)]
+        return lambda z: combine(z, images) if dim else []
 
-    return TripleSystem(name, dim, triple)
+    return TripleSystem(name, dim, operator)
 
 
 class NotClosedError(ValueError):
@@ -130,8 +128,9 @@ class LtsCarrier:
                 plane = []
                 for j in range(n):
                     line = []
+                    op = self.system.operator(rows[i], rows[j])
                     for k in range(n):
-                        prod = self.system.triple(rows[i], rows[j], rows[k])
+                        prod = op(rows[k])
                         coords = self.space.coords(prod)
                         if coords is None:
                             raise NotClosedError(i, j, k)

@@ -189,7 +189,7 @@ def m34_system() -> TripleSystem:
     def triple(x: Vec, y: Vec, z: Vec) -> Vec:
         return m34_triple(Matrix.from_flat(x, 3, 4), Matrix.from_flat(y, 3, 4),
                           Matrix.from_flat(z, 3, 4)).flatten()
-    return TripleSystem("m34", 12, triple)
+    return TripleSystem("m34", 12, lambda x, y: partial(triple, x, y))
 
 
 def m34_template_basis() -> list[Matrix]:
@@ -361,7 +361,7 @@ def sl3_system() -> TripleSystem:
         return _sl3_triple_raw(Matrix.from_flat(x, 3, 3),
                                Matrix.from_flat(y, 3, 3),
                                Matrix.from_flat(z, 3, 3)).flatten()
-    return TripleSystem("sl3-twisted", 9, triple)
+    return TripleSystem("sl3-twisted", 9, lambda x, y: partial(triple, x, y))
 
 
 def _span_carrier(mats: Sequence[Matrix], name: str) -> LtsCarrier:

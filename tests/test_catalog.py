@@ -6,8 +6,8 @@ from crossg2 import catalog, lts
 from crossg2.checks import run_checks, select_checks
 from crossg2.cross7 import basis_vector
 from crossg2.g2alg import lambda_operator, rho_operator
-from crossg2.linalg import (Matrix, Subspace, char_poly, commutator, is_zero_vec,
-                            kernel, projection_matrix)
+from crossg2.linalg import (Matrix, Subspace, char_poly, cleared, commutator,
+                            is_zero_vec, kernel, projection_matrix)
 from crossg2.scalar import ONE, ZERO, Scalar
 
 E = [basis_vector(i) for i in range(7)]
@@ -62,6 +62,19 @@ def test_grading_equals_the_conjugation_eigenspaces(g2):
         g = catalog.grading(v, g2)
         assert (g.even.dim, g.odd.dim) == (6, 8)
         assert (g.even, g.odd) == conjugation_eigenspaces(v, g2)
+
+
+def test_grading_of_an_irrational_subalgebra(g2):
+    # rows with r6 entries take the Scalar branch of the membership rows
+    r6 = Scalar(0, 1, 0, 0)
+    u = [ONE, r6, ZERO, ZERO, ZERO, ZERO, ZERO]
+    w = [ZERO, ZERO, ONE, ZERO, Scalar.of(2), ZERO, ZERO]
+    v = catalog.AssocSubalg.from_pair(u, w)
+    assert any(cleared(r) is None for r in v.space.rows)
+    assert any(cleared(r) is None for r in v.complement().rows)
+    g = catalog.grading(v, g2)
+    assert (g.even.dim, g.odd.dim) == (6, 8)
+    assert (g.even, g.odd) == conjugation_eigenspaces(v, g2)
 
 
 def test_grading_check_rejects_a_corrupted_odd_part(monkeypatch):
@@ -121,6 +134,8 @@ def test_is_adapted_rejects_non_principal(v_std, g2, frame):
     lam_span = g2.subspace_from_matrices(
         [lambda_operator(a, frame) for a in (frame.i, frame.j, frame.k)])
     with pytest.raises(ValueError):
+        catalog.is_adapted(lam_span, v_std, g2)
+    with pytest.raises(ValueError):  # a failed validation is not remembered
         catalog.is_adapted(lam_span, v_std, g2)
 
 

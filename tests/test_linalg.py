@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossg2.linalg import (Matrix, Subspace, char_poly, combine, commutator,
-                            flat_commutator, inverse, is_positive_definite, kernel,
+from crossg2 import linalg
+from crossg2.linalg import (Matrix, Subspace, char_poly, cleared, combine,
+                            commutator, flat_commutator, inverse,
+                            is_positive_definite, kernel,
                             poly_from_roots_squared, projection_matrix, rank,
                             rref, solve)
 from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
@@ -229,11 +231,8 @@ def row_systems(draw):
     return ncols, [rows[i] for i in order]
 
 
-@settings(max_examples=150, deadline=None)
-@given(row_systems())
-def test_rref_invariants(system):
-    ncols, rows = system
-    out, pivots = rref(rows)
+def assert_rref_of(ncols, rows, out, pivots):
+    """out, pivots is a reduced row echelon form spanning the rows."""
     assert len(out) == len(pivots)
     assert all(a < b for a, b in zip(pivots, pivots[1:]))
     for r, pc in zip(out, pivots):
@@ -246,6 +245,89 @@ def test_rref_invariants(system):
     # row rank equals column rank, so with every row inside the span of
     # the output the two spans agree
     assert rank([list(col) for col in zip(*rows)]) == len(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_systems())
+def test_rref_invariants(system):
+    ncols, rows = system
+    assert_rref_of(ncols, rows, *rref(rows))
+
+
+# mostly zeros and small values, with numerators and denominators up to 2^70
+BIG = 2 ** 70
+rational_entries = st.one_of(
+    st.just(0), st.just(0), st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+@st.composite
+def rational_systems(draw):
+    """(ncols, rows) of int and Fraction entries, up to 49 columns, with
+    zero, duplicate and dependent rows; possibly no rows at all."""
+    ncols = draw(st.integers(1, 49))
+    rows = draw(st.lists(st.lists(rational_entries, min_size=ncols,
+                                  max_size=ncols), max_size=7))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "comb"]),
+                              max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+        elif kind == "dup":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = Fraction(draw(rational_entries))
+            rows.append([Fraction(x) + c * y for x, y in zip(a, b)])
+    order = draw(st.permutations(range(len(rows))))
+    return ncols, [rows[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+def test_integer_rref_equals_the_field_path(system):
+    ncols, rows = system
+    out, pivots = rref(rows)
+    field = linalg._insertion_rref([[Scalar.of(x) for x in r] for r in rows])
+    assert (out, pivots) == field
+    assert all(type(x) is Scalar for r in out for x in r)
+    if rows:
+        assert_rref_of(ncols, [[Scalar.of(x) for x in r] for r in rows],
+                       out, pivots)
+
+
+def test_rational_input_never_reaches_the_field_path(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("field path used")
+
+    monkeypatch.setattr(linalg, "_insertion_rref", refuse)
+    rows = [[1, Fraction(1, 2), 0], [2, 3, Fraction(-2, 3)], [0, 0, 5]]
+    assert rref(rows) == (Matrix.identity(3).rows, [0, 1, 2])
+    assert rref([]) == ([], [])
+    assert rref([[0, 0]]) == ([], [])
+    with pytest.raises(AssertionError, match="field path"):
+        rref([[SQRT6, ONE]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_systems(), st.data())
+def test_one_irrational_entry_keeps_the_rref_invariants(system, data):
+    ncols, rows = system
+    rows = [[Scalar.of(x) for x in r] for r in rows] or [[ZERO] * ncols]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, ncols - 1))
+    rows[i][j] = rows[i][j] + data.draw(st.sampled_from(
+        [SQRT6, Scalar(0, 0, 0, 1, 3), Scalar(1, 0, -BIG, 0, 7)]))
+    assert cleared(rows[i]) is None
+    assert_rref_of(ncols, rows, *rref(rows))
+
+
+def test_cleared_scales_by_the_lcm_of_the_denominators():
+    assert cleared([Scalar.rational(1, 2), Scalar.rational(-2, 3), ZERO,
+                    Scalar.of(4)]) == [3, -4, 0, 24]
+    assert cleared([]) == []
+    assert cleared([ONE, SQRT6]) is None
 
 
 def test_reduce_checks_the_vector_length():
@@ -300,6 +382,17 @@ def test_matmul_equals_the_dense_triple_loop(pair):
     product = a @ b
     assert product.shape == (a.shape[0], b.shape[1])
     assert product == dense_product(a, b)
+
+
+def test_add_and_sub_reject_mismatched_shapes():
+    for a, b in ((Matrix.identity(2), Matrix.identity(3)),
+                 (Matrix.zeros(2, 3), Matrix.zeros(3, 2)),
+                 (Matrix.zeros(3, 3), Matrix.zeros(3, 2))):
+        for op in (Matrix.__add__, Matrix.__sub__):
+            with pytest.raises(ValueError):
+                op(a, b)
+            with pytest.raises(ValueError):
+                op(b, a)
 
 
 def test_matmul_rejects_mismatched_shapes():

@@ -35,6 +35,20 @@ def test_g2_structure_constants_match_the_bracket_constants(g2):
     assert check_axioms(carrier).all_pass()
 
 
+def test_operator_is_the_triple_product_with_two_slots_fixed():
+    rng = random.Random(4)
+    gl3 = matrix_lts(3)
+    mats = [Matrix([[Scalar.of(rng.randint(-2, 2)) for _ in range(3)]
+                    for _ in range(3)]) for _ in range(3)]
+    x, y, z = (m.flatten() for m in mats)
+    expected = triple_in_lie(*mats).flatten()
+    assert gl3.operator(x, y)(z) == gl3.triple(x, y, z) == expected
+    # the same product read back from gl(3)'s structure constants
+    full = LtsCarrier(gl3, Subspace.full(9))
+    abstract = abstract_lts(full.struct())
+    assert abstract.operator(x, y)(z) == abstract.triple(x, y, z) == expected
+
+
 def test_counterexample_fails_derivation_axiom():
     z2 = [ZERO, ZERO]
     struct = [[[list(z2) for _ in range(2)] for _ in range(2)] for _ in range(2)]
