@@ -12,15 +12,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, d_operator, derivation_algebra
-from .linalg import (Matrix, Subspace, Vec, char_poly, commutator, kernel,
-                     poly_from_roots_squared, projection_matrix)
+from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, commutator,
+                     kernel, poly_from_roots_squared, projection_matrix)
 from .lts import LtsCarrier, generated_subtriple, matrix_lts
-from .scalar import ONE, Scalar
+from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
     "AssocSubalg", "Grading", "PrincipalTds", "ProbeReport",
@@ -59,16 +59,10 @@ class AssocSubalg:
                 raise ValueError("frame does not span the subalgebra")
         self.space = space
         self.frame = frame
-        # the induced split of R^7: V x V-perp <= V-perp, V-perp x V-perp <= V
         comp = self._complement = space.complement()
-        for a in space.rows:
-            for b in comp.rows:
-                if not comp.contains(cross(a, b)):
-                    raise AssertionError("V x V-perp leaves the complement")
-        for a in comp.rows:
-            for b in comp.rows:
-                if not space.contains(cross(a, b)):
-                    raise AssertionError("V-perp x V-perp leaves V")
+        failure = _split_failure(space, comp)
+        if failure:
+            raise AssertionError(failure)
 
     @classmethod
     def from_frame(cls, frame: Frame) -> "AssocSubalg":
@@ -95,6 +89,22 @@ class AssocSubalg:
 
     def complement(self) -> Subspace:
         return self._complement
+
+
+def _split_failure(space: Subspace, comp: Subspace) -> str | None:
+    """Which half of the split V x V-perp <= V-perp, V-perp x V-perp <= V
+    fails, or None.  x is in V-perp iff <x, v> = 0 for the rows v of V, and
+    in V iff <x, t> = 0 for the rows t of V-perp; on ints for rational V."""
+    ints = [cleared(r) for r in space.rows + comp.rows]
+    rows, zero = (ints, 0) if None not in ints else (space.rows + comp.rows, ZERO)
+    vs, ts = rows[:space.dim], rows[space.dim:]
+    for sources, orth, failure in ((vs, vs, "V x V-perp leaves the complement"),
+                                   (ts, ts, "V-perp x V-perp leaves V")):
+        for a, b in product(sources, ts):
+            ab = cross(a, b, zero)
+            if any(sum(x * y for x, y in zip(ab, t)) for t in orth):
+                return failure
+    return None
 
 
 def theta_map(v: AssocSubalg) -> Matrix:
@@ -150,18 +160,12 @@ def verify_grading(g: Grading, g2: G2 | None = None) -> bool:
     g2 = g2 or derivation_algebra()
     emats = [g2.mat(r) for r in g.even.rows]
     omats = [g2.mat(r) for r in g.odd.rows]
-    for a in emats:
-        for b in emats:
-            if not g.even.contains(g2.coords(commutator(a, b))):
-                return False
-        for b in omats:
-            if not g.odd.contains(g2.coords(commutator(a, b))):
-                return False
-    for a in omats:
-        for b in omats:
-            if not g.even.contains(g2.coords(commutator(a, b))):
-                return False
-    return True
+
+    def inside(part: Subspace, xs: list[Matrix], ys: list[Matrix]) -> bool:
+        return all(part.contains(g2.coords(commutator(a, b)))
+                   for a in xs for b in ys)
+    return (inside(g.even, emats, emats) and inside(g.odd, emats, omats)
+            and inside(g.even, omats, omats))
 
 
 def mapping_space(systems: Sequence[tuple[Subspace, Subspace]],

@@ -45,9 +45,9 @@ def basis_vector(i: int) -> Vec:
     return v
 
 
-def cross(x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
-    """Bilinear extension of the table."""
-    out = [ZERO] * 7
+def cross(x: Sequence[Scalar], y: Sequence[Scalar], zero=ZERO) -> Vec:
+    """Bilinear extension of the table; on ints with zero=0."""
+    out = [zero] * 7
     for i in range(7):
         xi = x[i]
         if not xi:

@@ -48,11 +48,11 @@ def vscale(c: Scalar, u: Sequence[Scalar]) -> Vec:
 
 def combine(coeffs: Sequence[Scalar], vectors: Sequence[Sequence[Scalar]]) -> Vec:
     """The linear combination sum_i coeffs[i] * vectors[i] of equal-length
-    vectors (at least one); zero coefficients are skipped."""
+    vectors (at least one); zero coefficients and entries are skipped."""
     out = [ZERO] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
         if c:
-            out = [x + c * y for x, y in zip(out, v)]
+            out = [x + c * y if y else x for x, y in zip(out, v)]
     return out
 
 
@@ -86,6 +86,11 @@ class Matrix:
         out = cls.__new__(cls)
         out.rows = rows
         return out
+
+    @classmethod
+    def _computed_flat(cls, flat: Vec, n: int, m: int) -> "Matrix":
+        """The n x m matrix on a just computed flat row-by-row list."""
+        return cls._computed([flat[i * m:(i + 1) * m] for i in range(n)])
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "Matrix":
@@ -134,7 +139,7 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} @ {o.shape}")
         out = [ZERO] * (n * m)
         flat_product(out, self.flatten(), o.flatten(), k, m)
-        return Matrix._computed([out[i * m:(i + 1) * m] for i in range(n)])
+        return Matrix._computed_flat(out, n, m)
 
     def apply(self, v: Sequence[Scalar]) -> Vec:
         n, m = self.shape
@@ -156,6 +161,8 @@ class Matrix:
 
     @classmethod
     def from_flat(cls, flat: Sequence[Scalar], n: int, m: int) -> "Matrix":
+        if len(flat) != n * m:
+            raise ValueError(f"{len(flat)} entries do not fill a {n} x {m} matrix")
         return cls([list(flat[i * m:(i + 1) * m]) for i in range(n)])
 
     def is_zero(self) -> bool:
@@ -189,6 +196,8 @@ def flat_product(out: Vec, a: Sequence[Scalar], b: Sequence[Scalar],
 
 def flat_commutator(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> Vec:
     """ab - ba on n x n matrices flattened row by row, skipping zero entries."""
+    if len(a) != n * n or len(b) != n * n:
+        raise ValueError(f"commutator of {len(a)} and {len(b)} entries in gl({n})")
     out = [ZERO] * (n * n)
     flat_product(out, a, b, n, n)
     flat_product(out, [-x if x else x for x in b], a, n, n)
@@ -199,8 +208,8 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     n = a.shape[0]
     if a.shape != b.shape or a.shape != (n, n):
         raise ValueError(f"commutator of shapes {a.shape} and {b.shape}")
-    flat = flat_commutator(a.flatten(), b.flatten(), n)
-    return Matrix._computed([flat[i * n:(i + 1) * n] for i in range(n)])
+    return Matrix._computed_flat(flat_commutator(a.flatten(), b.flatten(), n),
+                                 n, n)
 
 
 def _reduce(rows: list[Vec], pivots: list[int], v: Sequence[Scalar]) -> Vec:

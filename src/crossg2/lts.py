@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .linalg import (Matrix, Subspace, Vec, combine, commutator,
-                     flat_commutator, insert_row, is_zero_vec, rref, vadd)
+                     flat_commutator, insert_row, is_zero_vec, rref)
 from .scalar import ZERO, Scalar
 
 __all__ = [
@@ -121,22 +121,14 @@ class LtsCarrier:
     def struct(self) -> list[list[list[Vec]]]:
         """Structure constants on the carrier basis; certifies closure."""
         if self._struct is None:
-            rows = self.space.rows
-            n = len(rows)
-            out: list[list[list[Vec]]] = []
-            for i in range(n):
-                plane = []
-                for j in range(n):
-                    line = []
-                    op = self.system.operator(rows[i], rows[j])
-                    for k in range(n):
-                        prod = op(rows[k])
-                        coords = self.space.coords(prod)
-                        if coords is None:
-                            raise NotClosedError(i, j, k)
-                        line.append(coords)
-                    plane.append(line)
-                out.append(plane)
+            rows, n = self.space.rows, self.dim
+            out: list = [[[None] * n for _ in range(n)] for _ in range(n)]
+            for i, j in itertools.product(range(n), repeat=2):
+                op = self.system.operator(rows[i], rows[j])
+                for k in range(n):
+                    out[i][j][k] = self.space.coords(op(rows[k]))
+                    if out[i][j][k] is None:
+                        raise NotClosedError(i, j, k)
             self._struct = out
         return self._struct
 
@@ -184,22 +176,12 @@ def check_axioms(carrier: LtsCarrier) -> AxiomReport:
     antisym = witness is None
 
     # (iii) cyclic sum
-    cyclic = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = [a + b + c for a, b, c in
-                     zip(struct[i][j][k], struct[j][k][i], struct[k][i][j])]
-                if not is_zero_vec(s):
-                    cyclic = False
-                    witness = witness or f"cyclic sum at ({i}, {j}, {k}) != 0"
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+    bad = next(((i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+                if any(a + b + c for a, b, c in zip(
+                    struct[i][j][k], struct[j][k][i], struct[k][i][j]))), None)
+    cyclic = bad is None
+    if not cyclic:
+        witness = witness or f"cyclic sum at {bad} != 0"
 
     # Imported here, not at the top: runs that never check axioms (closure
     # probes, for one) never pay for importing numpy.
@@ -210,41 +192,24 @@ def check_axioms(carrier: LtsCarrier) -> AxiomReport:
     return AxiomReport(antisym, cyclic, derivation, witness)
 
 
-def _derivation_axiom_pure(struct, n: int) -> bool:
-    """Reference path of the derivation axiom, the oracle of the kernel's tests."""
-    # both sides are antisymmetric in (x, y) and in (a, b)
-    for x in range(n):
-        for y in range(x + 1, n):
-            op = struct[x][y]  # op[l] = coords of [b_x, b_y, b_l]
-            for a in range(n):
-                for b in range(a + 1, n):
-                    for e in range(n):
-                        lhs = combine(struct[a][b][e], op)
-                        rhs = vadd(vadd(
-                            combine(op[a], [struct[p][b][e] for p in range(n)]),
-                            combine(op[b], [struct[a][p][e] for p in range(n)])),
-                            combine(op[e], struct[a][b]))
-                        if lhs != rhs:
-                            return False
-    return True
-
-
 def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
     """Least triple-closed subspace of the ambient carrier containing seed.
 
     Iterates S <- S + span [S, S, S] to a fixpoint, inserting rows as
     `rref` does: each product is reduced against S and a nonzero residual
-    joins S as a canonical row.  Once S fills the ambient carrier the
-    fixpoint is the carrier itself (closed by certification).  Only
-    [a, b, c] with a before b is formed, so the product must be
-    antisymmetric in its first two slots; the ambient carrier is checked.
+    joins S as a canonical row.  A pass runs over the pairs a before b of
+    the basis it starts from, forms the operator [a, b, .] once per pair
+    and applies it to every basis row c.  Once S fills the ambient carrier
+    the fixpoint is the carrier itself (closed by certification).  Only
+    pairs with a before b are formed, so the product must be antisymmetric
+    in its first two slots; the ambient carrier is checked.
     """
     if not ambient.space.contains_subspace(seed):
         raise ValueError("seed is not contained in the ambient carrier")
     witness = ambient.antisymmetry_witness  # also certifies ambient closure
     if witness is not None:
         raise ValueError(f"closure needs an antisymmetric product: {witness}")
-    triple = ambient.system.triple
+    operator = ambient.system.operator
     # a private copy of the canonical seed basis, grown in place
     closed = Subspace(seed.n, list(seed.rows), list(seed.pivots))
     while True:
@@ -252,17 +217,15 @@ def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
             return ambient.space
         grown = False
         basis_now = list(closed.rows)
-        k = len(basis_now)
-        for c in range(k):
-            for a in range(k):
-                for b in range(a + 1, k):
-                    prod = triple(basis_now[a], basis_now[b], basis_now[c])
-                    residual = closed.reduce(prod)
-                    if not is_zero_vec(residual):
-                        insert_row(closed.rows, closed.pivots, residual)
-                        grown = True
-                        if closed.dim == ambient.dim:
-                            return ambient.space
+        for a, b in itertools.combinations(basis_now, 2):
+            op = operator(a, b)
+            for c in basis_now:
+                residual = closed.reduce(op(c))
+                if not is_zero_vec(residual):
+                    insert_row(closed.rows, closed.pivots, residual)
+                    grown = True
+                    if closed.dim == ambient.dim:
+                        return ambient.space
         if not grown:
             return closed
 
@@ -282,15 +245,6 @@ def is_ideal(ideal: Subspace, carrier: LtsCarrier) -> bool:
     if not carrier.space.contains_subspace(ideal):
         raise ValueError("ideal candidate is not contained in the carrier")
     triple = carrier.system.triple
-    irows = ideal.rows
-    trows = carrier.space.rows
-    for iv in irows:
-        for t1 in trows:
-            for t2 in trows:
-                if not ideal.contains(triple(iv, t1, t2)):
-                    return False
-                if not ideal.contains(triple(t1, iv, t2)):
-                    return False
-                if not ideal.contains(triple(t1, t2, iv)):
-                    return False
-    return True
+    return all(ideal.contains(triple(*args)) for iv in ideal.rows
+               for t1, t2 in itertools.product(carrier.space.rows, repeat=2)
+               for args in ((iv, t1, t2), (t1, iv, t2), (t1, t2, iv)))

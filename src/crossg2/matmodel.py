@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .catalog import GL7, AssocSubalg, grading
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, derivation_algebra, leibniz_rows
-from .linalg import (Matrix, Subspace, Vec, combine, dot, is_positive_definite,
-                     is_zero_vec, kernel, projection_matrix, solve)
+from .linalg import (Matrix, Subspace, Vec, combine, dot, flat_product,
+                     is_positive_definite, kernel, projection_matrix, solve)
 from .lts import LtsCarrier, TripleSystem, triple_in_lie
 from .scalar import ONE, ZERO, Scalar
 
@@ -76,14 +76,10 @@ def in_ms_prime(p: Projection) -> bool:
     pc = p.complement_map()
     px = [p.mat.apply(v) for v in e]
     qx = [pc.apply(v) for v in e]
-    for i in range(7):
-        for j in range(7):
-            cij = cross(px[i], px[j])
-            if is_zero_vec(cij):
-                continue
-            for k in range(7):
-                if dot(cij, qx[k]):
-                    return False
+    for a, b in product(px, repeat=2):
+        ab = cross(a, b)
+        if any(dot(ab, q) for q in qx):
+            return False
     return True
 
 
@@ -171,25 +167,68 @@ def matches_template(rm: Matrix) -> bool:
     return rm.rows[2] == expected
 
 
+def _operator(x: Vec, y: Vec, n: int, m: int,
+              twisted: bool = False) -> Callable[[Vec], Vec]:
+    """z -> [x, y, z] on n x m matrices flattened row by row.
+
+    The skew triple x y^t z - y x^t z + z y^t x - z x^t y is L z + z R, with
+    L = x y^t - y x^t and R = y^t x - x^t y, formed once per (x, y).  The
+    twisted 3x3 product adds G z + alpha(z) w^t, where (a for alpha)
+    G = a_x a_y^t - a_y a_x^t joins L and w^t = a_y^t x - a_x^t y.
+    """
+    if len(x) != n * m or len(y) != n * m:
+        raise ValueError(f"arguments must be {n} x {m} matrices, flattened")
+    if twisted and (n, m) != (3, 3):
+        raise ValueError("the twisted product is on 3x3 matrices")
+    yt = [y[i * m + j] for j in range(m) for i in range(n)]
+    left, right = [ZERO] * (n * n), [ZERO] * (m * m)
+    flat_product(left, x, yt, m, n)              # x y^t
+    flat_product(right, yt, x, n, m)             # y^t x
+    if twisted:
+        ax, ay = _alpha(x), _alpha(y)
+        flat_product(left, ax, ay, 1, 3)         # a_x a_y^t
+        w = [ZERO] * 3
+        flat_product(w, ay, x, 3, 3)
+        flat_product(w, [-a for a in ax], y, 3, 3)
+    # L = X - X^t for X = x y^t (+ a_x a_y^t), R = Y - Y^t for Y = y^t x
+    left = [left[i * n + j] - left[j * n + i] for i in range(n) for j in range(n)]
+    right = [right[i * m + j] - right[j * m + i]
+             for i in range(m) for j in range(m)]
+
+    def apply(z: Vec) -> Vec:
+        if len(z) != n * m:
+            raise ValueError(f"argument must be a {n} x {m} matrix, flattened")
+        out = [ZERO] * (n * m)
+        flat_product(out, left, z, n, m)
+        flat_product(out, z, right, m, m)
+        if twisted:
+            flat_product(out, _alpha(z), w, 1, 3)
+        return out
+    return apply
+
+
+def _triple(a: Matrix, b: Matrix, c: Matrix, twisted: bool = False) -> Matrix:
+    if not a.shape == b.shape == c.shape:
+        raise ValueError(f"shapes {a.shape}, {b.shape}, {c.shape} differ")
+    n, m = a.shape
+    op = _operator(a.flatten(), b.flatten(), n, m, twisted)
+    return Matrix._computed_flat(op(c.flatten()), n, m)
+
+
 def skew_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     """a b^t c - b a^t c + c b^t a - c a^t b."""
-    at, bt = a.transpose(), b.transpose()
-    return (a @ bt @ c) - (b @ at @ c) + (c @ bt @ a) - (c @ at @ b)
+    return _triple(a, b, c)
 
 
 def m34_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     """The skew triple on 3x4 blocks."""
-    for m in (a, b, c):
-        if m.shape != (3, 4):
-            raise ValueError("arguments must be 3x4")
+    if not a.shape == b.shape == c.shape == (3, 4):
+        raise ValueError("arguments must be 3x4")
     return skew_triple(a, b, c)
 
 
 def m34_system() -> TripleSystem:
-    def triple(x: Vec, y: Vec, z: Vec) -> Vec:
-        return m34_triple(Matrix.from_flat(x, 3, 4), Matrix.from_flat(y, 3, 4),
-                          Matrix.from_flat(z, 3, 4)).flatten()
-    return TripleSystem("m34", 12, lambda x, y: partial(triple, x, y))
+    return TripleSystem("m34", 12, lambda x, y: _operator(x, y, 3, 4))
 
 
 def m34_template_basis() -> list[Matrix]:
@@ -237,7 +276,7 @@ class LiftMap:
         if kernel(sysrows, len(self.m4v_mats)).dim != 0:
             raise AssertionError("odd derivations are not determined by V0 values")
         self._sysrows = sysrows
-        self.basis = [Matrix.from_flat(r, 7, 7) for r in self.tangent.rows]
+        self.basis = [Matrix._computed_flat(r, 7, 7) for r in self.tangent.rows]
         self.triples = LtsCarrier(GL7, self.tangent, "tangent").struct()
         self.lifted = [self.lift(m) for m in self.basis]
         lift_coords = [g2.coords(m) for m in self.lifted]
@@ -264,7 +303,7 @@ class LiftMap:
         flat = [m.flatten() for m in images]
         rows, cols = images[0].shape
         for x, y, z in product(range(8), repeat=3):
-            yield x, y, z, Matrix.from_flat(
+            yield x, y, z, Matrix._computed_flat(
                 combine(self.triples[x][y][z], flat), rows, cols)
 
     def _fix_sign(self) -> int:
@@ -294,20 +333,16 @@ def alpha(m: Matrix) -> Vec:
     """Antisymmetric-part extraction (a23-a32, a31-a13, a12-a21)."""
     if m.shape != (3, 3):
         raise ValueError("alpha expects a 3x3 matrix")
-    r = m.rows
-    return [r[1][2] - r[2][1], r[2][0] - r[0][2], r[0][1] - r[1][0]]
+    return _alpha(m.flatten())
 
 
-def _outer(u: Vec, w: Vec) -> Matrix:
-    return Matrix([[a * b for b in w] for a in u])
+def _alpha(f: Vec) -> Vec:
+    """alpha of a 3x3 matrix flattened row by row."""
+    return [f[5] - f[7], f[6] - f[2], f[1] - f[3]]
 
 
 def _sl3_triple_raw(m1: Matrix, m2: Matrix, m3: Matrix) -> Matrix:
-    bracket = skew_triple(m1, m2, m3)
-    a1, a2, a3 = alpha(m1), alpha(m2), alpha(m3)
-    gamma = ((_outer(a1, a2) - _outer(a2, a1)) @ m3
-             + _outer(a3, a2) @ m1 - _outer(a3, a1) @ m2)
-    return bracket + gamma
+    return _triple(m1, m2, m3, twisted=True)
 
 
 def sl3_triple(m1: Matrix, m2: Matrix, m3: Matrix) -> Matrix:
@@ -357,11 +392,8 @@ def d_st(s: Scalar | int, t: Scalar | int) -> Matrix:
 
 
 def sl3_system() -> TripleSystem:
-    def triple(x: Vec, y: Vec, z: Vec) -> Vec:
-        return _sl3_triple_raw(Matrix.from_flat(x, 3, 3),
-                               Matrix.from_flat(y, 3, 3),
-                               Matrix.from_flat(z, 3, 3)).flatten()
-    return TripleSystem("sl3-twisted", 9, lambda x, y: partial(triple, x, y))
+    return TripleSystem("sl3-twisted", 9,
+                        lambda x, y: _operator(x, y, 3, 3, twisted=True))
 
 
 def _span_carrier(mats: Sequence[Matrix], name: str) -> LtsCarrier:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from crossg2 import catalog, lts
+from crossg2 import catalog, cross7, lts
 from crossg2.checks import run_checks, select_checks
 from crossg2.cross7 import basis_vector
 from crossg2.g2alg import lambda_operator, rho_operator
@@ -26,6 +26,53 @@ def test_assoc_from_pair():
         assert catalog.is_associative(v.space)
     with pytest.raises(ValueError):
         catalog.AssocSubalg.from_pair(E[0], E[0])
+
+
+def test_split_check_decides_alike_on_ints_and_scalars(monkeypatch):
+    rng = random.Random(7)
+    subalgs = [catalog.random_assoc(rng) for _ in range(4)]
+    r6 = Scalar(0, 1, 0, 0)
+    subalgs.append(catalog.AssocSubalg.from_pair(
+        [ONE, r6, ZERO, ZERO, ZERO, ZERO, ZERO],
+        [ZERO, ZERO, ONE, ZERO, Scalar.of(2), ZERO, ZERO]))
+    splits = [(v.space, v.complement()) for v in subalgs]
+    zeros = []
+    cross = catalog.cross
+
+    def spy(x, y, zero=ZERO):
+        zeros.append(zero)
+        return cross(x, y, zero)
+
+    monkeypatch.setattr(catalog, "cross", spy)
+    paths = []
+    for space, comp in splits:
+        zeros.clear()
+        assert catalog._split_failure(space, comp) is None
+        paths.append({type(z) for z in zeros})
+    assert paths == [{int}] * 4 + [{Scalar}]  # rational V runs on ints
+
+    def failures():
+        return [catalog._split_failure(space, comp) for space, comp in splits]
+
+    def forced_scalars(u):
+        return None
+
+    # one sign of the table flipped, with the associativity test passed over
+    table = [list(row) for row in cross7.CROSS_TABLE]
+    k, sign = table[0][1]
+    table[0][1] = (k, -sign)
+    monkeypatch.setattr(cross7, "CROSS_TABLE", table)
+    monkeypatch.setattr(catalog, "is_associative", lambda v: True)
+    on_ints = failures()
+    assert all(on_ints)
+    for space, _ in splits[:4]:
+        with pytest.raises(AssertionError, match="leaves"):
+            catalog.AssocSubalg(space)
+    monkeypatch.setattr(catalog, "cleared", forced_scalars)
+    assert failures() == on_ints
+    for space, _ in splits:
+        with pytest.raises(AssertionError, match="leaves"):
+            catalog.AssocSubalg(space)
 
 
 def test_theta(v_std):

@@ -205,6 +205,19 @@ def test_matrix_ops():
     assert Matrix.from_flat(a.flatten(), 2, 2) == a
 
 
+def test_flat_lengths_must_fill_the_shape():
+    flat = [Scalar.of(i) for i in range(12)]
+    assert Matrix.from_flat(flat, 3, 4).shape == (3, 4)
+    for n, m in ((3, 3), (4, 4), (2, 5)):
+        with pytest.raises(ValueError):
+            Matrix.from_flat(flat, n, m)
+    nine, five = flat[:9], flat[:5]
+    assert len(flat_commutator(nine, nine, 3)) == 9
+    for a, b in ((five, nine), (nine, five), (flat, flat)):
+        with pytest.raises(ValueError):
+            flat_commutator(a, b, 3)
+
+
 # mostly zeros, with rational and irrational entries
 entries = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, Scalar.of(2),
                            Scalar.rational(-1, 3), SQRT6, Scalar(1, 0, 1, 0),
@@ -400,6 +413,26 @@ def test_matmul_rejects_mismatched_shapes():
                  (Matrix.identity(3), Matrix.zeros(2, 3))):
         with pytest.raises(ValueError):
             a @ b
+
+
+@st.composite
+def combinations_of_vectors(draw):
+    n = draw(st.integers(1, 49))
+    vectors = draw(st.lists(st.lists(product_entries, min_size=n, max_size=n),
+                            min_size=1, max_size=6))
+    coeffs = draw(st.lists(product_entries, min_size=len(vectors),
+                           max_size=len(vectors)))
+    return coeffs, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(combinations_of_vectors())
+def test_combine_equals_the_dense_sum(terms):
+    coeffs, vectors = terms
+    expected = [ZERO] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        expected = [x + c * y for x, y in zip(expected, v)]
+    assert combine(coeffs, vectors) == expected
 
 
 @st.composite

@@ -4,12 +4,12 @@ import pytest
 
 from crossg2 import catalog, matmodel
 from crossg2._intops import derivation_axiom_holds
-from crossg2.linalg import Matrix, Subspace, combine
-from crossg2.lts import (LtsCarrier, NotClosedError, _derivation_axiom_pure,
-                         abstract_lts, check_axioms, envelope_dim,
-                         generated_subtriple, is_ideal, matrix_lts,
-                         triple_in_lie)
+from crossg2.linalg import Matrix, Subspace, cleared, combine, insert_row
+from crossg2.lts import (LtsCarrier, NotClosedError, abstract_lts,
+                         check_axioms, envelope_dim, generated_subtriple,
+                         is_ideal, matrix_lts, triple_in_lie)
 from crossg2.scalar import ONE, ZERO, Scalar
+from test_intops import derivation_axiom_pure
 
 
 def test_triple_in_lie_examples():
@@ -66,7 +66,7 @@ def test_pure_and_fast_derivation_checks_agree():
     # an 8-dim passing carrier and the 2-dim failing one: the pure oracle,
     # the integer kernel and check_axioms (which always runs the kernel)
     full = matmodel.sl3_full_carrier()
-    assert _derivation_axiom_pure(full.struct(), 8)
+    assert derivation_axiom_pure(full.struct(), 8)
     assert derivation_axiom_holds(full.struct())
     assert check_axioms(full).all_pass()
     z2 = [ZERO, ZERO]
@@ -74,7 +74,7 @@ def test_pure_and_fast_derivation_checks_agree():
     struct[0][1][0] = [ONE, ZERO]
     struct[1][0][0] = [-ONE, ZERO]
     bad = LtsCarrier(abstract_lts(struct), Subspace.full(2))
-    assert not _derivation_axiom_pure(bad.struct(), 2)
+    assert not derivation_axiom_pure(bad.struct(), 2)
     assert not check_axioms(bad).derivation
 
 
@@ -91,7 +91,7 @@ def test_fast_path_detects_failure_at_dim_8():
     assert report.antisymmetry
     assert not report.derivation
     assert not derivation_axiom_holds(bad.struct())
-    assert not _derivation_axiom_pure(bad.struct(), 8)
+    assert not derivation_axiom_pure(bad.struct(), 8)
 
 
 def test_not_closed_detection():
@@ -130,6 +130,67 @@ def test_generated_subtriple_monotone_idempotent(ws):
     assert generated_subtriple(closed, m4v) == closed
     bigger = generated_subtriple(seed.sum(ws.t_carrier("T1").space), m4v)
     assert bigger.contains_subspace(closed) or bigger == m4v.space
+
+
+def c_major_closure(seed, ambient):
+    """Reference closure: c outermost, one triple(a, b, c) per product, no
+    early return once the ambient carrier is filled."""
+    triple = ambient.system.triple
+    closed = Subspace(seed.n, list(seed.rows), list(seed.pivots))
+    grown = True
+    while grown:
+        grown = False
+        basis_now = list(closed.rows)
+        k = len(basis_now)
+        for c in range(k):
+            for a in range(k):
+                for b in range(a + 1, k):
+                    residual = closed.reduce(
+                        triple(basis_now[a], basis_now[b], basis_now[c]))
+                    if any(residual):
+                        insert_row(closed.rows, closed.pivots, residual)
+                        grown = True
+    return closed
+
+
+@pytest.mark.parametrize("ambient_name", ["sl3", "m4v"])
+def test_generated_subtriple_equals_the_c_major_closure(ws, ambient_name):
+    if ambient_name == "sl3":
+        ambient = matmodel.sl3_full_carrier()
+        parts = [matmodel.sl3_catalog(k) for k in ("sphere", "sym5", "col4")]
+    else:
+        ambient = ws.m4v
+        parts = [ws.t_carrier(k) for k in ("T1", "T2", "T3")]
+    rng = random.Random(21)
+    r6 = Scalar(0, 1, 0, 0)
+    dims, kinds = set(), set()
+    for trial in range(12):
+        # rational or irrational elements of a subfamily or of the ambient
+        carrier = (parts + [ambient])[trial % 4]
+        elements = []
+        for _ in range(1 + trial % 2):
+            coords = [Scalar.of(rng.randint(-2, 2)) for _ in range(carrier.dim)]
+            if trial % 3 == 2:  # the first basis row has pivot entry 1
+                coords[0] = coords[0] + r6
+            elements.append(carrier.element(coords))
+        seed = Subspace.span(elements, ambient.system.dim)
+        kinds.add(any(cleared(r) is None for r in seed.rows))
+        closed = generated_subtriple(seed, ambient)
+        assert closed == c_major_closure(seed, ambient)
+        dims.add(closed.dim)
+    assert kinds == {True, False}  # rational and irrational seeds
+    assert max(dims) == ambient.dim and min(dims) < ambient.dim
+
+
+def test_gl_products_reject_vectors_of_the_wrong_length():
+    gl3 = matrix_lts(3)
+    ok, bad = [ONE] + [ZERO] * 8, [ONE] + [ZERO] * 4
+    for args in ((bad, ok), (ok, bad)):
+        with pytest.raises(ValueError):
+            gl3.bracket(*args)
+    for args in ((bad, ok, ok), (ok, bad, ok), (ok, ok, bad)):
+        with pytest.raises(ValueError):
+            gl3.triple(*args)
 
 
 def test_seed_outside_ambient_rejected(ws):

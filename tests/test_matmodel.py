@@ -2,13 +2,14 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossg2 import lts, matmodel
 from crossg2.checks import (CHECKS, CheckFailure, Workspace, run_checks,
                             select_checks)
 from crossg2.cross7 import basis_vector
 from crossg2.linalg import Matrix, Subspace
-from crossg2.scalar import ONE, ZERO, Scalar
+from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
 
 E = [basis_vector(i) for i in range(7)]
 
@@ -88,6 +89,82 @@ def test_m34_triple_examples():
     assert matmodel.m34_triple(a, b, b) == a
     c = Matrix.zeros(3, 4); c.rows[2][2] = ONE
     assert matmodel.m34_triple(a, a, c).is_zero()
+
+
+def skew_oracle(a, b, c):
+    """The skew triple as its eight matrix products."""
+    at, bt = a.transpose(), b.transpose()
+    return (a @ bt @ c) - (b @ at @ c) + (c @ bt @ a) - (c @ at @ b)
+
+
+def sl3_oracle(m1, m2, m3):
+    """The twisted product: the skew triple plus gamma, eleven products."""
+    def outer(u, w):
+        return Matrix([[x * y for y in w] for x in u])
+    a1, a2, a3 = (matmodel.alpha(m) for m in (m1, m2, m3))
+    gamma = ((outer(a1, a2) - outer(a2, a1)) @ m3
+             + outer(a3, a2) @ m1 - outer(a3, a1) @ m2)
+    return skew_oracle(m1, m2, m3) + gamma
+
+
+# mostly zeros, with irrational values (r6, r15/3) and a large rational
+entries = st.sampled_from([ZERO] * 7 + [ONE, -ONE, SQRT6, Scalar(0, 0, 0, 1, 3),
+                                        Scalar.rational(2 ** 70 + 1, 3)])
+
+
+def matrices(n, m, count, traceless=False):
+    def build(flat):
+        mat = Matrix.from_flat(flat, n, m)
+        if traceless:
+            mat.rows[-1][-1] = mat.rows[-1][-1] - mat.trace()
+        return mat
+    one = st.lists(entries, min_size=n * m, max_size=n * m).map(build)
+    return st.lists(one, min_size=count, max_size=count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: matrices(*shape, 3)))
+def test_skew_triple_equals_the_eight_product_formula(mats):
+    assert matmodel.skew_triple(*mats) == skew_oracle(*mats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(3, 4, 4))
+def test_m34_operator_equals_the_eight_product_formula(mats):
+    x, y, z, z2 = mats
+    op = matmodel.m34_system().operator(x.flatten(), y.flatten())
+    for c in (z, z2):  # one operator, applied twice
+        expected = skew_oracle(x, y, c)
+        assert op(c.flatten()) == expected.flatten()
+        assert matmodel.m34_triple(x, y, c) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(3, 3, 4, traceless=True))
+def test_sl3_operator_equals_the_eleven_product_formula(mats):
+    x, y, z, z2 = mats
+    op = matmodel.sl3_system().operator(x.flatten(), y.flatten())
+    for c in (z, z2):
+        expected = sl3_oracle(x, y, c)
+        assert op(c.flatten()) == expected.flatten()
+        assert matmodel._sl3_triple_raw(x, y, c) == expected
+        assert matmodel.sl3_triple(x, y, c) == expected
+
+
+def test_flat_products_reject_vectors_of_the_wrong_length():
+    for system, n in ((matmodel.sl3_system(), 9), (matmodel.m34_system(), 12)):
+        ok = [ONE] + [ZERO] * (n - 1)
+        for bad in ([ONE] + [ZERO] * (n + 2), [ONE] + [ZERO] * (n - 2)):
+            for args in ((bad, ok, ok), (ok, bad, ok), (ok, ok, bad)):
+                with pytest.raises(ValueError):
+                    system.triple(*args)
+    a, b = Matrix.zeros(3, 4), Matrix.zeros(4, 3)
+    for args in ((a, a, b), (a, b, a), (b, a, a)):
+        with pytest.raises(ValueError):
+            matmodel.skew_triple(*args)
+    with pytest.raises(ValueError):
+        matmodel._sl3_triple_raw(a, a, a)
 
 
 def test_m34_template_basis_closes():
