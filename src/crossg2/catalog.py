@@ -4,7 +4,10 @@ The even/odd split of the derivation algebra induced by an associative
 3-dimensional subspace V, the order-two automorphism theta_V, the
 annihilator subalgebras, the explicit 3-dimensional simple subalgebra of
 the principal type, adaptedness tests, the four intersection families
-T1-T4 inside the odd part, and the maximality probe.
+T1-T4 inside the odd part, and the maximality probe.  Subalgebras and
+families are subspaces of g2's 14 basis coordinates; the families and the
+odd part carry g2's triple product there (`G2.lts`), so closures and
+envelopes never form a 7x7 matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ __all__ = [
     "is_associative", "theta_map", "grading", "verify_grading",
     "annihilator_subalg", "principal_tds", "is_adapted", "maximal_lts",
     "intersection_profile", "maximality_probe", "random_assoc",
-    "gl7_carrier", "mapping_space", "is_subalgebra",
+    "mapping_space", "is_subalgebra",
 ]
 
 GL7 = matrix_lts(7)
@@ -157,15 +160,12 @@ def grading(v: AssocSubalg, g2: G2 | None = None) -> Grading:
 
 def verify_grading(g: Grading, g2: G2 | None = None) -> bool:
     """[even,even] <= even, [even,odd] <= odd, [odd,odd] <= even on bases."""
-    g2 = g2 or derivation_algebra()
-    emats = [g2.mat(r) for r in g.even.rows]
-    omats = [g2.mat(r) for r in g.odd.rows]
-
-    def inside(part: Subspace, xs: list[Matrix], ys: list[Matrix]) -> bool:
-        return all(part.contains(g2.coords(commutator(a, b)))
-                   for a in xs for b in ys)
-    return (inside(g.even, emats, emats) and inside(g.odd, emats, omats)
-            and inside(g.even, omats, omats))
+    bracket = (g2 or derivation_algebra()).lts.bracket
+    return all(part.contains(bracket(a, b))
+               for part, xs, ys in ((g.even, g.even, g.even),
+                                    (g.odd, g.even, g.odd),
+                                    (g.even, g.odd, g.odd))
+               for a in xs.rows for b in ys.rows)
 
 
 def mapping_space(systems: Sequence[tuple[Subspace, Subspace]],
@@ -240,11 +240,8 @@ def principal_tds(frame: Frame, g2: G2 | None = None) -> PrincipalTds:
 
 
 def is_subalgebra(space: Subspace, g2: G2) -> bool:
-    mats = [g2.mat(r) for r in space.rows]
-    for a, b in combinations(mats, 2):
-        if not space.contains(g2.coords(commutator(a, b))):
-            return False
-    return True
+    return all(space.contains(g2.lts.bracket(a, b))
+               for a, b in combinations(space.rows, 2))
 
 
 @lru_cache(maxsize=4)
@@ -290,12 +287,6 @@ def is_adapted(h: Subspace, v: AssocSubalg, g2: G2 | None = None) -> bool:
     return homogeneous
 
 
-def gl7_carrier(space14: Subspace, g2: G2, name: str) -> LtsCarrier:
-    """Carrier over flattened gl(7) from a coordinate subspace."""
-    flat = [g2.mat(r).flatten() for r in space14.rows]
-    return LtsCarrier(GL7, Subspace.span(flat, 49), name)
-
-
 _EXPECTED_DIMS = {"T1": 2, "T2": 5, "T3": 4, "T4": 4}
 
 
@@ -304,7 +295,8 @@ def maximal_lts(v: AssocSubalg, kind: str, *, tds: PrincipalTds | None = None,
                 i: Sequence[Scalar] | None = None,
                 w: AssocSubalg | None = None,
                 g2: G2 | None = None) -> LtsCarrier:
-    """The four maximal families inside the odd part, as closed carriers.
+    """The four maximal families inside the odd part, as closed carriers in
+    g2's basis coordinates.
 
     T1: h cap odd for an adapted principal subalgebra h.
     T2: {d in odd : d(l) = 0} for 0 != l in the orthogonal complement of V.
@@ -345,7 +337,7 @@ def maximal_lts(v: AssocSubalg, kind: str, *, tds: PrincipalTds | None = None,
     if space.dim != _EXPECTED_DIMS[kind]:
         raise AssertionError(
             f"{kind} has dimension {space.dim}, expected {_EXPECTED_DIMS[kind]}")
-    carrier = gl7_carrier(space, g2, kind)
+    carrier = LtsCarrier(g2.lts, space, kind)
     carrier.struct()  # closure certificate
     return carrier
 
@@ -375,10 +367,13 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
                      extra_candidates: Sequence[Vec] = ()) -> ProbeReport:
     """Adjoin elements outside T and close; maximality predicts full closure.
 
-    Random candidates have small integer coordinates (range +-3) in the
-    ambient basis, rejecting members of T.  Extra candidates, when given,
-    are flat ambient vectors probed before the random ones.
+    T and the ambient must carry the same product.  Random candidates have
+    small integer coordinates (range +-3) in the ambient basis, rejecting
+    members of T.  Extra candidates, when given, are ambient vectors probed
+    before the random ones.
     """
+    if t.system is not ambient.system:
+        raise ValueError("probe needs T and the ambient under one product")
     if not ambient.space.contains_subspace(t.space):
         raise ValueError("probe needs T inside the ambient carrier")
     if t.space.dim >= ambient.space.dim:

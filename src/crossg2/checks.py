@@ -13,7 +13,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Callable
 
 from . import catalog, cross7, g2alg, lts, matmodel
@@ -104,8 +104,8 @@ class Workspace:
 
     @property
     def m4v(self) -> lts.LtsCarrier:
-        return self._get("m4v", lambda: catalog.gl7_carrier(
-            self.grading_std.odd, self.g2, "odd-part"))
+        return self._get("m4v", lambda: lts.LtsCarrier(
+            self.g2.lts, self.grading_std.odd, "odd-part"))
 
     def t_carrier(self, kind: str) -> lts.LtsCarrier:
         def build():
@@ -505,7 +505,7 @@ def _lts_triple(ws, rng, trials):
 @check("lts.axioms_full", "the full 14-dim algebra as a triple system passes "
                           "antisymmetry, the cyclic sum, and the derivation axiom")
 def _lts_axioms_full(ws, rng, trials):
-    carrier = catalog.gl7_carrier(Subspace.full(14), ws.g2, "full-algebra")
+    carrier = lts.LtsCarrier(catalog.GL7, ws.g2.space, "full-algebra")
     report = lts.check_axioms(carrier)
     require(report.all_pass(), report.witness or "axiom failure")
 
@@ -552,7 +552,7 @@ def _lts_envelope(ws, rng, trials):
     require(lts.envelope_dim(ws.m4v) == 14, "envelope of the odd part != 14")
     require(lts.envelope_dim(ws.t_carrier("T2")) == 8,
             "envelope of the 5-dim family != 8")
-    zero = lts.LtsCarrier(catalog.GL7, Subspace.zero(49), "zero")
+    zero = lts.LtsCarrier(ws.g2.lts, Subspace.zero(14), "zero")
     require(lts.envelope_dim(zero) == 0, "envelope of 0 != 0")
 
 
@@ -560,9 +560,9 @@ def _lts_envelope(ws, rng, trials):
                      "2-dim sphere family is not an ideal")
 def _lts_ideals(ws, rng, trials):
     t1 = ws.t_carrier("T1")
-    require(lts.is_ideal(Subspace.zero(49), t1), "0 is not an ideal")
+    require(lts.is_ideal(Subspace.zero(14), t1), "0 is not an ideal")
     require(lts.is_ideal(t1.space, t1), "T is not an ideal of itself")
-    one_dim = Subspace.span([t1.space.rows[0]], 49)
+    one_dim = Subspace.span([t1.space.rows[0]], 14)
     require(not lts.is_ideal(one_dim, t1),
             "a line in the sphere family should not be an ideal")
 
@@ -694,29 +694,23 @@ def _catalog_t_env(ws, rng, trials):
             f"envelope dims {dims} != T1:3, T2:8, T3:8, T4:6")
     fr = ws.frame
     # T2 = span of the symmetrised D(v, v x l) family, dimension 5
-    fam = []
-    base = (fr.i, fr.j, fr.k)
-    for a in range(3):
-        for b in range(a, 3):
-            m = (g2alg.d_operator(base[a], cross7.cross(base[b], fr.l))
-                 + g2alg.d_operator(base[b], cross7.cross(base[a], fr.l)))
-            fam.append(m.flatten())
-    require(Subspace.span(fam, 49) == ws.t_carrier("T2").space,
+    fam = [g2alg.d_operator(a, cross7.cross(b, fr.l))
+           + g2alg.d_operator(b, cross7.cross(a, fr.l))
+           for a, b in combinations_with_replacement((fr.i, fr.j, fr.k), 2)]
+    require(g2.subspace_from_matrices(fam) == ws.t_carrier("T2").space,
             "T2 is not the symmetrised D(v, v x l) span")
     # T4 = span{D(x, y)} over x in V cap W-perp, y in V-perp cap W-perp
     v, w = ws.v_std, ws.w_std
     xs = v.space.intersect(w.complement())
     ys = v.complement().intersect(w.complement())
-    fam4 = [g2alg.d_operator(x, y).flatten() for x in xs.rows for y in ys.rows]
-    require(Subspace.span(fam4, 49) == ws.t_carrier("T4").space,
+    fam4 = [g2alg.d_operator(x, y) for x in xs.rows for y in ys.rows]
+    require(g2.subspace_from_matrices(fam4) == ws.t_carrier("T4").space,
             "T4 is not the D(V cap W-perp, V-perp cap W-perp) span")
     # [T4, T4] equals even(W) cap even(V)
     t4 = ws.t_carrier("T4")
-    brackets = [catalog.GL7.bracket(a, b)
-                for a, b in combinations(t4.space.rows, 2)]
-    lhs = Subspace.span(brackets, 49)
-    both_even = catalog.grading(w, g2).even.intersect(ws.grading_std.even)
-    rhs = Subspace.span([g2.mat(r).flatten() for r in both_even.rows], 49)
+    lhs = Subspace.span([g2.lts.bracket(a, b)
+                         for a, b in combinations(t4.space.rows, 2)], 14)
+    rhs = catalog.grading(w, g2).even.intersect(ws.grading_std.even)
     require(lhs == rhs, "[T4, T4] != even(W) cap even(V)")
     require(rhs.dim == 2, "even(W) cap even(V) does not have dimension 2")
     # the annihilator of a vector inside V splits 4/4 along the grading
@@ -783,11 +777,10 @@ def _catalog_maximality(ws, rng, trials):
        "a 1-dim subfamily of the sphere family is not maximal: adjoining the "
        "partner element closes to the 2-dim family, a proper subspace")
 def _catalog_non_maximal(ws, rng, trials):
-    tds = ws.tds
-    one_dim = lts.LtsCarrier(catalog.GL7,
-                             Subspace.span([tds.h2.flatten()], 49), "line")
+    tds, g2 = ws.tds, ws.g2
+    one_dim = lts.LtsCarrier(g2.lts, g2.subspace_from_matrices([tds.h2]), "line")
     report = catalog.maximality_probe(one_dim, ws.m4v, 1, rng,
-                                      extra_candidates=[tds.h3.flatten()])
+                                      extra_candidates=[g2.coords(tds.h3)])
     require(not report.all_passed(), "crafted extension closed to the full space")
     require(report.failures and report.failures[0][1] == 2,
             "closure of the crafted extension should have dimension 2")
@@ -924,8 +917,7 @@ def _mm_sphere(ws, rng, trials):
     t1 = ws.t_carrier("T1")
     images = []
     for row in t1.space.rows:
-        d = Matrix.from_flat(row, 7, 7)
-        m = matmodel.to_sl3(matmodel.row_matrix(d, fr))
+        m = matmodel.to_sl3(matmodel.row_matrix(ws.g2.mat(row), fr))
         images.append(m.flatten())
         s = m.rows[0][0] / Scalar.of(-2)
         t = m.rows[1][2]

@@ -13,13 +13,14 @@ a frame, the Killing form, and normalizer/centralizer solves.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
 from .cross7 import Octonion, basis_vector, cross, oct_associator
 from .linalg import (Matrix, Subspace, Vec, cleared, combine, commutator, dot,
                      kernel, vadd, vscale, vsub)
+from .lts import TripleSystem, lie_lts
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = ["G2", "Frame", "derivation_algebra", "leibniz_rows", "d_operator",
@@ -106,50 +107,35 @@ class G2:
     def bracket_coords(self) -> list[list[Vec]]:
         """sc[i][j] = coordinates of [b_i, b_j]."""
         if self._brackets is None:
-            n = self.dim
-            sc: list[list[Vec]] = [[None] * n for _ in range(n)]  # type: ignore
-            zero = [ZERO] * n
-            for i in range(n):
-                sc[i][i] = list(zero)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    c = self.coords(commutator(self.basis[i], self.basis[j]))
-                    sc[i][j] = c
-                    sc[j][i] = [-x for x in c]
+            n, b = self.dim, self.basis
+            sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+            for i, j in combinations(range(n), 2):
+                sc[i][j] = self.coords(commutator(b[i], b[j]))
+                sc[j][i] = [-x for x in sc[i][j]]
             self._brackets = sc
         return self._brackets
+
+    @cached_property
+    def lts(self) -> TripleSystem:
+        """[[x, y], z] on basis coordinates, from the bracket constants."""
+        return lie_lts(self.bracket_coords(), "g2")
 
     def killing_form(self) -> Matrix:
         """kappa(b_i, b_j) = tr(ad b_i ad b_j) on the adjoint representation."""
         if self._killing is None:
-            sc = self.bracket_coords()
-            n = self.dim
-            k = Matrix.zeros(n, n)
-            for i in range(n):
-                for j in range(i, n):
-                    # tr(ad_i ad_j) = sum_{p,q} sc[j][p][q] * sc[i][q][p]
-                    acc = ZERO
-                    for p in range(n):
-                        row = sc[j][p]
-                        for q in range(n):
-                            if row[q] and sc[i][q][p]:
-                                acc = acc + row[q] * sc[i][q][p]
-                    k.rows[i][j] = acc
-                    k.rows[j][i] = acc
-            self._killing = k
+            sc, r = self.bracket_coords(), range(self.dim)
+            # entry (q, p) of ad b_i is sc[i][p][q]; tr(AB) = sum A_qp B_pq
+            ad = [[sc[i][p][q] for q in r for p in r] for i in r]
+            ad_t = [[sc[i][q][p] for q in r for p in r] for i in r]
+            self._killing = Matrix._computed([[dot(a, b) for b in ad_t] for a in ad])
         return self._killing
 
     def trace_form(self) -> Matrix:
         """The 7-dimensional trace form tr(b_i b_j), kept alongside kappa."""
         if self._trace_form is None:
-            n = self.dim
-            t = Matrix.zeros(n, n)
-            for i in range(n):
-                for j in range(i, n):
-                    v = (self.basis[i] @ self.basis[j]).trace()
-                    t.rows[i][j] = v
-                    t.rows[j][i] = v
-            self._trace_form = t
+            flat_t = [b.transpose().flatten() for b in self.basis]
+            self._trace_form = Matrix._computed(
+                [[dot(a, b) for b in flat_t] for a in self.space.rows])
         return self._trace_form
 
     def killing(self, m1: Matrix, m2: Matrix) -> Scalar:
@@ -176,10 +162,11 @@ class G2:
         return self._stabilizer(s, Subspace.zero(self.dim))
 
     def _stabilizer(self, s: Subspace, target: Subspace) -> Subspace:
-        """{d : [d, s] <= target}, on the coords of [b_t, m_r] for rows m_r."""
+        """{d : [d, s] <= target}, on the coords of [b_t, r] for rows r of s."""
         self._check_subspace(s)
-        images = [[target.reduce(self.coords(commutator(b, m))) for b in self.basis]
-                  for m in map(self.mat, s.rows)]
+        sc = self.bracket_coords()
+        images = [[target.reduce(combine(r, sc[t])) for t in range(self.dim)]
+                  for r in s.rows]
         return kernel([row for per_m in images for row in zip(*per_m)], self.dim)
 
     def _check_subspace(self, s: Subspace):

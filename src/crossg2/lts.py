@@ -1,11 +1,14 @@
 """Lie-triple-system framework: carriers, axioms, closure, envelopes.
 
 A carrier is a subspace of some ambient coordinate space together with a
-trilinear product on that space; on gl(n) (`matrix_lts`) the bracket and
-[[x,y],z] come from `linalg.flat_commutator`.  Closure under the product
-is certified at construction by expressing every basis triple product
-back in the carrier basis; those coordinates are the structure constants
-used by the axiom checks, for g2 itself as for every family.
+trilinear product on that space.  A Lie algebra given by its bracket
+constants carries [[x,y],z] on its own coordinates (`lie_lts`); the g2
+families live in g2's 14 basis coordinates this way.  gl(n) flattened row
+by row (`matrix_lts`, through `linalg.flat_commutator`) realizes g2 as
+matrices, for the axiom check of g2 itself and the lift of the matrix
+model.  Closure under the product is certified at construction by
+expressing every basis triple product back in the carrier basis; those
+coordinates are the structure constants used by the axiom checks.
 
 The four defining axioms:
 
@@ -31,7 +34,7 @@ from .scalar import ZERO, Scalar
 
 __all__ = [
     "TripleSystem", "LtsCarrier", "NotClosedError", "AxiomReport",
-    "matrix_lts", "abstract_lts", "triple_in_lie", "check_axioms",
+    "matrix_lts", "lie_lts", "abstract_lts", "triple_in_lie", "check_axioms",
     "generated_subtriple", "envelope_dim", "is_ideal",
 ]
 
@@ -68,6 +71,35 @@ def matrix_lts(n: int) -> TripleSystem:
         return lambda c: bracket(ab, c)
 
     return TripleSystem(f"gl{n}", n * n, operator, bracket)
+
+
+def lie_lts(brackets: Sequence[Sequence[Vec]], name: str = "lie") -> TripleSystem:
+    """[[x,y],z] on R^dim for the Lie algebra with bracket constants
+    brackets[i][j] = coordinates of [b_i, b_j]; only nonzero terms are kept."""
+    dim = len(brackets)
+    terms = [[[(k, c) for k, c in enumerate(sc) if c] for sc in row]
+             for row in brackets]
+
+    def bracket(x: Vec, y: Vec) -> Vec:
+        if len(x) != dim or len(y) != dim:
+            raise ValueError(f"bracket of {len(x)} and {len(y)} coordinates "
+                             f"in a {dim}-dim algebra")
+        out = [ZERO] * dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                row = terms[i]
+                for j, b in ys:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] = out[k] + ab * c
+        return out
+
+    def operator(a: Vec, b: Vec) -> Callable[[Vec], Vec]:
+        ab = bracket(a, b)
+        return lambda c: bracket(ab, c)
+
+    return TripleSystem(name, dim, operator, bracket)
 
 
 def abstract_lts(struct: Sequence[Sequence[Sequence[Sequence[Scalar]]]],
@@ -115,7 +147,9 @@ class LtsCarrier:
         return self.space.dim
 
     def element(self, coords: Sequence[Scalar]) -> Vec:
-        """Flat ambient vector of a coordinate combination of the basis."""
+        """Ambient vector of a coordinate combination of the basis."""
+        if len(coords) != self.dim:
+            raise ValueError(f"{len(coords)} coordinates on a {self.dim}-dim carrier")
         return combine(coords, self.space.rows)
 
     def struct(self) -> list[list[list[Vec]]]:
@@ -234,10 +268,9 @@ def envelope_dim(carrier: LtsCarrier) -> int:
     """dim(T + [T, T]) inside the ambient Lie algebra (embedded envelope)."""
     if carrier.system.bracket is None:
         raise ValueError("embedded envelope needs an ambient Lie bracket")
-    rows = list(carrier.space.rows)
-    extra = [carrier.system.bracket(a, b)
-             for a, b in itertools.combinations(carrier.space.rows, 2)]
-    return len(rref(rows + extra)[0])
+    rows = carrier.space.rows
+    return len(rref(rows + [carrier.system.bracket(a, b)
+                            for a, b in itertools.combinations(rows, 2)])[0])
 
 
 def is_ideal(ideal: Subspace, carrier: LtsCarrier) -> bool:

@@ -12,7 +12,7 @@ product {m1,m2,m3} = [m1,m2,m3] + gamma(m1,m2,m3).
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -227,6 +227,7 @@ def m34_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     return skew_triple(a, b, c)
 
 
+@lru_cache(maxsize=1)
 def m34_system() -> TripleSystem:
     return TripleSystem("m34", 12, lambda x, y: _operator(x, y, 3, 4))
 
@@ -391,6 +392,7 @@ def d_st(s: Scalar | int, t: Scalar | int) -> Matrix:
     ])
 
 
+@lru_cache(maxsize=1)
 def sl3_system() -> TripleSystem:
     return TripleSystem("sl3-twisted", 9,
                         lambda x, y: _operator(x, y, 3, 3, twisted=True))

@@ -96,7 +96,7 @@ def test_criterion_06(ws):
     env = tuple(lts.envelope_dim(ws.t_carrier(k)) for k in kinds)
     assert env == (3, 8, 8, 6), f"computed envelope dims {env}"
 
-    # The reason for each value, as exact subspaces of the flattened gl(7).
+    # The reason for each value, as exact subspaces of g2's 14 coordinates.
     # If T is the odd part of a theta_V-stable subalgebra s, then T + [T, T]
     # is an ideal of s: [s cap even, T] <= T because [even, odd] <= odd,
     # [T, T, T] <= T because T is closed, and the Jacobi identity carries
@@ -106,22 +106,19 @@ def test_criterion_06(ws):
     # envelope of T4 is T4 plus [T4, T4] = even(W) cap even(V).
     g2, fr = ws.g2, ws.frame
 
-    def embedded(space14):
-        return catalog.gl7_carrier(space14, g2, "").space
-
     def envelope(kind):
         t = ws.t_carrier(kind)
-        brackets = [catalog.GL7.bracket(a, b)
+        brackets = [g2.lts.bracket(a, b)
                     for a, b in combinations(t.space.rows, 2)]
-        return Subspace.span(t.space.rows + brackets, 49)
+        return Subspace.span(t.space.rows + brackets, 14)
 
     both_even = catalog.grading(ws.w_std, g2).even.intersect(
         ws.grading_std.even)
     expected = {
-        "T1": embedded(ws.tds.space),
-        "T2": embedded(catalog.annihilator_subalg(fr.l, g2)),
-        "T3": embedded(catalog.annihilator_subalg(fr.i, g2)),
-        "T4": ws.t_carrier("T4").space.sum(embedded(both_even)),
+        "T1": ws.tds.space,
+        "T2": catalog.annihilator_subalg(fr.l, g2),
+        "T3": catalog.annihilator_subalg(fr.i, g2),
+        "T4": ws.t_carrier("T4").space.sum(both_even),
     }
     for kind, dim in zip(kinds, env):
         got = envelope(kind)

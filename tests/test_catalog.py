@@ -194,9 +194,9 @@ def test_maximal_lts_dims(ws):
         assert lts.check_axioms(carrier).all_pass()
 
 
-def test_maximal_lts_t1_is_span_of_h2_h3(ws, tds):
+def test_maximal_lts_t1_is_span_of_h2_h3(ws, tds, g2):
     t1 = ws.t_carrier("T1")
-    expected = Subspace.span([tds.h2.flatten(), tds.h3.flatten()], 49)
+    expected = Subspace.span([g2.coords(tds.h2), g2.coords(tds.h3)], 14)
     assert t1.space == expected
 
 
@@ -261,11 +261,10 @@ def test_probe_determinism(ws):
     assert (r1.passes, r1.failures) == (r2.passes, r2.failures)
 
 
-def test_probe_finds_non_maximal_witness(ws, tds):
-    line = lts.LtsCarrier(catalog.GL7,
-                          Subspace.span([tds.h2.flatten()], 49), "line")
+def test_probe_finds_non_maximal_witness(ws, tds, g2):
+    line = lts.LtsCarrier(g2.lts, Subspace.span([g2.coords(tds.h2)], 14), "line")
     report = catalog.maximality_probe(line, ws.m4v, 1, random.Random(0),
-                                      extra_candidates=[tds.h3.flatten()])
+                                      extra_candidates=[g2.coords(tds.h3)])
     assert not report.all_passed()
     assert report.failures[0][1] == 2
 

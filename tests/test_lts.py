@@ -114,7 +114,7 @@ def test_not_closed_detection():
 def test_generated_subtriple_basics(ws):
     m4v = ws.m4v
     assert generated_subtriple(m4v.space, m4v) == m4v.space
-    assert generated_subtriple(Subspace.zero(49), m4v).dim == 0
+    assert generated_subtriple(Subspace.zero(14), m4v).dim == 0
     t1 = ws.t_carrier("T1")
     assert generated_subtriple(t1.space, m4v) == t1.space
 
@@ -124,7 +124,7 @@ def test_generated_subtriple_monotone_idempotent(ws):
     m4v = ws.m4v
     coords = [Scalar.of(rng.randint(-2, 2)) for _ in range(8)]
     x = m4v.element(coords)
-    seed = Subspace.span([x], 49)
+    seed = Subspace.span([x], 14)
     closed = generated_subtriple(seed, m4v)
     assert closed.contains_subspace(seed)
     assert generated_subtriple(closed, m4v) == closed
@@ -194,7 +194,7 @@ def test_gl_products_reject_vectors_of_the_wrong_length():
 
 
 def test_seed_outside_ambient_rejected(ws):
-    outside = Subspace.span([Matrix.identity(7).flatten()], 49)
+    outside = Subspace.span([ws.g2.coords(ws.tds.h1)], 14)  # h1 is even
     with pytest.raises(ValueError):
         generated_subtriple(outside, ws.m4v)
 
@@ -202,7 +202,7 @@ def test_seed_outside_ambient_rejected(ws):
 def test_envelope_dims(ws):
     assert envelope_dim(ws.m4v) == 14
     assert envelope_dim(ws.t_carrier("T2")) == 8
-    zero = LtsCarrier(catalog.GL7, Subspace.zero(49))
+    zero = LtsCarrier(ws.g2.lts, Subspace.zero(14))
     assert envelope_dim(zero) == 0
     with pytest.raises(ValueError):
         envelope_dim(matmodel.sl3_full_carrier())  # no ambient bracket
@@ -210,12 +210,12 @@ def test_envelope_dims(ws):
 
 def test_is_ideal(ws):
     t1 = ws.t_carrier("T1")
-    assert is_ideal(Subspace.zero(49), t1)
+    assert is_ideal(Subspace.zero(14), t1)
     assert is_ideal(t1.space, t1)
-    line = Subspace.span([t1.space.rows[0]], 49)
+    line = Subspace.span([t1.space.rows[0]], 14)
     assert not is_ideal(line, t1)
-    with pytest.raises(ValueError):
-        is_ideal(Subspace.span([Matrix.identity(7).flatten()], 49), t1)
+    with pytest.raises(ValueError):  # h1 is even, T1 is odd
+        is_ideal(Subspace.span([ws.g2.coords(ws.tds.h1)], 14), t1)
 
 
 def test_m34_skew_symmetrization_is_lts():

@@ -381,11 +381,11 @@ def test_refl4_orthogonal_to_gotro():
                                    Matrix.from_flat(b, 3, 3)) == ZERO
 
 
-def test_sphere_matches_adapted_intersection(ws, frame):
+def test_sphere_matches_adapted_intersection(ws, frame, g2):
     t1 = ws.t_carrier("T1")
     images = []
     for row in t1.space.rows:
-        d = Matrix.from_flat(row, 7, 7)
+        d = g2.mat(row)
         m = matmodel.to_sl3(matmodel.row_matrix(d, frame))
         s = m.rows[0][0] / Scalar.of(-2)
         t = m.rows[1][2]
