@@ -12,6 +12,7 @@ with an all-zero operand, so a rational tensor costs one op, not sixteen.
 It has two clients: the derivation-axiom sweep, homogeneous of equal degree
 on both sides, so the cleared denominator cancels; and the sphere-family
 grid of `matmodel.curvature_check`, on tensors `clear_integral` checks.
+The cyclic sum is one integer identity on the sweep's cleared tensor.
 
 The arithmetic is exact at any size: a contraction runs in int64 when its
 worst-case accumulator provably fits (see `contraction_dtype`) and on
@@ -21,10 +22,12 @@ Python integers (dtype object) otherwise, with the same code.
 from __future__ import annotations
 
 from functools import partial
+from itertools import combinations
 from math import lcm
 
 import numpy as np
 
+from .linalg import Subspace, insert_row
 from .scalar import Scalar
 
 # (u, v) -> (w, coeff): component products on {1, r6, r10, r15}
@@ -68,7 +71,9 @@ def qproduct(a: np.ndarray, b: np.ndarray, op=np.matmul) -> np.ndarray:
     pairs = [p for p in _PRODUCTS if live_a[p[0]] and live_b[p[1]]]
     out = None
     for u, v, w, coeff in pairs or _PRODUCTS[:1]:
-        term = coeff * op(a[..., u], b[..., v])  # scales the product in place
+        term = op(a[..., u], b[..., v])
+        if coeff != 1:
+            term *= coeff  # in place: no second product-sized buffer
         if out is None:
             out = np.zeros(term.shape + (4,), dtype=term.dtype)
         out[..., w] += term
@@ -77,7 +82,7 @@ def qproduct(a: np.ndarray, b: np.ndarray, op=np.matmul) -> np.ndarray:
 
 
 def _qmul_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A @ B on quadruples: [M, K, 4] x [K, N, 4] -> [M, N, 4]."""
+    """A @ B on quadruples: [M, K, 4] x [..., K, N, 4] -> [..., M, N, 4]."""
     return qproduct(a, b)
 
 
@@ -97,36 +102,63 @@ def contraction_dtype(a: np.ndarray, b: np.ndarray, contract_len: int):
     return np.int64 if bound < _INT64_LIMIT else object
 
 
-def derivation_axiom_holds(struct: list[list[list[list[Scalar]]]]) -> bool:
-    """Exhaustive check of the derivation identity of a triple system.
+def clear_struct(struct) -> np.ndarray:
+    """struct[i][j][k][l] as one cleared tensor [n, n, n, n, 4], in the
+    dtype `contraction_dtype` admits for the derivation sweep."""
+    n = len(struct)
+    c = clear_tensor(struct).reshape((n, n, n, n, 4))
+    return c.astype(contraction_dtype(c, c, n), copy=False)
 
-    struct[i][j][k] is the coordinate vector of [b_i, b_j, b_k].  Verifies
 
-        [X,Y,[A,B,E]] = [[X,Y,A],B,E] + [A,[X,Y,B],E] + [A,B,[X,Y,E]]
+def cyclic_sum_witness(c: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in itertools.product order with
+    c[i,j,k] + c[j,k,i] + c[k,i,j] != 0, or None; c from clear_struct."""
+    total = c + np.transpose(c, (2, 0, 1, 3, 4))
+    total += np.transpose(c, (1, 2, 0, 3, 4))
+    bad = np.argwhere(total.any(axis=(3, 4)))
+    return tuple(map(int, bad[0])) if len(bad) else None
 
-    for all basis tuples, using the antisymmetry of both sides in (X, Y)
-    to halve the pair loop.
+
+def inner_derivation_basis(struct) -> list[tuple[int, int]]:
+    """Pairs x < y whose operators struct[x][y] form a basis of the span of
+    all of them: each flattened operator is kept when it leaves a residual
+    against the RREF of those kept before it."""
+    span, pairs = Subspace.zero(len(struct) ** 2), []
+    for x, y in combinations(range(len(struct)), 2):
+        residual = span.reduce([s for vec in struct[x][y] for s in vec])
+        if any(residual):
+            insert_row(span.rows, span.pivots, residual)
+            pairs.append((x, y))
+    return pairs
+
+
+def derivation_axiom_holds(struct: list[list[list[list[Scalar]]]],
+                           c: np.ndarray | None = None) -> bool:
+    """Exact check of the derivation identity of a triple system.
+
+    struct[i][j][k] is the coordinate vector of [b_i, b_j, b_k], and c, when
+    given, is clear_struct(struct).  The identity
+
+        D[A,B,E] = [DA,B,E] + [A,DB,E] + [A,B,DE]
+
+    is linear in D, so it holds for every inner derivation D(X, Y) = [X,Y,.]
+    once it holds on a basis of their span (the inner derivation algebra):
+    the sweep runs over the pairs of `inner_derivation_basis` and all basis
+    tuples (A, B, E).  This is exhaustive, not a sample.  The pairs with
+    X >= Y are covered by antisymmetry in (X, Y), which check_axioms checks.
     """
-    if not struct:
-        return True  # the zero-dimensional system
-    c = clear_tensor(struct)  # [n, n, n, n, 4]
-    n = c.shape[0]
-    c = c.astype(contraction_dtype(c, c, n))
-    c_flat = c.reshape(n * n * n, n, 4)        # [(a b e), l, 4]
-    c_pfirst = np.ascontiguousarray(np.transpose(c, (1, 0, 2, 3, 4)))
-    for x in range(n):
-        for y in range(x + 1, n):
-            m = c[x, y]                        # [l, m, 4]: operator L_{xy}
-            lhs = _qmul_contract(c_flat, m).reshape(n, n, n, n, 4)
-            # [[X,Y,A],B,E]: sum_p m[a,p] c[p,b,e,:]
-            t1 = _qmul_contract(m, c.reshape(n, n * n * n, 4)).reshape(n, n, n, n, 4)
-            # [A,[X,Y,B],E]: sum_p m[b,p] c[a,p,e,:]
-            t2 = _qmul_contract(m, c_pfirst.reshape(n, n * n * n, 4))
-            t2 = np.transpose(t2.reshape(n, n, n, n, 4), (1, 0, 2, 3, 4))
-            # [A,B,[X,Y,E]]: sum_p m[e,p] c[a,b,p,:]
-            t3 = _qmul_contract(m, np.ascontiguousarray(
-                np.transpose(c, (2, 0, 1, 3, 4))).reshape(n, n * n * n, 4))
-            t3 = np.transpose(t3.reshape(n, n, n, n, 4), (1, 2, 0, 3, 4))
-            if not np.array_equal(lhs, t1 + t2 + t3):
-                return False
+    n = len(struct)
+    c = clear_struct(struct) if c is None else c
+    shape = (n, n, n, n, 4)
+    for x, y in inner_derivation_basis(struct):
+        m = c[x, y]                            # [l, m, 4]: operator L_{xy}
+        lhs = _qmul_contract(c.reshape(n * n * n, n, 4), m).reshape(shape)
+        # [[X,Y,A],B,E]: sum_p m[a,p] c[p,b,e,:]
+        rhs = _qmul_contract(m, c.reshape(n, n * n * n, 4)).reshape(shape)
+        # [A,[X,Y,B],E]: sum_p m[b,p] c[a,p,e,:], one product per a
+        rhs += _qmul_contract(m, c.reshape(n, n, n * n, 4)).reshape(shape)
+        # [A,B,[X,Y,E]]: sum_p m[e,p] c[a,b,p,:], one product per (a, b)
+        rhs += _qmul_contract(m, c.reshape(n * n, n, n, 4)).reshape(shape)
+        if not np.array_equal(lhs, rhs):
+            return False
     return True

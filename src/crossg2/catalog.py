@@ -21,7 +21,8 @@ from typing import Sequence
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, d_operator, derivation_algebra
 from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, commutator,
-                     kernel, poly_from_roots_squared, projection_matrix)
+                     insert_row, is_zero_vec, kernel, poly_from_roots_squared,
+                     projection_matrix)
 from .lts import LtsCarrier, generated_subtriple, matrix_lts
 from .scalar import ONE, ZERO, Scalar
 
@@ -388,10 +389,13 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
         else:
             coords = [Scalar.of(rng.randint(-3, 3)) for _ in range(ambient.dim)]
             x = ambient.element(coords)
-        if t.space.contains(x):
-            continue
+        residual = t.space.reduce(x)
+        if is_zero_vec(residual):
+            continue  # x is in T
         produced += 1
-        seed = Subspace.span(t.space.rows + [x], t.system.dim)
+        # T's canonical rows with x's residual inserted: the RREF of T + x
+        seed = Subspace(t.space.n, list(t.space.rows), list(t.space.pivots))
+        insert_row(seed.rows, seed.pivots, residual)
         closed = generated_subtriple(seed, ambient)
         if closed == ambient.space:
             passes += 1

@@ -253,6 +253,23 @@ def test_maximality_probe(ws):
     assert report.trials == 10 and report.passes == 10
 
 
+@pytest.mark.parametrize("kind", ["T1", "T2"])
+def test_probe_seed_is_the_span_of_t_and_the_candidate(ws, kind, monkeypatch):
+    # T1 has an irrational basis, T2 a rational one
+    t, ambient = ws.t_carrier(kind), ws.m4v
+    rng = random.Random(5)
+    xs = [t.space.rows[0]] + [  # the first is in T: skipped, not probed
+        ambient.element([Scalar.of(rng.randint(-3, 3))
+                         for _ in range(ambient.dim)]) for _ in range(3)]
+    seeds = []
+    closure = catalog.generated_subtriple
+    monkeypatch.setattr(catalog, "generated_subtriple",
+                        lambda seed, amb: seeds.append(seed) or closure(seed, amb))
+    report = catalog.maximality_probe(t, ambient, 3, rng, extra_candidates=xs)
+    assert report.all_passed()
+    assert seeds == [Subspace.span(t.space.rows + [x], 14) for x in xs[1:]]
+
+
 def test_probe_determinism(ws):
     r1 = catalog.maximality_probe(ws.t_carrier("T1"), ws.m4v, 5,
                                   random.Random(99))

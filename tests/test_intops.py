@@ -1,25 +1,30 @@
-"""The zero-skipping quadruple kernel, and the int64 bound of the
-derivation sweep at and past its edge.
+"""The zero-skipping quadruple kernel, the int64 bound of the derivation
+sweep at and past its edge, the sweep over a basis of the inner
+derivations, and the cyclic sum on the cleared tensor.
 
 The derivation identity is homogeneous of degree two in the structure
-constants, so scaling a valid structure by any integer keeps it valid.
+constants, so scaling a valid structure by any scalar keeps it valid.
 Up to the bound the kernel runs in int64; past it, on Python integers.
 """
 
+import itertools
 import math
+import random
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossg2 import matmodel
-from crossg2._intops import (_INT64_LIMIT, _PRODUCTS, clear_tensor,
-                             contraction_dtype, derivation_axiom_holds,
-                             qproduct)
+from crossg2 import _intops, catalog, matmodel
+from crossg2._intops import (_INT64_LIMIT, _PRODUCTS, clear_struct,
+                             clear_tensor, contraction_dtype,
+                             cyclic_sum_witness, derivation_axiom_holds,
+                             inner_derivation_basis, qproduct)
 from crossg2.linalg import Subspace, combine, vadd
 from crossg2.lts import LtsCarrier, abstract_lts, check_axioms
-from crossg2.scalar import Scalar
+from crossg2.scalar import ONE, ZERO, Scalar
 
 
 def derivation_axiom_pure(struct, n: int) -> bool:
@@ -157,3 +162,121 @@ def test_corruption_in_an_otherwise_zero_component_is_detected():
     assert np.count_nonzero(clear_tensor(struct)[..., 3]) == 2
     assert not derivation_axiom_holds(struct)
     assert not derivation_axiom_pure(struct, N)
+
+
+# ---------------------------------------------- basis of the inner derivations
+
+def derivation_all_pairs(struct) -> bool:
+    """The kernel's sweep over every pair x < y instead of a basis."""
+    pairs = list(itertools.combinations(range(len(struct)), 2))
+    with mock.patch.object(_intops, "inner_derivation_basis",
+                           lambda _: pairs):
+        return derivation_axiom_holds(struct)
+
+
+def cyclic_witness_pure(struct):
+    """The first basis triple with a nonzero cyclic sum, as a Python sweep."""
+    n = len(struct)
+    return next(((i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+                 if any(a + b + c for a, b, c in zip(
+                     struct[i][j][k], struct[j][k][i], struct[k][i][j]))), None)
+
+
+def copy_struct(struct):
+    return [[[list(vec) for vec in line] for line in plane] for plane in struct]
+
+
+def c1211():
+    struct = [[[[ZERO, ZERO] for _ in range(2)] for _ in range(2)]
+              for _ in range(2)]
+    struct[0][1][0] = [ONE, ZERO]
+    struct[1][0][0] = [-ONE, ZERO]
+    return struct
+
+
+INTS = st.integers(-9, 9)
+RATIONALS = st.builds(Scalar.rational, INTS, st.integers(1, 6))
+IRRATIONALS = st.builds(lambda a, b, c: Scalar(a, b, c, 0), INTS, INTS, INTS)
+NONZERO = {"rational": RATIONALS.filter(bool),
+           "r6-r10": IRRATIONALS.filter(lambda s: s.nb or s.nc)}
+GUARD_VALUES = st.integers(-K_MAX * SL3_MAX, K_MAX * SL3_MAX).map(Scalar.of)
+
+
+@pytest.mark.parametrize("kind", ["rational", "r6-r10", "guard"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_basis_sweep_agrees_with_the_pure_oracle(kind, data):
+    # sl(3) times a scalar (so still valid), with one constant maybe changed
+    if kind == "guard":
+        struct, values = scaled(K_MAX), GUARD_VALUES
+    else:
+        s = data.draw(NONZERO[kind])
+        struct = [[[[s * x for x in vec] for vec in line] for line in plane]
+                  for plane in SL3]
+        values = RATIONALS if kind == "rational" else IRRATIONALS
+    if data.draw(st.booleans()):
+        a, b = sorted(data.draw(st.lists(st.integers(0, N - 1), min_size=2,
+                                         max_size=2, unique=True)))
+        e, l = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+        value = data.draw(values)
+        struct[a][b][e][l] = value
+        struct[b][a][e][l] = -value
+    assert derivation_axiom_holds(struct) == derivation_axiom_pure(struct, N)
+
+
+@pytest.mark.parametrize("entry", list(itertools.product(range(2), repeat=4)))
+@pytest.mark.parametrize("delta", [ONE, -ONE])
+def test_c1211_single_entry_corruptions_agree(entry, delta):
+    struct = c1211()
+    i, j, k, l = entry
+    struct[i][j][k][l] = struct[i][j][k][l] + delta
+    expected = derivation_axiom_pure(struct, 2)
+    assert derivation_axiom_holds(struct) == expected
+    assert derivation_all_pairs(struct) == expected
+
+
+def test_m34_single_entry_corruptions_fail_like_the_all_pairs_sweep():
+    good = LtsCarrier(matmodel.m34_system(), Subspace.full(12)).struct()
+    rng = random.Random(12)
+    for _ in range(20):
+        i, j = sorted(rng.sample(range(12), 2))
+        k, l = rng.randrange(12), rng.randrange(12)
+        struct = copy_struct(good)
+        struct[i][j][k][l] = struct[i][j][k][l] + ONE
+        struct[j][i][k][l] = struct[j][i][k][l] - ONE
+        assert not derivation_axiom_holds(struct), (i, j, k, l)
+        assert not derivation_all_pairs(struct), (i, j, k, l)
+
+
+def test_inner_derivation_basis_sizes(g2):
+    # ad g2 for g2 on gl(7); so(3) + so(4) for the 3x4 model; so(4) for the
+    # 3x3 model of G2/SO(4)
+    full_g2 = LtsCarrier(catalog.GL7, g2.space).struct()
+    pairs = inner_derivation_basis(full_g2)
+    assert len(pairs) == 14 and all(x < y for x, y in pairs)
+    m34 = LtsCarrier(matmodel.m34_system(), Subspace.full(12)).struct()
+    assert len(inner_derivation_basis(m34)) == 9
+    assert len(inner_derivation_basis(SL3)) == 6
+    assert inner_derivation_basis(c1211()) == [(0, 1)]
+    assert inner_derivation_basis([]) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(entry=st.tuples(*[st.integers(0, N - 1)] * 4),
+       value=st.one_of(RATIONALS, IRRATIONALS).filter(bool))
+def test_cyclic_witness_is_the_first_triple_of_the_python_sweep(entry, value):
+    struct = copy_struct(SL3)
+    i, j, k, l = entry
+    struct[i][j][k][l] = struct[i][j][k][l] + value
+    expected = cyclic_witness_pure(struct)
+    assert cyclic_sum_witness(clear_struct(struct)) == expected
+    report = check_axioms(LtsCarrier(abstract_lts(struct), Subspace.full(N)))
+    assert report.cyclic is (expected is None)
+    if expected is not None and report.antisymmetry:
+        assert report.witness == f"cyclic sum at {expected} != 0"
+
+
+def test_cyclic_witness_of_valid_and_empty_systems():
+    assert cyclic_sum_witness(clear_struct(SL3)) is None
+    assert cyclic_sum_witness(clear_struct(c1211())) is None
+    assert cyclic_sum_witness(clear_struct([])) is None

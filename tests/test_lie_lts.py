@@ -118,3 +118,10 @@ def test_element_checks_the_number_of_coordinates():
     for n in (3, 7, 9, 10):
         with pytest.raises(ValueError):
             full.element([ONE] * n)
+
+
+def test_element_of_a_zero_dimensional_carrier_is_the_ambient_zero(g2):
+    zero = LtsCarrier(g2.lts, Subspace.zero(14))
+    assert zero.element([]) == [ZERO] * 14
+    with pytest.raises(ValueError):
+        zero.element([ONE])
