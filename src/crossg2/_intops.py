@@ -42,16 +42,16 @@ _INT64_LIMIT = 2 ** 62
 
 
 def clear_tensor(nested) -> np.ndarray:
-    """Nested lists of Scalar -> Python-int array [..., 4] (dtype object),
-    the common denominator dropped."""
+    """Nested lists of Scalar -> integer array [..., 4], the common
+    denominator dropped: int64 when every component is below _INT64_LIMIT
+    in absolute value, else Python ints (dtype object)."""
     scalars = np.array(nested, dtype=object)
-    flat = scalars.reshape(-1)
-    den = lcm(*(s.q for s in flat))
-    cleared = np.empty((flat.size, 4), dtype=object)
-    for idx, s in enumerate(flat):
-        f = den // s.q
-        cleared[idx] = (s.na * f, s.nb * f, s.nc * f, s.nd * f)
-    return cleared.reshape(scalars.shape + (4,))
+    flat = scalars.ravel().tolist()
+    den = lcm(*{s.q for s in flat})
+    ints = [c * (den // s.q) for s in flat for c in (s.na, s.nb, s.nc, s.nd)]
+    lo, hi = min(ints, default=0), max(ints, default=0)
+    dtype = np.int64 if -_INT64_LIMIT < lo and hi < _INT64_LIMIT else object
+    return np.array(ints, dtype=dtype).reshape(scalars.shape + (4,))
 
 
 def clear_integral(nested) -> np.ndarray:

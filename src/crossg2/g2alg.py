@@ -18,8 +18,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .cross7 import Octonion, basis_vector, cross, oct_associator
-from .linalg import (Matrix, Subspace, Vec, cleared, combine, commutator, dot,
-                     kernel, vadd, vscale, vsub)
+from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, cleared,
+                     combine, commutator, dot, kernel, vadd, vscale, vsub)
 from .lts import TripleSystem, lie_lts
 from .scalar import ONE, ZERO, Scalar
 
@@ -38,20 +38,13 @@ def leibniz_rows(pairs: Sequence[tuple[Vec, Vec]]) -> list[Vec]:
         target = cross(x, y)
         ey = [cross(e[r], y) for r in range(7)]   # e_r x y
         xe = [cross(x, e[r]) for r in range(7)]   # x x e_r
+        lx, ly = _nonzeros(x, 7), _nonzeros(y, 7)
         for m in range(7):
+            # d(x cross y) - d(x) cross y - x cross d(y), component m
             row = [ZERO] * 49
-            # d(x cross y), component m
-            for c in range(7):
-                if target[c]:
-                    row[7 * m + c] = row[7 * m + c] + target[c]
-            # - d(x) cross y - x cross d(y), component m
-            for r in range(7):
-                v, w = ey[r][m], xe[r][m]
-                for c in range(7):
-                    if x[c] and v:
-                        row[7 * r + c] = row[7 * r + c] - x[c] * v
-                    if y[c] and w:
-                        row[7 * r + c] = row[7 * r + c] - y[c] * w
+            row[7 * m:7 * m + 7] = target
+            _accumulate(row, _nonzeros([v[m] for v in ey], 1), lx, 7, sub=True)
+            _accumulate(row, _nonzeros([w[m] for w in xe], 1), ly, 7, sub=True)
             rows.append(row)
     return rows
 

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over Scalar for small dimensions (<= 49).
 
 Provides vectors (plain lists of Scalar), a Matrix class, one product of
-matrices flattened row by row (for @ and the commutator), one reduced row
+matrices flattened row by row (for @, the commutator and the triple
+operators; each operand's nonzeros are listed once), one reduced row
 echelon form (on cleared integers for rational input, else by inserting
 rows one at a time), kernels, characteristic polynomials, and a Subspace
-type whose canonical reduced-row-echelon representation makes subspace
-equality a plain comparison.  Product and elimination skip zero entries.
+type whose canonical RREF makes subspace equality a plain comparison.
 """
 
 from __future__ import annotations
@@ -179,28 +179,40 @@ class Matrix:
             "[" + ", ".join(str(x) for x in r) + "]" for r in self.rows) + "])"
 
 
+def _nonzeros(a: Sequence[Scalar], m: int) -> list[list[tuple[int, Scalar]]]:
+    """The nonzero (column, value) pairs of each row of a, with m columns."""
+    rows = [[] for _ in range(0, len(a), m or 1)]
+    for ij, x in enumerate(a):
+        if x:
+            rows[ij // m].append((ij % m, x))
+    return rows
+
+
+def _accumulate(out: Vec, a: list, b: list, m: int, sub: bool = False) -> None:
+    """Add (with sub, subtract) the product of two `_nonzeros` listings to
+    out, a flat matrix with m columns: a[i][r] * b[r][j] goes to i * m + j."""
+    for i, row in enumerate(a):
+        for r, x in row:
+            for j, y in b[r]:
+                ij = i * m + j
+                out[ij] = out[ij] - x * y if sub else out[ij] + x * y
+
+
 def flat_product(out: Vec, a: Sequence[Scalar], b: Sequence[Scalar],
                  k: int, m: int) -> None:
     """Add a @ b to out, all flattened row by row, for a with k columns and b
-    with m; lists b's nonzeros row by row once and skips a's zero entries."""
-    nonzero = [[(j, y) for j, y in enumerate(b[r * m:(r + 1) * m]) if y]
-               for r in range(k)]
-    for ir, x in enumerate(a):
-        if x:
-            i, r = divmod(ir, k)
-            # a[i][r] * b[r][j] goes to out[i][j], at i * m + j
-            for j, y in nonzero[r]:
-                ij = i * m + j
-                out[ij] = out[ij] + x * y
+    with m; each operand's nonzeros are listed once and only they multiply."""
+    if m:  # else out is empty
+        _accumulate(out, _nonzeros(a, k), _nonzeros(b, m), m)
 
 
 def flat_commutator(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> Vec:
-    """ab - ba on n x n matrices flattened row by row, skipping zero entries."""
+    """ab - ba on n x n matrices flattened row by row; ba is subtracted."""
     if len(a) != n * n or len(b) != n * n:
         raise ValueError(f"commutator of {len(a)} and {len(b)} entries in gl({n})")
-    out = [ZERO] * (n * n)
-    flat_product(out, a, b, n, n)
-    flat_product(out, [-x if x else x for x in b], a, n, n)
+    out, la, lb = [ZERO] * (n * n), _nonzeros(a, n), _nonzeros(b, n)
+    _accumulate(out, la, lb, n)
+    _accumulate(out, lb, la, n, sub=True)
     return out
 
 

@@ -4,7 +4,7 @@ A carrier is a subspace of some ambient coordinate space together with a
 trilinear product on that space.  A Lie algebra given by its bracket
 constants carries [[x,y],z] on its own coordinates (`lie_lts`); the g2
 families live in g2's 14 basis coordinates this way.  gl(n) flattened row
-by row (`matrix_lts`, through `linalg.flat_commutator`) realizes g2 as
+by row (`matrix_lts`, on `linalg`'s listed flat product) realizes g2 as
 matrices, for the axiom check of g2 itself and the lift of the matrix
 model.  Closure under the product is certified at construction by
 expressing every basis triple product back in the carrier basis; those
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .linalg import (Matrix, Subspace, Vec, combine, commutator,
-                     flat_commutator, insert_row, is_zero_vec, rref)
+from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
+                     commutator, flat_commutator, insert_row, is_zero_vec, rref)
 from .scalar import ZERO, Scalar
 
 __all__ = [
@@ -69,8 +69,16 @@ def matrix_lts(n: int) -> TripleSystem:
         return flat_commutator(a, b, n)
 
     def operator(a: Vec, b: Vec) -> Callable[[Vec], Vec]:
-        ab = bracket(a, b)
-        return lambda c: bracket(ab, c)
+        ab = _nonzeros(bracket(a, b), n)  # listed once per pair
+
+        def apply(c: Vec) -> Vec:
+            if len(c) != n * n:
+                raise ValueError(f"{len(c)} entries in gl({n})")
+            out, lc = [ZERO] * (n * n), _nonzeros(c, n)
+            _accumulate(out, ab, lc, n)
+            _accumulate(out, lc, ab, n, sub=True)
+            return out
+        return apply
 
     return TripleSystem(f"gl{n}", n * n, operator, bracket)
 
@@ -108,21 +116,20 @@ def abstract_lts(struct: Sequence[Sequence[Sequence[Sequence[Scalar]]]],
                  name: str = "abstract") -> TripleSystem:
     """Triple system on R^dim given by structure constants c[i][j][k][l]."""
     dim = len(struct)
+    planes = [[c for vec in plane for c in vec] for row in struct for plane in row]
 
     def operator(x: Vec, y: Vec) -> Callable[[Vec], Vec]:
-        # images[k] = [x, y, b_k] = sum_ij x_i y_j c[i][j][k]
-        images = [[ZERO] * dim for _ in range(dim)]
-        for i in range(dim):
-            if not x[i]:
-                continue
-            for j in range(dim):
-                if not y[j]:
-                    continue
-                xy = x[i] * y[j]
-                for k, row in enumerate(struct[i][j]):
-                    images[k] = [a + xy * b if b else a
-                                 for a, b in zip(images[k], row)]
-        return lambda z: combine(z, images) if dim else []
+        if len(x) != dim or len(y) != dim:
+            raise ValueError(f"arguments must have {dim} coordinates")
+        # [x, y, b_k] = sum_ij x_i y_j c[i][j][k], at k * dim in the sum
+        flat = combine([a * b for a in x for b in y], planes) if dim else []
+        images = [flat[k * dim:(k + 1) * dim] for k in range(dim)]
+
+        def apply(z: Vec) -> Vec:
+            if len(z) != dim:
+                raise ValueError(f"arguments must have {dim} coordinates")
+            return combine(z, images) if dim else []
+        return apply
 
     return TripleSystem(name, dim, operator)
 

@@ -19,8 +19,9 @@ from typing import Callable, Sequence
 from .catalog import GL7, AssocSubalg, grading
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, derivation_algebra, leibniz_rows
-from .linalg import (Matrix, Subspace, Vec, combine, dot, flat_product,
-                     is_positive_definite, kernel, projection_matrix, solve)
+from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
+                     dot, flat_product, is_positive_definite, kernel,
+                     projection_matrix, solve)
 from .lts import LtsCarrier, TripleSystem, triple_in_lie
 from .scalar import ONE, ZERO, Scalar
 
@@ -172,37 +173,39 @@ def _operator(x: Vec, y: Vec, n: int, m: int,
     """z -> [x, y, z] on n x m matrices flattened row by row.
 
     The skew triple x y^t z - y x^t z + z y^t x - z x^t y is L z + z R, with
-    L = x y^t - y x^t and R = y^t x - x^t y, formed once per (x, y).  The
-    twisted 3x3 product adds G z + alpha(z) w^t, where (a for alpha)
-    G = a_x a_y^t - a_y a_x^t joins L and w^t = a_y^t x - a_x^t y.
+    L = x y^t - y x^t and R = y^t x - x^t y.  The twisted 3x3 product adds
+    G z + alpha(z) w^t, where (a for alpha) G = a_x a_y^t - a_y a_x^t joins L
+    and w^t = a_y^t x - a_x^t y.  L, R and w^t are formed and listed once per
+    (x, y); each z, and alpha(z) for the twist, is listed once.
     """
     if len(x) != n * m or len(y) != n * m:
         raise ValueError(f"arguments must be {n} x {m} matrices, flattened")
     if twisted and (n, m) != (3, 3):
         raise ValueError("the twisted product is on 3x3 matrices")
     yt = [y[i * m + j] for j in range(m) for i in range(n)]
-    left, right = [ZERO] * (n * n), [ZERO] * (m * m)
+    left, right, w = [ZERO] * (n * n), [ZERO] * (m * m), [ZERO] * 3
     flat_product(left, x, yt, m, n)              # x y^t
     flat_product(right, yt, x, n, m)             # y^t x
     if twisted:
         ax, ay = _alpha(x), _alpha(y)
         flat_product(left, ax, ay, 1, 3)         # a_x a_y^t
-        w = [ZERO] * 3
         flat_product(w, ay, x, 3, 3)
         flat_product(w, [-a for a in ax], y, 3, 3)
     # L = X - X^t for X = x y^t (+ a_x a_y^t), R = Y - Y^t for Y = y^t x
-    left = [left[i * n + j] - left[j * n + i] for i in range(n) for j in range(n)]
-    right = [right[i * m + j] - right[j * m + i]
-             for i in range(m) for j in range(m)]
+    left = _nonzeros([left[i * n + j] - left[j * n + i]
+                      for i in range(n) for j in range(n)], n)
+    right = _nonzeros([right[i * m + j] - right[j * m + i]
+                       for i in range(m) for j in range(m)], m)
+    wt = _nonzeros(w, 3)
 
     def apply(z: Vec) -> Vec:
         if len(z) != n * m:
             raise ValueError(f"argument must be a {n} x {m} matrix, flattened")
-        out = [ZERO] * (n * m)
-        flat_product(out, left, z, n, m)
-        flat_product(out, z, right, m, m)
+        out, lz = [ZERO] * (n * m), _nonzeros(z, m)
+        _accumulate(out, left, lz, m)
+        _accumulate(out, lz, right, m)
         if twisted:
-            flat_product(out, _alpha(z), w, 1, 3)
+            _accumulate(out, _nonzeros(_alpha(z), 1), wt, 3)
         return out
     return apply
 

@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from crossg2.cross7 import basis_vector, cross
-from crossg2.g2alg import Frame, d_operator, lambda_operator, rho_operator
-from crossg2.linalg import Matrix, Subspace, commutator, is_zero_vec
+from crossg2.g2alg import (Frame, d_operator, lambda_operator, leibniz_rows,
+                           rho_operator)
+from crossg2.linalg import Matrix, Subspace, commutator, is_zero_vec, vsub
 from crossg2.scalar import ZERO, Scalar
 
 E = [basis_vector(i) for i in range(7)]
@@ -24,6 +25,27 @@ def test_leibniz_on_basis(g2):
             rhs = [u + v for u, v in zip(cross(b.apply(E[i]), E[j]),
                                          cross(E[i], b.apply(E[j])))]
             assert lhs == rhs
+
+
+def test_leibniz_rows_hold_the_defect_of_each_matrix_unit():
+    # entry 7 r + c of the row (pair, m) is component m of
+    # d(x cross y) - d(x) cross y - x cross d(y) for d = E_rc
+    rng = random.Random(12)
+
+    def vec():
+        return [Scalar(rng.randint(-3, 3), rng.randint(-1, 1), 0,
+                       rng.randint(-1, 1), rng.randint(1, 4))
+                if rng.random() < 0.6 else ZERO for _ in range(7)]
+    pairs = [(vec(), vec()) for _ in range(4)] + [(E[0], E[1]), (E[2], E[6])]
+    rows = leibniz_rows(pairs)
+    assert len(rows) == 7 * len(pairs)
+    for p, (x, y) in enumerate(pairs):
+        for r in range(7):
+            for c in range(7):
+                d = Matrix.unit(7, 7, r, c)
+                defect = vsub(vsub(d.apply(cross(x, y)), cross(d.apply(x), y)),
+                              cross(x, d.apply(y)))
+                assert [rows[7 * p + m][7 * r + c] for m in range(7)] == defect
 
 
 def test_membership_and_coords(g2):

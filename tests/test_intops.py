@@ -66,6 +66,52 @@ def test_k_max_is_the_guard_edge():
     assert contraction_dtype(past, past, N) is object
 
 
+def clear_by_element(nested) -> np.ndarray:
+    """Each Scalar cleared on its own into Python ints (dtype object): the
+    oracle of clear_tensor."""
+    scalars = np.array(nested, dtype=object)
+    flat = scalars.reshape(-1)
+    den = math.lcm(*(s.q for s in flat))
+    cleared = np.empty((flat.size, 4), dtype=object)
+    for idx, s in enumerate(flat):
+        f = den // s.q
+        cleared[idx] = (s.na * f, s.nb * f, s.nc * f, s.nd * f)
+    return cleared.reshape(scalars.shape + (4,))
+
+
+@pytest.mark.parametrize("value", [v * sign for v in (2 ** 62 - 1, 2 ** 62, 2 ** 70)
+                                   for sign in (1, -1)])
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (5, 1), (5, 5)])
+def test_clear_tensor_at_the_int64_edge(value, p, q):
+    # value / p next to 1 / q: the common denominator scales value by
+    # lcm(p, q) / p, which is 2 for (1, 2) and 1 otherwise
+    nested = [[Scalar(0, 0, value, 0, p), Scalar.rational(1, q)],
+              [ZERO, Scalar(1, -2, 0, 3)]]
+    expected = clear_by_element(nested)
+    out = clear_tensor(nested)
+    assert out.shape == expected.shape == (2, 2, 4)
+    assert out.tolist() == expected.tolist()
+    fits = abs(value) * (math.lcm(p, q) // p) < _INT64_LIMIT
+    assert fits == all(abs(v) < _INT64_LIMIT for v in expected.ravel())
+    assert out.dtype == (np.int64 if fits else object)
+
+
+def test_contraction_dtype_on_int64_tensors():
+    for k in (K_MAX, K_MAX + 1):
+        c = clear_tensor(scaled(k))
+        assert c.dtype == np.int64
+        assert c.tolist() == clear_by_element(scaled(k)).tolist()
+        as_object = c.astype(object)
+        assert (contraction_dtype(c, c, N)
+                is contraction_dtype(as_object, as_object, N))
+    # the largest int64 component clear_tensor gives, of either sign
+    for value in (2 ** 62 - 1, -(2 ** 62 - 1)):
+        edge = clear_tensor([Scalar.of(value), ONE])
+        assert edge.dtype == np.int64
+        assert contraction_dtype(edge, edge, 1) is object
+    assert clear_tensor([]).shape == (0, 4)
+
+
 @settings(max_examples=6, deadline=None)
 @example(ab=[0, 1], e=0, l=0, value=-K_MAX * SL3_MAX)
 @given(ab=st.lists(st.integers(0, N - 1), min_size=2, max_size=2,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossg2 import linalg
 from crossg2.linalg import (Matrix, Subspace, char_poly, cleared, combine,
-                            commutator, flat_commutator, inverse,
+                            commutator, flat_commutator, flat_product, inverse,
                             is_positive_definite, kernel,
                             poly_from_roots_squared, projection_matrix, rank,
                             rref, solve)
@@ -395,6 +395,40 @@ def test_matmul_equals_the_dense_triple_loop(pair):
     product = a @ b
     assert product.shape == (a.shape[0], b.shape[1])
     assert product == dense_product(a, b)
+
+
+def flat_product_oracle(out, a, b, k, m):
+    """a @ b added to out with only b's rows listed and a scanned entry by
+    entry: the oracle of flat_product."""
+    nonzero = [[(j, y) for j, y in enumerate(b[r * m:(r + 1) * m]) if y]
+               for r in range(k)]
+    for ir, x in enumerate(a):
+        if x:
+            i, r = divmod(ir, k)
+            for j, y in nonzero[r]:
+                ij = i * m + j
+                out[ij] = out[ij] + x * y
+
+
+@st.composite
+def accumulations(draw):
+    """a (n x k), b (k x m) and a start for out (n x m) that is not zero."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    start = draw(matrices(n, m))
+    start.rows[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = (
+        draw(product_entries.filter(bool)))
+    return draw(matrices(n, k)), draw(matrices(k, m)), start
+
+
+@settings(max_examples=150, deadline=None)
+@given(accumulations())
+def test_flat_product_equals_the_oracle_and_the_dense_product(case):
+    a, b, start = case
+    k, m = b.shape
+    out, expected = start.flatten(), start.flatten()
+    flat_product(out, a.flatten(), b.flatten(), k, m)
+    flat_product_oracle(expected, a.flatten(), b.flatten(), k, m)
+    assert out == expected == (start + dense_product(a, b)).flatten()
 
 
 def test_add_and_sub_reject_mismatched_shapes():

@@ -1,15 +1,18 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crossg2 import catalog, matmodel
 from crossg2._intops import derivation_axiom_holds
-from crossg2.linalg import Matrix, Subspace, cleared, combine, insert_row
+from crossg2.linalg import (Matrix, Subspace, cleared, combine, flat_commutator,
+                            insert_row)
 from crossg2.lts import (LtsCarrier, NotClosedError, abstract_lts,
                          check_axioms, envelope_dim, generated_subtriple,
                          is_ideal, matrix_lts, triple_in_lie)
 from crossg2.scalar import ONE, ZERO, Scalar
-from test_intops import derivation_axiom_pure
+from test_intops import c1211, derivation_axiom_pure
+from test_linalg import product_entries
 
 
 def test_triple_in_lie_examples():
@@ -47,6 +50,62 @@ def test_operator_is_the_triple_product_with_two_slots_fixed():
     full = LtsCarrier(gl3, Subspace.full(9))
     abstract = abstract_lts(full.struct())
     assert abstract.operator(x, y)(z) == abstract.triple(x, y, z) == expected
+
+
+@st.composite
+def gl_operands(draw):
+    """n and four n x n matrices, flattened: a, b and two different c."""
+    n = draw(st.integers(1, 4))
+    flat = st.lists(product_entries, min_size=n * n, max_size=n * n)
+    a, b, c1 = draw(flat), draw(flat), draw(flat)
+    return n, a, b, c1, draw(flat.filter(lambda c2: c2 != c1))
+
+
+# [E12, E21] = H, and [H, E12] = 2 E12 differs from [H, E21] = -2 E21
+@example((2, [ZERO, ONE, ZERO, ZERO], [ZERO, ZERO, ONE, ZERO],
+          [ZERO, ONE, ZERO, ZERO], [ZERO, ZERO, ONE, ZERO]))
+@settings(max_examples=120, deadline=None)
+@given(gl_operands())
+def test_gl_operator_equals_two_commutators_on_two_arguments(case):
+    n, a, b, c1, c2 = case
+    op = matrix_lts(n).operator(a, b)
+    ab = flat_commutator(a, b, n)
+    assert op(c1) == flat_commutator(ab, c1, n)
+    assert op(c2) == flat_commutator(ab, c2, n)
+
+
+@pytest.mark.parametrize("size", [5, 10])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_gl3_products_reject_arguments_of_the_wrong_length(slot, size):
+    gl3 = matrix_lts(3)
+    args = [[Scalar.of(i + s) for i in range(9)] for s in range(3)]
+    args[slot] = [Scalar.of(i + 1) for i in range(size)]
+    with pytest.raises(ValueError):
+        gl3.triple(*args)
+    with pytest.raises(ValueError):
+        gl3.operator(args[0], args[1])(args[2])
+
+
+@pytest.mark.parametrize("args", [
+    ([ONE, ZERO], [ZERO, ONE], [ONE]),          # zip would truncate
+    ([ONE, ZERO, ONE], [ZERO, ONE], [ONE, ZERO]),
+    ([ONE, ZERO], [ZERO, ONE, ONE], [ONE, ZERO]),
+    ([ONE], [ZERO, ONE], [ONE, ZERO]),          # indexing would run past x
+    ([ONE, ZERO], [ONE], [ONE, ZERO]),
+    ([ONE, ZERO], [ZERO, ONE], [ONE, ZERO, ZERO]),
+])
+def test_abstract_products_reject_arguments_of_the_wrong_length(args):
+    system = abstract_lts(c1211(), "c1211")
+    assert system.triple([ONE, ZERO], [ZERO, ONE], [ONE, ZERO]) == [ONE, ZERO]
+    with pytest.raises(ValueError):
+        system.triple(*args)
+    with pytest.raises(ValueError):
+        system.operator(args[0], args[1])(args[2])
+
+
+def test_g2_struct_on_gl7_equals_the_struct_in_g2_coordinates(g2):
+    on_gl7 = LtsCarrier(catalog.GL7, g2.space).struct()
+    assert on_gl7 == LtsCarrier(g2.lts, Subspace.full(14)).struct()
 
 
 def test_counterexample_fails_derivation_axiom():
