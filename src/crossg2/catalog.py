@@ -20,9 +20,9 @@ from typing import Sequence
 
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, d_operator, derivation_algebra
-from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, commutator,
-                     insert_row, is_zero_vec, kernel, poly_from_roots_squared,
-                     projection_matrix)
+from .linalg import (Matrix, Subspace, Vec, _reduce, char_poly, cleared,
+                     combine, commutator, dot, insert_row, is_zero_vec, kernel,
+                     poly_from_roots_squared, projection_matrix)
 from .lts import LtsCarrier, generated_subtriple, matrix_lts
 from .scalar import ONE, ZERO, Scalar
 
@@ -170,12 +170,27 @@ def verify_grading(g: Grading, g2: G2 | None = None) -> bool:
 
 
 def mapping_space(systems: Sequence[tuple[Subspace, Subspace]],
-                  g2: G2 | None = None) -> Subspace:
+                  g2: G2 | None = None,
+                  within: Subspace | None = None) -> Subspace:
     """{d : <d s, t> = 0 for s in source, t in orthogonal} = {d : d(source) <=
-    orthogonal-perp} for every pair of systems, in basis coordinates."""
+    orthogonal-perp} for every pair of systems, in basis coordinates.  With
+    `within`, only the d in that subspace: each row is restricted to within's
+    basis and reduced in turn, and once every coordinate of within has a
+    pivot the answer is 0 and the remaining rows are not formed."""
     g2 = g2 or derivation_algebra()
-    return kernel([g2.pairing_row(s, t) for source, orth in systems
-                   for s in source.rows for t in orth.rows], g2.dim)
+    rows = (g2.pairing_row(s, t) for source, orth in systems
+            for s in source.rows for t in orth.rows)
+    if within is None:
+        return kernel(list(rows), g2.dim)
+    red, pivots = [], []
+    for row in rows:
+        residual = _reduce(red, pivots, [dot(row, w) for w in within.rows])
+        if any(residual):
+            insert_row(red, pivots, residual)
+            if len(pivots) == within.dim:
+                return Subspace.zero(g2.dim)
+    return Subspace.span([combine(c, within.rows)
+                          for c in kernel(red, within.dim).rows], g2.dim)
 
 
 def annihilator_subalg(u: Sequence[Scalar], g2: G2 | None = None) -> Subspace:
@@ -254,7 +269,8 @@ def _principal_matrices(h: Subspace, g2: G2) -> list[Matrix]:
     mats = [g2.mat(r) for r in h.rows]
     if not any(principal_eigenstructure(m) for m in mats):
         raise ValueError("subalgebra fails the principal eigenvalue-ladder check")
-    return mats
+    # rational first: conjugation by a rational theta stays rational
+    return sorted(mats, key=lambda m: cleared(m.flatten()) is None)
 
 
 class AdaptednessError(AssertionError):
@@ -266,8 +282,9 @@ def is_adapted(h: Subspace, v: AssocSubalg, g2: G2 | None = None) -> bool:
 
     Both characterisations are computed: homogeneity (the odd projection
     (d - theta d theta)/2 stays inside h) and the intersection dimension
-    dim(h cap odd) = 2.  The odd part comes from `grading`'s membership
-    solve, not from theta, so the two routes are independent.  They must
+    dim(h cap odd) = 2.  The intersection is solved on h's own coordinates
+    from the odd part's membership conditions (`mapping_space` with
+    within=h), not from theta, so the two routes are independent.  They must
     agree; a disagreement is an internal consistency failure, not a result.
     """
     g2 = g2 or derivation_algebra()
@@ -280,8 +297,9 @@ def is_adapted(h: Subspace, v: AssocSubalg, g2: G2 | None = None) -> bool:
         if not h.contains(g2.coords(p)):
             homogeneous = False
             break
-    odd = grading(v, g2).odd
-    by_dimension = h.intersect(odd).dim == 2
+    comp = v.complement()
+    by_dimension = mapping_space([(v.space, v.space), (comp, comp)], g2,
+                                 within=h).dim == 2
     if homogeneous != by_dimension:
         raise AdaptednessError(
             f"homogeneity says {homogeneous}, intersection dimension says {by_dimension}")

@@ -13,7 +13,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable
 
 from . import catalog, cross7, g2alg, lts, matmodel
@@ -396,10 +396,12 @@ def _g2_leibniz(ws, rng, trials):
 
 @check("g2.jacobi", "Jacobi identity on all basis triples")
 def _g2_jacobi(ws, rng, trials):
-    basis = ws.g2.basis
-    for x, y, z in combinations(basis, 3):
-        s = (commutator(commutator(x, y), z) + commutator(commutator(y, z), x)
-             + commutator(commutator(z, x), y))
+    b = ws.g2.basis
+    inner = {(i, j): commutator(b[i], b[j])
+             for i, j in permutations(range(len(b)), 2)}
+    for i, j, k in combinations(range(len(b)), 3):
+        s = (commutator(inner[i, j], b[k]) + commutator(inner[j, k], b[i])
+             + commutator(inner[k, i], b[j]))
         require(s.is_zero(), "Jacobi fails on a basis triple")
 
 
@@ -831,16 +833,17 @@ def _mm_ms_tangent(ws, rng, trials):
     require(tangent.dim == 8, f"tangent dim {tangent.dim} != 8")
     e = [cross7.basis_vector(i) for i in range(7)]
     pc = p.complement_map()
+    pe = [p.mat.apply(v) for v in e]
+    pexpe = [[cross7.cross(a, b) for b in pe] for a in pe]
     for row in tangent.rows:
         d = Matrix.from_flat(row, 7, 7)
+        de = [d.apply(v) for v in e]
         for i in range(7):
             for j in range(7):
                 # complement-projected product rule at the projection point
-                lhs = pc.apply(
-                    [u + v for u, v in zip(
-                        cross7.cross(d.apply(e[i]), p.mat.apply(e[j])),
-                        cross7.cross(p.mat.apply(e[i]), d.apply(e[j])))])
-                rhs = d.apply(cross7.cross(p.mat.apply(e[i]), p.mat.apply(e[j])))
+                lhs = pc.apply([u + v for u, v in zip(cross7.cross(de[i], pe[j]),
+                                                      cross7.cross(pe[i], de[j]))])
+                rhs = d.apply(pexpe[i][j])
                 require(lhs == rhs, f"linearised rule fails at ({i}, {j})")
         rm = matmodel.row_matrix(d, fr)
         require(matmodel.matches_template(rm), "third-row template violated")
@@ -869,8 +872,7 @@ def _mm_m34_match(ws, rng, trials):
     lift = ws.lift
     rms = [matmodel.row_matrix(d, ws.frame) for d in lift.basis]
     # row_matrix is linear, so lhs is the row matrix of [[d_x, d_y], d_z]
-    for x, y, z, lhs in lift.triple_images(rms):
-        rhs = matmodel.m34_triple(rms[x], rms[y], rms[z])
+    for x, y, z, lhs, rhs in lift.triple_images(rms, matmodel.m34_system().operator):
         require(lhs == rhs, f"mismatch at basis triple ({x},{y},{z})")
 
 
@@ -901,9 +903,11 @@ def _mm_to_sl3(ws, rng, trials):
     for m in sl3s:
         require(matmodel.to_sl3(matmodel.from_sl3(m)) == m,
                 "to_sl3(from_sl3) is not the identity")
+    require(not any(m.trace() for m in sl3s), "an sl3 image is not traceless")
     # to_sl3 and row_matrix are linear, so lhs is the image of [[d_x, d_y], d_z]
-    for x, y, z, lhs in lift.triple_images(sl3s):
-        rhs = matmodel.sl3_triple(sl3s[x], sl3s[y], sl3s[z])
+    for x, y, z, lhs, rhs in lift.triple_images(sl3s, matmodel.sl3_system().operator):
+        require(not (rhs[0] + rhs[4] + rhs[8]),
+                f"triple product left the traceless space at ({x},{y},{z})")
         require(lhs == rhs, f"intertwining fails at ({x},{y},{z})")
     require(lts.envelope_dim(ws.m4v) == 14, "envelope through the lift != 14")
 

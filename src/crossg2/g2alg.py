@@ -177,7 +177,28 @@ def derivation_algebra() -> G2:
 
 
 def d_operator(x: Sequence[Scalar], y: Sequence[Scalar]) -> Matrix:
-    """The derivation z -> [[x,y],z] + 3(x,z,y), octonion arithmetic.
+    """The derivation z -> [[x,y],z] + 3(x,z,y), bilinear in (x, y): the sum
+    of x_a y_b D(e_a, e_b) over the 49 basis values (a = b included), each
+    built once by octonion arithmetic (`_d_basis`)."""
+    x, y = [Scalar.of(t) for t in x], [Scalar.of(t) for t in y]
+    if len(x) != 7 or len(y) != 7:
+        raise ValueError("D needs two vectors with 7 coordinates")
+    out = [ZERO] * 49
+    _accumulate(out, _nonzeros([a * b for a in x for b in y], 49), _d_basis(), 49)
+    return Matrix._computed_flat(out, 7, 7)
+
+
+@lru_cache(maxsize=1)
+def _d_basis() -> tuple:
+    """The `_nonzeros` listing of the 49 x 49 matrix whose row 7a + b is
+    D(e_a, e_b) flattened."""
+    e = [basis_vector(i) for i in range(7)]
+    return _nonzeros([t for a in e for b in e
+                      for t in _d_octonion(a, b).flatten()], 49)
+
+
+def _d_octonion(x: Vec, y: Vec) -> Matrix:
+    """D(x, y) by octonion arithmetic.
 
     The real part of the result vanishes identically on pure arguments;
     this is checked, and the restriction to R^7 is returned.

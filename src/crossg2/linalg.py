@@ -179,23 +179,47 @@ class Matrix:
             "[" + ", ".join(str(x) for x in r) + "]" for r in self.rows) + "])"
 
 
-def _nonzeros(a: Sequence[Scalar], m: int) -> list[list[tuple[int, Scalar]]]:
-    """The nonzero (column, value) pairs of each row of a, with m columns."""
+def _nonzeros(a: Sequence[Scalar], m: int) -> tuple:
+    """The nonzero (column, value) pairs of each row of a, with m columns,
+    as (pairs, int pairs, q): the int pairs are the values times their common
+    denominator q if all are rational, else None."""
     rows = [[] for _ in range(0, len(a), m or 1)]
+    q, rational = 1, True
     for ij, x in enumerate(a):
         if x:
             rows[ij // m].append((ij % m, x))
-    return rows
+            if rational:
+                if x.nb or x.nc or x.nd:
+                    rational = False
+                elif q % x.q:
+                    q = lcm(q, x.q)
+    ints = [[(c, x.na * (q // x.q)) for c, x in row]
+            for row in rows] if rational else None
+    return rows, ints, q
 
 
-def _accumulate(out: Vec, a: list, b: list, m: int, sub: bool = False) -> None:
+def _accumulate(out: Vec, a: tuple, b: tuple, m: int, sub: bool = False) -> None:
     """Add (with sub, subtract) the product of two `_nonzeros` listings to
-    out, a flat matrix with m columns: a[i][r] * b[r][j] goes to i * m + j."""
-    for i, row in enumerate(a):
+    out, a flat matrix with m columns: a[i][r] * b[r][j] goes to i * m + j.
+    Two rational listings multiply on ints, one Scalar per touched entry."""
+    if a[1] is None or b[1] is None:
+        bs = b[0]
+        for i, row in enumerate(a[0]):
+            for r, x in row:
+                for j, y in bs[r]:
+                    ij = i * m + j
+                    out[ij] = out[ij] - x * y if sub else out[ij] + x * y
+        return
+    acc, bi = {}, b[1]
+    for i, row in enumerate(a[1]):
         for r, x in row:
-            for j, y in b[r]:
+            for j, y in bi[r]:
                 ij = i * m + j
-                out[ij] = out[ij] - x * y if sub else out[ij] + x * y
+                acc[ij] = acc.get(ij, 0) + x * y
+    q = a[2] * b[2]
+    for ij, t in acc.items():
+        if t:
+            out[ij] = out[ij] + Scalar(-t if sub else t, 0, 0, 0, q)
 
 
 def flat_product(out: Vec, a: Sequence[Scalar], b: Sequence[Scalar],
@@ -486,12 +510,17 @@ def char_poly(m: Matrix) -> list[Scalar]:
 
 
 def is_positive_definite(m: Matrix) -> bool:
-    """Sylvester's criterion for a symmetric m: all leading minors > 0."""
-    for k in range(1, m.shape[0] + 1):
-        # the k x k minor is (-1)^k char_poly(block)[0]
-        det = char_poly(Matrix([row[:k] for row in m.rows[:k]]))[0]
-        if (det if k % 2 == 0 else -det).sign() <= 0:
+    """Sylvester's criterion for a symmetric m: all leading minors > 0.  The
+    k-th minor is the product of the first k pivots of elimination without
+    row exchanges, so every pivot must be > 0 (zero means a zero minor).
+    Row k reduced against the rows before it has its pivot at column k."""
+    rows: list[Vec] = []
+    pivots: list[int] = []
+    for k, row in enumerate(m.rows):
+        residual = _reduce(rows, pivots, row)
+        if residual[k].sign() <= 0:
             return False
+        insert_row(rows, pivots, residual)
     return True
 
 

@@ -22,7 +22,7 @@ from .g2alg import G2, Frame, derivation_algebra, leibniz_rows
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
                      dot, flat_product, is_positive_definite, kernel,
                      projection_matrix, solve)
-from .lts import LtsCarrier, TripleSystem, triple_in_lie
+from .lts import FlatOperator, LtsCarrier, TripleSystem
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
@@ -301,33 +301,32 @@ class LiftMap:
                 raise AssertionError("lift does not restrict correctly")
         return out
 
-    def triple_images(self, images: Sequence[Matrix]):
-        """Yield (x, y, z, f([[d_x, d_y], d_z])) over all basis triples, for
-        the linear map f that sends basis[i] to images[i]."""
+    def triple_images(self, images: Sequence[Matrix], operator: FlatOperator):
+        """Yield (x, y, z, f([[d_x, d_y], d_z]), [f d_x, f d_y, f d_z]) over
+        all basis triples, both flattened, for the linear map f that sends
+        basis[i] to images[i] and the triple product whose flat operator is
+        given; [f d_x, f d_y, .] is formed once per (x, y)."""
         flat = [m.flatten() for m in images]
-        rows, cols = images[0].shape
-        for x, y, z in product(range(8), repeat=3):
-            yield x, y, z, Matrix._computed_flat(
-                combine(self.triples[x][y][z], flat), rows, cols)
+        for x, y in product(range(8), repeat=2):
+            op = operator(flat[x], flat[y])
+            for z in range(8):
+                yield x, y, z, combine(self.triples[x][y][z], flat), op(flat[z])
 
     def _fix_sign(self) -> int:
         sign = 0
-        for x, y, z, lhs in self.triple_images(self.lifted):
-            rhs = triple_in_lie(self.lifted[x], self.lifted[y], self.lifted[z])
-            if lhs.is_zero() and rhs.is_zero():
+        for x, y, z, lhs, rhs in self.triple_images(self.lifted, GL7.operator):
+            if not any(lhs) and not any(rhs):
                 continue
             if sign == 0:
                 if lhs == rhs:
                     sign = 1
-                elif lhs == -rhs:
+                elif lhs == [-t for t in rhs]:
                     sign = -1
                 else:
                     raise AssertionError("lift is not a triple morphism "
                                          "up to a global sign")
-            else:
-                expected = rhs if sign == 1 else -rhs
-                if lhs != expected:
-                    raise AssertionError("global sign is not constant")
+            elif lhs != (rhs if sign == 1 else [-t for t in rhs]):
+                raise AssertionError("global sign is not constant")
         if sign == 0:
             raise AssertionError("triple product vanished identically")
         return sign

@@ -89,6 +89,10 @@ class Scalar:
     def __add__(self, o):
         if not isinstance(o, Scalar):
             o = Scalar.of(o)
+        if not (o.na or o.nb or o.nc or o.nd):
+            return self
+        if not (self.na or self.nb or self.nc or self.nd):
+            return o
         q1, q2 = self.q, o.q
         if q1 == q2:
             return Scalar(self.na + o.na, self.nb + o.nb,
@@ -105,6 +109,10 @@ class Scalar:
     def __sub__(self, o):
         if not isinstance(o, Scalar):
             o = Scalar.of(o)
+        if not (o.na or o.nb or o.nc or o.nd):
+            return self
+        if not (self.na or self.nb or self.nc or self.nd):
+            return -o
         q1, q2 = self.q, o.q
         if q1 == q2:
             return Scalar(self.na - o.na, self.nb - o.nb,
@@ -121,14 +129,18 @@ class Scalar:
             o = Scalar.of(o)
         a1, b1, c1, d1 = self.na, self.nb, self.nc, self.nd
         a2, b2, c2, d2 = o.na, o.nb, o.nc, o.nd
-        if not (b1 or c1 or d1 or b2 or c2 or d2):
-            return Scalar(a1 * a2, 0, 0, 0, self.q * o.q)
+        q = self.q * o.q
+        # a rational operand scales the other's 4 components; zero gives ZERO
+        if not (b2 or c2 or d2):
+            return Scalar(a1 * a2, b1 * a2, c1 * a2, d1 * a2, q) if a2 else ZERO
+        if not (b1 or c1 or d1):
+            return Scalar(a1 * a2, a1 * b2, a1 * c2, a1 * d2, q) if a1 else ZERO
         return Scalar(
             a1 * a2 + 6 * b1 * b2 + 10 * c1 * c2 + 15 * d1 * d2,
             a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 + 3 * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + 2 * (b1 * c2 + c1 * b2),
-            self.q * o.q)
+            q)
 
     __rmul__ = __mul__
 

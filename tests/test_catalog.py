@@ -289,3 +289,26 @@ def test_probe_finds_non_maximal_witness(ws, tds, g2):
 def test_probe_rejects_full_carrier(ws):
     with pytest.raises(ValueError):
         catalog.maximality_probe(ws.m4v, ws.m4v, 1, random.Random(0))
+
+
+def test_mapping_space_within_h_equals_the_intersection_with_odd(ws, tds, g2):
+    rng = random.Random(15)
+    vs = [catalog.random_assoc(rng) for _ in range(50)] + [ws.v_std, ws.w_std]
+    dims = set()
+    for v in vs:
+        comp = v.complement()
+        systems = [(v.space, v.space), (comp, comp)]
+        within = catalog.mapping_space(systems, g2, within=tds.space)
+        assert within == tds.space.intersect(catalog.grading(v, g2).odd)
+        dims.add(within.dim)
+    assert {0, 2} <= dims
+    # within the whole algebra, or a random subspace of it, the restriction
+    # is the intersection with the unrestricted answer
+    for v in vs[:10]:
+        w = Subspace.span([[Scalar.of(rng.randint(-2, 2)) for _ in range(14)]
+                           for _ in range(rng.randint(1, 9))], 14)
+        for systems in ([(v.space, v.space), (v.complement(), v.complement())],
+                        [(v.complement(), v.space)]):
+            plain = catalog.mapping_space(systems, g2)
+            assert catalog.mapping_space(systems, g2, within=Subspace.full(14)) == plain
+            assert catalog.mapping_space(systems, g2, within=w) == w.intersect(plain)

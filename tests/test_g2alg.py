@@ -1,13 +1,14 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from crossg2.cross7 import basis_vector, cross
+from crossg2 import g2alg
 from crossg2.g2alg import (Frame, d_operator, lambda_operator, leibniz_rows,
                            rho_operator)
 from crossg2.linalg import Matrix, Subspace, commutator, is_zero_vec, vsub
-from crossg2.scalar import ZERO, Scalar
+from crossg2.scalar import ONE, SQRT6, SQRT15, ZERO, Scalar
 
 E = [basis_vector(i) for i in range(7)]
 
@@ -135,3 +136,23 @@ def test_normalizer_and_centralizer(g2, tds):
     assert g2.normalizer(h) == h
     assert g2.centralizer(h).dim == 0
     assert g2.centralizer(full).dim == 0   # the algebra has trivial centre
+
+
+def test_d_operator_equals_the_octonion_formula():
+    for a, b in product(range(7), repeat=2):
+        assert d_operator(E[a], E[b]) == g2alg._d_octonion(E[a], E[b])
+    rng = random.Random(15)
+    entries = [ZERO, ZERO, ONE, -ONE, SQRT6, Scalar(0, 0, 1, 0, 3),
+               Scalar(2, -1, 0, 1, 5), Scalar.rational(2 ** 70 + 1, 3), SQRT15]
+    for _ in range(8):
+        x = [rng.choice(entries) for _ in range(7)]
+        y = [rng.choice(entries) for _ in range(7)]
+        assert d_operator(x, y) == g2alg._d_octonion(x, y)
+    assert d_operator([1, 0, 0, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0, 0]) == (
+        g2alg._d_octonion(E[0], E[1]).scale(Scalar.of(2)))
+
+
+@pytest.mark.parametrize("x, y", [(E[0][:6], E[1]), (E[0], E[1] + [ZERO])])
+def test_d_operator_rejects_vectors_of_other_lengths(x, y):
+    with pytest.raises(ValueError):
+        d_operator(x, y)

@@ -358,6 +358,9 @@ def test_is_positive_definite():
     assert not is_positive_definite(Matrix([[ZERO, ONE], [ONE, ZERO]]))
     assert not is_positive_definite(Matrix([[ONE, ZERO], [ZERO, ZERO]]))
     assert not is_positive_definite(-Matrix.identity(3))
+    # a zero pivot: the 2x2 leading minor vanishes
+    assert not is_positive_definite(
+        Matrix([[ONE, ONE, ZERO], [ONE, ONE, ZERO], [ZERO, ZERO, ONE]]))
 
 
 # mostly zeros, with irrational values (r6, r15/3) and large rationals
@@ -366,8 +369,14 @@ product_entries = st.sampled_from(
                   Scalar.rational(2 ** 70 + 1, 3), Scalar.rational(-10 ** 20, 7)])
 
 
-def matrices(n, m):
-    return st.lists(st.lists(product_entries, min_size=m, max_size=m),
+# rational only, past the int64 bound too
+rational_scalars = st.sampled_from(
+    [ZERO] * 6 + [ONE, -ONE, Scalar.rational(5, 6), Scalar.of(2 ** 64),
+                  Scalar.rational(2 ** 70 + 1, 3), Scalar.rational(-10 ** 20, 7)])
+
+
+def matrices(n, m, entries=product_entries):
+    return st.lists(st.lists(entries, min_size=m, max_size=m),
                     min_size=n, max_size=n).map(Matrix)
 
 
@@ -429,6 +438,42 @@ def test_flat_product_equals_the_oracle_and_the_dense_product(case):
     flat_product(out, a.flatten(), b.flatten(), k, m)
     flat_product_oracle(expected, a.flatten(), b.flatten(), k, m)
     assert out == expected == (start + dense_product(a, b)).flatten()
+
+
+@st.composite
+def listed_products(draw):
+    """a (n x k), b (k x m), a nonzero start for out and the sign, with a and
+    b each rational or mixed."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    a = draw(matrices(n, k, draw(st.sampled_from([rational_scalars,
+                                                  product_entries]))))
+    b = draw(matrices(k, m, draw(st.sampled_from([rational_scalars,
+                                                  product_entries]))))
+    start = draw(matrices(n, m))
+    start.rows[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = (
+        draw(product_entries.filter(bool)))
+    return a, b, start, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(listed_products())
+def test_accumulate_on_ints_equals_the_scalar_loop(case):
+    a, b, start, sub = case
+    (n, k), m = a.shape, b.shape[1]
+    la, lb = linalg._nonzeros(a.flatten(), k), linalg._nonzeros(b.flatten(), m)
+    for listing, mat in ((la, a), (lb, b)):
+        pairs, ints, q = listing
+        rational = all(not (x.nb or x.nc or x.nd) for x in mat.flatten())
+        assert (ints is not None) == rational
+        if rational:
+            assert [[(c, Scalar.rational(t, q)) for c, t in row]
+                    for row in ints] == pairs
+    out, expected = start.flatten(), start.flatten()
+    linalg._accumulate(out, la, lb, m, sub)
+    # the same listings without their int pairs take the Scalar loop
+    linalg._accumulate(expected, (la[0], None, 1), (lb[0], None, 1), m, sub)
+    product = dense_product(a, b)
+    assert out == expected == (start - product if sub else start + product).flatten()
 
 
 def test_add_and_sub_reject_mismatched_shapes():
@@ -493,3 +538,35 @@ def test_commutator_rejects_unequal_or_non_square_shapes():
                  (Matrix.identity(3), Matrix.zeros(3, 2))):
         with pytest.raises(ValueError):
             commutator(a, b)
+
+
+def sylvester_by_minors(m):
+    """All leading minors > 0, each minor (-1)^k char_poly(block)[0]."""
+    for k in range(1, m.shape[0] + 1):
+        det = char_poly(Matrix([row[:k] for row in m.rows[:k]]))[0]
+        if (det if k % 2 == 0 else -det).sign() <= 0:
+            return False
+    return True
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """B B^t (+ I): definite, or singular when B has fewer columns than
+    rows; or a random symmetric matrix, mostly indefinite."""
+    n = draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([rational_scalars, product_entries]))
+    kind = draw(st.sampled_from(["gram", "singular", "symmetric"]))
+    if kind == "symmetric":
+        upper = draw(matrices(n, n, entries)).rows
+        return Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)]
+                       for i in range(n)])
+    b = draw(matrices(n, n - 1 if kind == "singular" and n > 1 else n, entries))
+    gram = b @ b.transpose()
+    return gram + Matrix.identity(n) if draw(st.booleans()) else gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_positive_definite_pivots_agree_with_the_leading_minors(m):
+    assert is_positive_definite(m) == sylvester_by_minors(m)
+    assert is_positive_definite(-m) == sylvester_by_minors(-m)

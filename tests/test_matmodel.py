@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossg2 import lts, matmodel
+from crossg2.catalog import GL7
 from crossg2.checks import (CHECKS, CheckFailure, Workspace, run_checks,
                             select_checks)
 from crossg2.cross7 import basis_vector
@@ -200,10 +201,12 @@ def test_triple_images_match_direct_products(ws):
     lift = ws.lift
     rng = random.Random(7)
     picks = {tuple(rng.randrange(8) for _ in range(3)) for _ in range(12)}
-    for x, y, z, image in lift.triple_images(lift.basis):
+    for x, y, z, image, product in lift.triple_images(lift.basis,
+                                                      GL7.operator):
         if (x, y, z) in picks:
-            assert image == lts.triple_in_lie(lift.basis[x], lift.basis[y],
-                                              lift.basis[z])
+            expected = lts.triple_in_lie(lift.basis[x], lift.basis[y],
+                                         lift.basis[z]).flatten()
+            assert image == product == expected
 
 
 @pytest.mark.parametrize("check_id", ["matmodel.m34_match", "matmodel.to_sl3"])
@@ -404,3 +407,35 @@ def test_grid_failure_names_the_metric_identity(monkeypatch):
     [result] = run_checks(select_checks(["matmodel.grid"]), 0, 1)
     assert result.status == "fail"
     assert result.witness.startswith("-28/3 identity fails at ")
+
+
+def _sign_flipped(real, shape):
+    """_operator with the sign of one output entry flipped on `shape`."""
+    def operator(x, y, n, m, twisted=False):
+        apply = real(x, y, n, m, twisted)
+        if (n, m) != shape:
+            return apply
+
+        def wrong(z):
+            out = apply(z)
+            out[5] = -out[5]
+            return out
+        return wrong
+    return operator
+
+
+def test_m34_match_fails_on_a_sign_error_in_the_3x4_operator(ws, monkeypatch):
+    check = next(c for c in CHECKS if c.id == "matmodel.m34_match")
+    check.fn(ws, random.Random(0), 1)
+    monkeypatch.setattr(matmodel, "_operator",
+                        _sign_flipped(matmodel._operator, (3, 4)))
+    with pytest.raises(CheckFailure, match=r"mismatch at basis triple \(\d,\d,\d\)"):
+        check.fn(ws, random.Random(0), 1)
+
+
+def test_to_sl3_fails_on_a_sign_error_in_the_twisted_operator(ws, monkeypatch):
+    check = next(c for c in CHECKS if c.id == "matmodel.to_sl3")
+    monkeypatch.setattr(matmodel, "_operator",
+                        _sign_flipped(matmodel._operator, (3, 3)))
+    with pytest.raises(CheckFailure, match=r"at \(\d,\d,\d\)"):
+        check.fn(ws, random.Random(0), 1)

@@ -218,3 +218,35 @@ def test_of_takes_ints_bools_fractions_and_scalars():
     for bad in (np.int64(2), 0.5):
         with pytest.raises(TypeError):
             Scalar.of(bad)
+
+
+def general_sum(x, y, sign=1):
+    """x + sign * y over the common denominator, with no zero shortcut."""
+    return Scalar(*(s * y.q + sign * t * x.q for s, t in zip(
+        (x.na, x.nb, x.nc, x.nd), (y.na, y.nb, y.nc, y.nd))), x.q * y.q)
+
+
+def sixteen_term_product(x, y):
+    """All 16 products of the components, with no rational shortcut."""
+    return Scalar(*oracle_product((x.na, x.nb, x.nc, x.nd),
+                                  (y.na, y.nb, y.nc, y.nd)), x.q * y.q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_scalars(), wide_scalars())
+def test_shortcuts_equal_the_general_sum_and_product(x, y):
+    for u, v in ((x, y), (y, x), (x, ZERO), (ZERO, x), (x, Scalar(0, 0, 0, 0, 7))):
+        assert u + v == general_sum(u, v)
+        assert u - v == general_sum(u, v, -1)
+        assert u * v == sixteen_term_product(u, v)
+        for value in (u + v, u - v, u * v):
+            assert_canonical(value)
+
+
+def test_zero_operands_return_the_other_operand():
+    x = Scalar(1, 2, 3, 4, 5)
+    assert x + ZERO is x and ZERO + x is x and x - ZERO is x and x + 0 is x
+    assert ZERO - x == -x
+    assert x * ZERO is ZERO and ZERO * x is ZERO and x * 0 is ZERO
+    assert Scalar.__radd__ is Scalar.__add__
+    assert Scalar.__rmul__ is Scalar.__mul__
