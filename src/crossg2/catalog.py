@@ -27,7 +27,7 @@ from .lts import LtsCarrier, generated_subtriple, matrix_lts
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
-    "AssocSubalg", "Grading", "PrincipalTds", "ProbeReport",
+    "AssocSubalg", "FAMILIES", "Grading", "PrincipalTds", "ProbeReport",
     "is_associative", "theta_map", "grading", "verify_grading",
     "annihilator_subalg", "principal_tds", "is_adapted", "maximal_lts",
     "intersection_profile", "maximality_probe", "random_assoc",
@@ -306,56 +306,51 @@ def is_adapted(h: Subspace, v: AssocSubalg, g2: G2 | None = None) -> bool:
     return homogeneous
 
 
-_EXPECTED_DIMS = {"T1": 2, "T2": 5, "T3": 4, "T4": 4}
+# kind -> (dimension, envelope dimension, 3x3 partner in matmodel.sl3_catalog).
+# Each envelope is a named subalgebra of g2: T1 generates the principal h,
+# T2 ann(l) and T3 ann(i) (both su(3)), T4 the sum T4 + even(W) cap even(V).
+FAMILIES = {"T1": (2, 3, "sphere"), "T2": (5, 8, "sym5"),
+            "T3": (4, 8, "col4"), "T4": (4, 6, "refl4")}
 
 
-def maximal_lts(v: AssocSubalg, kind: str, *, tds: PrincipalTds | None = None,
-                l: Sequence[Scalar] | None = None,
-                i: Sequence[Scalar] | None = None,
-                w: AssocSubalg | None = None,
+def maximal_lts(v: AssocSubalg, kind: str,
+                witness: PrincipalTds | Sequence[Scalar] | AssocSubalg,
                 g2: G2 | None = None) -> LtsCarrier:
     """The four maximal families inside the odd part, as closed carriers in
-    g2's basis coordinates.
+    g2's basis coordinates.  The witness is h, l, i or W by kind:
 
-    T1: h cap odd for an adapted principal subalgebra h.
+    T1: h cap odd for a principal subalgebra h (a PrincipalTds) adapted to V.
     T2: {d in odd : d(l) = 0} for 0 != l in the orthogonal complement of V.
     T3: {d in odd : d(i) = 0} for 0 != i in V.
     T4: even(W) cap odd(V) for an associative W meeting both V and its
         complement.
     """
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown kind {kind!r}")
     g2 = g2 or derivation_algebra()
     odd = grading(v, g2).odd
     if kind == "T1":
-        if tds is None:
-            raise ValueError("kind T1 needs the principal subalgebra")
-        if not is_adapted(tds.space, v, g2):
+        if not is_adapted(witness.space, v, g2):
             raise ValueError("principal subalgebra is not adapted to V")
-        space = tds.space.intersect(odd)
-    elif kind == "T2":
-        if l is None or not any(l):
-            raise ValueError("kind T2 needs a nonzero vector")
-        if not v.complement().contains(list(l)):
-            raise ValueError("kind T2 needs the vector orthogonal to V")
-        space = annihilator_subalg(l, g2).intersect(odd)
-    elif kind == "T3":
-        if i is None or not any(i):
-            raise ValueError("kind T3 needs a nonzero vector")
-        if not v.space.contains(list(i)):
-            raise ValueError("kind T3 needs the vector inside V")
-        space = annihilator_subalg(i, g2).intersect(odd)
+        space = witness.space.intersect(odd)
     elif kind == "T4":
-        if w is None:
-            raise ValueError("kind T4 needs an associative subalgebra W")
-        if w.space.intersect(v.space).dim == 0:
+        if witness.space.intersect(v.space).dim == 0:
             raise ValueError("kind T4 needs W meeting V")
-        if w.space.intersect(v.complement()).dim == 0:
+        if witness.space.intersect(v.complement()).dim == 0:
             raise ValueError("kind T4 needs W meeting the complement of V")
-        space = grading(w, g2).even.intersect(odd)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if space.dim != _EXPECTED_DIMS[kind]:
-        raise AssertionError(
-            f"{kind} has dimension {space.dim}, expected {_EXPECTED_DIMS[kind]}")
+        space = grading(witness, g2).even.intersect(odd)
+    else:  # T2 and T3: ann(u) cap odd, u in V-perp or in V
+        u = list(witness)
+        if not any(u):
+            raise ValueError(f"kind {kind} needs a nonzero vector")
+        where, inside = (("orthogonal to V", v.complement()) if kind == "T2"
+                         else ("inside V", v.space))
+        if not inside.contains(u):
+            raise ValueError(f"kind {kind} needs the vector {where}")
+        space = annihilator_subalg(u, g2).intersect(odd)
+    dim = FAMILIES[kind][0]
+    if space.dim != dim:
+        raise AssertionError(f"{kind} has dimension {space.dim}, expected {dim}")
     carrier = LtsCarrier(g2.lts, space, kind)
     carrier.struct()  # closure certificate
     return carrier

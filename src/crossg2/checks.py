@@ -13,7 +13,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Callable
 
 from . import catalog, cross7, g2alg, lts, matmodel
@@ -110,13 +110,10 @@ class Workspace:
     def t_carrier(self, kind: str) -> lts.LtsCarrier:
         def build():
             fr = self.frame
-            if kind == "T1":
-                return catalog.maximal_lts(self.v_std, "T1", tds=self.tds, g2=self.g2)
-            if kind == "T2":
-                return catalog.maximal_lts(self.v_std, "T2", l=fr.l, g2=self.g2)
-            if kind == "T3":
-                return catalog.maximal_lts(self.v_std, "T3", i=fr.i, g2=self.g2)
-            return catalog.maximal_lts(self.v_std, "T4", w=self.w_std, g2=self.g2)
+            # only the kind's own witness is built: tds for T1, w_std for T4
+            witness = {"T1": lambda: self.tds, "T2": lambda: fr.l,
+                       "T3": lambda: fr.i, "T4": lambda: self.w_std}[kind]
+            return catalog.maximal_lts(self.v_std, kind, witness(), self.g2)
         return self._get(f"carrier_{kind}", build)
 
     @property
@@ -143,6 +140,28 @@ def check(id: str, anchor: str):
         CHECKS.append(Check(id, anchor, fn))
         return fn
     return deco
+
+
+def _require_families(families) -> dict[str, lts.LtsCarrier]:
+    """Dimension, closure and axioms of each (kind, dim, carrier) in turn; a
+    generator builds each carrier just before its checks."""
+    carriers = {}
+    for kind, dim, carrier in families:
+        require(carrier.dim == dim, f"{kind} dim {carrier.dim} != {dim}")
+        require(carrier.is_closed(), f"{kind} is not closed")
+        report = lts.check_axioms(carrier)
+        require(report.all_pass(), f"{kind}: {report.witness}")
+        carriers[kind] = carrier
+    return carriers
+
+
+def _require_maximal(families, ambient, trials, rng):
+    """Adjoin-and-close probes of each (kind, carrier) in turn inside ambient."""
+    for kind, carrier in families:
+        report = catalog.maximality_probe(carrier, ambient, trials, rng)
+        require(report.all_passed(),
+                f"{kind}: {len(report.failures)} trial(s) closed to a proper "
+                f"subspace (dims {[d for _, d in report.failures]})")
 
 
 def _rand_scalar(rng: random.Random) -> Scalar:
@@ -675,13 +694,8 @@ def _catalog_adapted(ws, rng, trials):
 @check("catalog.t_dims", "the four intersection families have dims 2/5/4/4, "
                          "close under the triple product, and satisfy the axioms")
 def _catalog_t_dims(ws, rng, trials):
-    expected = {"T1": 2, "T2": 5, "T3": 4, "T4": 4}
-    for kind, dim in expected.items():
-        carrier = ws.t_carrier(kind)
-        require(carrier.dim == dim, f"{kind} dim {carrier.dim} != {dim}")
-        require(carrier.is_closed(), f"{kind} is not closed")
-        report = lts.check_axioms(carrier)
-        require(report.all_pass(), f"{kind}: {report.witness}")
+    _require_families((kind, dim, ws.t_carrier(kind))
+                      for kind, (dim, _, _) in catalog.FAMILIES.items())
 
 
 @check("catalog.t_envelopes",
@@ -690,10 +704,10 @@ def _catalog_t_dims(ws, rng, trials):
        "even(W) cap even(V); T2 and T4 explicit spans")
 def _catalog_t_env(ws, rng, trials):
     g2 = ws.g2
-    dims = {kind: lts.envelope_dim(ws.t_carrier(kind))
-            for kind in ("T1", "T2", "T3", "T4")}
-    require(dims == {"T1": 3, "T2": 8, "T3": 8, "T4": 6},
-            f"envelope dims {dims} != T1:3, T2:8, T3:8, T4:6")
+    dims = {kind: lts.envelope_dim(ws.t_carrier(kind)) for kind in catalog.FAMILIES}
+    expected = {kind: env for kind, (_, env, _) in catalog.FAMILIES.items()}
+    require(dims == expected, f"envelope dims {dims} != "
+            + ", ".join(f"{kind}:{env}" for kind, env in expected.items()))
     fr = ws.frame
     # T2 = span of the symmetrised D(v, v x l) family, dimension 5
     fam = [g2alg.d_operator(a, cross7.cross(b, fr.l))
@@ -709,9 +723,8 @@ def _catalog_t_env(ws, rng, trials):
     require(g2.subspace_from_matrices(fam4) == ws.t_carrier("T4").space,
             "T4 is not the D(V cap W-perp, V-perp cap W-perp) span")
     # [T4, T4] equals even(W) cap even(V)
-    t4 = ws.t_carrier("T4")
-    lhs = Subspace.span([g2.lts.bracket(a, b)
-                         for a, b in combinations(t4.space.rows, 2)], 14)
+    t4 = ws.t_carrier("T4").space.rows
+    lhs = Subspace.span([g2.lts.bracket(a, b) for a, b in combinations(t4, 2)], 14)
     rhs = catalog.grading(w, g2).even.intersect(ws.grading_std.even)
     require(lhs == rhs, "[T4, T4] != even(W) cap even(V)")
     require(rhs.dim == 2, "even(W) cap even(V) does not have dimension 2")
@@ -766,13 +779,8 @@ def _catalog_pasapa(ws, rng, trials):
 @check("catalog.maximality", "seeded adjoin-and-close trials: every extension "
                              "of each family generates the full odd part")
 def _catalog_maximality(ws, rng, trials):
-    ambient = ws.m4v
-    for kind in ("T1", "T2", "T3", "T4"):
-        report = catalog.maximality_probe(ws.t_carrier(kind), ambient,
-                                          trials, rng)
-        require(report.all_passed(),
-                f"{kind}: {len(report.failures)} trial(s) closed to a proper "
-                f"subspace (dims {[d for _, d in report.failures]})")
+    _require_maximal(((kind, ws.t_carrier(kind)) for kind in catalog.FAMILIES),
+                     ws.m4v, trials, rng)
 
 
 @check("catalog.non_maximal_witness",
@@ -968,43 +976,28 @@ def _mm_metric(ws, rng, trials):
                                "refl4 orthogonal to gotro; gotro closed; "
                                "symmetric family reduces to the plain product")
 def _mm_sl3_catalog(ws, rng, trials):
-    dims = {"sphere": 2, "sym5": 5, "col4": 4, "refl4": 4}
-    carriers = {}
-    for kind, dim in dims.items():
-        c = matmodel.sl3_catalog(kind)
-        carriers[kind] = c
-        require(c.dim == dim, f"{kind} dim {c.dim} != {dim}")
-        require(c.is_closed(), f"{kind} is not closed")
-        report = lts.check_axioms(c)
-        require(report.all_pass(), f"{kind}: {report.witness}")
+    carriers = _require_families((kind, dim, matmodel.sl3_catalog(kind))
+                                 for dim, _, kind in catalog.FAMILIES.values())
     gotro = matmodel.sl3_catalog("gotro")
     require(gotro.is_closed(), "gotro is not closed")
-    refl = carriers["refl4"]
-    for a in refl.space.rows:
+    for a in carriers["refl4"].space.rows:
         for b in gotro.space.rows:
             require(matmodel.metric(Matrix.from_flat(a, 3, 3),
                                     Matrix.from_flat(b, 3, 3)) == ZERO,
                     "refl4 is not metric-orthogonal to gotro")
     sym = [Matrix.from_flat(r, 3, 3) for r in carriers["sym5"].space.rows]
-    for x in sym[:3]:
-        for y in sym[:3]:
-            for z in sym[:3]:
-                require(matmodel.sl3_triple(x, y, z)
-                        == matmodel.skew_triple(x, y, z),
-                        "twist term does not vanish on symmetric matrices")
+    for x, y, z in product(sym[:3], repeat=3):
+        require(matmodel.sl3_triple(x, y, z) == matmodel.skew_triple(x, y, z),
+                "twist term does not vanish on symmetric matrices")
 
 
 @check("matmodel.sl3_maximality", "seeded adjoin-and-close trials: every "
                                   "extension of each 3x3 family generates the "
                                   "full traceless space")
 def _mm_sl3_max(ws, rng, trials):
-    ambient = matmodel.sl3_full_carrier()
-    for kind in ("sphere", "sym5", "col4", "refl4"):
-        report = catalog.maximality_probe(matmodel.sl3_catalog(kind), ambient,
-                                          trials, rng)
-        require(report.all_passed(),
-                f"{kind}: {len(report.failures)} trial(s) closed to a proper "
-                f"subspace")
+    _require_maximal(((kind, matmodel.sl3_catalog(kind))
+                      for _, _, kind in catalog.FAMILIES.values()),
+                     matmodel.sl3_full_carrier(), trials, rng)
 
 
 # ----------------------------------------------------------------- runner

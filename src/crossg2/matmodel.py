@@ -415,28 +415,24 @@ def sl3_full_carrier() -> LtsCarrier:
 
 
 def sl3_catalog(kind: str) -> LtsCarrier:
-    """The four families: sphere (dim 2), sym5, col4, refl4; plus refl4's
+    """The 3x3 partners of the families in `catalog.FAMILIES`, plus refl4's
     metric orthocomplement gotro, itself closed."""
     e = _e33
-    if kind == "sphere":
-        mats = [d_st(1, 0), d_st(0, 1)]
-    elif kind == "sym5":
-        mats = [e(0, 0) - e(1, 1), e(1, 1) - e(2, 2),
-                e(0, 1) + e(1, 0), e(0, 2) + e(2, 0),
-                e(1, 2) + e(2, 1)]
-    elif kind == "col4":
+    # spans are formed on request and call d_st through the module, so a
+    # wrapper bound to matmodel.d_st sees every call
+    spans = {
+        "sphere": lambda: [d_st(1, 0), d_st(0, 1)],
+        "sym5": lambda: [e(0, 0) - e(1, 1), e(1, 1) - e(2, 2), e(0, 1) + e(1, 0),
+                         e(0, 2) + e(2, 0), e(1, 2) + e(2, 1)],
         # first row zero: rows (0,0,0), (b1,b2,b3), (b0,b3,-b2)
-        mats = [e(2, 0), e(1, 0), e(1, 1) - e(2, 2),
-                e(1, 2) + e(2, 1)]
-    elif kind == "refl4":
+        "col4": lambda: [e(2, 0), e(1, 0), e(1, 1) - e(2, 2), e(1, 2) + e(2, 1)],
         # diag-plus-lower-block family (s1, 0, 0; 0, s2, s3; 0, s4, -s1-s2)
-        mats = [e(0, 0) - e(2, 2), e(1, 1) - e(2, 2),
-                e(1, 2), e(2, 1)]
-    elif kind == "gotro":
-        mats = [e(0, 1), e(0, 2), e(1, 0), e(2, 0)]
-    else:
+        "refl4": lambda: [e(0, 0) - e(2, 2), e(1, 1) - e(2, 2), e(1, 2), e(2, 1)],
+        "gotro": lambda: [e(0, 1), e(0, 2), e(1, 0), e(2, 0)],
+    }
+    if kind not in spans:
         raise ValueError(f"unknown catalogue kind {kind!r}")
-    return _span_carrier(mats, kind)
+    return _span_carrier(spans[kind](), kind)
 
 
 def curvature_check(grid_range: int = 2) -> dict:

@@ -280,11 +280,6 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self.show()})"
 
-    def __float__(self):
-        # debug aid only; all library decisions are exact
-        return (self.na + self.nb * 6 ** 0.5 + self.nc * 10 ** 0.5
-                + self.nd * 15 ** 0.5) / self.q
-
 
 ZERO = Scalar(0, 0, 0, 0)
 ONE = Scalar(1, 0, 0, 0)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from crossg2 import catalog, cross7, lts
-from crossg2.checks import run_checks, select_checks
+from crossg2.checks import SkipCheck, Workspace, run_checks, select_checks
 from crossg2.cross7 import basis_vector
 from crossg2.g2alg import lambda_operator, rho_operator
 from crossg2.linalg import (Matrix, Subspace, char_poly, cleared, commutator,
@@ -186,6 +186,12 @@ def test_is_adapted_rejects_non_principal(v_std, g2, frame):
         catalog.is_adapted(lam_span, v_std, g2)
 
 
+def test_family_table_states_the_papers_values():
+    # kind -> (dim, envelope dim, 3x3 partner)
+    assert catalog.FAMILIES == {"T1": (2, 3, "sphere"), "T2": (5, 8, "sym5"),
+                                "T3": (4, 8, "col4"), "T4": (4, 6, "refl4")}
+
+
 def test_maximal_lts_dims(ws):
     for kind, dim in (("T1", 2), ("T2", 5), ("T3", 4), ("T4", 4)):
         carrier = ws.t_carrier(kind)
@@ -200,19 +206,44 @@ def test_maximal_lts_t1_is_span_of_h2_h3(ws, tds, g2):
     assert t1.space == expected
 
 
-def test_maximal_lts_preconditions(v_std, g2, frame):
-    with pytest.raises(ValueError):
-        catalog.maximal_lts(v_std, "T2", l=frame.i, g2=g2)   # i not in V-perp
-    with pytest.raises(ValueError):
-        catalog.maximal_lts(v_std, "T3", i=frame.l, g2=g2)   # l not in V
+def test_maximal_lts_preconditions(v_std, g2, frame, tds):
+    zero = [ZERO] * 7
+    with pytest.raises(ValueError, match="nonzero vector"):
+        catalog.maximal_lts(v_std, "T2", zero, g2)
+    with pytest.raises(ValueError, match="orthogonal to V"):
+        catalog.maximal_lts(v_std, "T2", frame.i, g2)   # i not in V-perp
+    with pytest.raises(ValueError, match="nonzero vector"):
+        catalog.maximal_lts(v_std, "T3", zero, g2)
+    with pytest.raises(ValueError, match="inside V"):
+        catalog.maximal_lts(v_std, "T3", frame.l, g2)   # l not in V
     w_disjoint = catalog.AssocSubalg.from_pair(
         [x + y for x, y in zip(E[2], E[0])], E[4])
-    prof = catalog.intersection_profile(v_std, w_disjoint)
-    if prof[0] == 0:
-        with pytest.raises(ValueError):
-            catalog.maximal_lts(v_std, "T4", w=w_disjoint, g2=g2)
-    with pytest.raises(ValueError):
-        catalog.maximal_lts(v_std, "bogus")
+    assert catalog.intersection_profile(v_std, w_disjoint) == (0, 1, 1, 1)
+    with pytest.raises(ValueError, match="meeting V$"):
+        catalog.maximal_lts(v_std, "T4", w_disjoint, g2)
+    with pytest.raises(ValueError, match="meeting the complement of V"):
+        catalog.maximal_lts(v_std, "T4", v_std, g2)     # W = V
+    # <e3, e4, e6>: the standard principal subalgebra is not adapted to it
+    v_off = catalog.AssocSubalg.from_pair(E[2], E[3])
+    assert not catalog.is_adapted(tds.space, v_off, g2)
+    with pytest.raises(ValueError, match="not adapted to V"):
+        catalog.maximal_lts(v_off, "T1", tds, g2)
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        catalog.maximal_lts(v_std, "bogus", None)
+
+
+def test_t_carrier_builds_only_its_own_witness(monkeypatch):
+    # T2 and T3 need neither h nor W, T4 needs W, and only T1 needs h
+    def broken(frame, g2=None):
+        raise AssertionError("no principal subalgebra")
+
+    monkeypatch.setattr(catalog, "principal_tds", broken)
+    ws = Workspace()
+    ws.t_carrier("T2"), ws.t_carrier("T3")
+    assert "w_std" not in ws._cache
+    ws.t_carrier("T4")
+    with pytest.raises(SkipCheck, match="prerequisite tds failed: no principal"):
+        ws.t_carrier("T1")
 
 
 def test_envelopes(ws):
@@ -284,6 +315,18 @@ def test_probe_finds_non_maximal_witness(ws, tds, g2):
                                       extra_candidates=[g2.coords(tds.h3)])
     assert not report.all_passed()
     assert report.failures[0][1] == 2
+
+
+@pytest.mark.parametrize("check_id, kind", [("catalog.maximality", "T1"),
+                                            ("matmodel.sl3_maximality", "sphere")])
+def test_maximality_failure_names_the_family_and_the_closure_dims(
+        monkeypatch, check_id, kind):
+    # a closure that returns its seed stops at dim T + 1 = 3
+    monkeypatch.setattr(catalog, "generated_subtriple", lambda seed, ambient: seed)
+    [result] = run_checks(select_checks([check_id]), 0, 2)
+    assert result.status == "fail"
+    assert result.witness == (f"{kind}: 2 trial(s) closed to a proper subspace "
+                              "(dims [3, 3])")
 
 
 def test_probe_rejects_full_carrier(ws):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossg2 import lts, matmodel
-from crossg2.catalog import GL7
+from crossg2.catalog import FAMILIES, GL7
 from crossg2.checks import (CHECKS, CheckFailure, Workspace, run_checks,
                             select_checks)
 from crossg2.cross7 import basis_vector
@@ -385,16 +385,16 @@ def test_refl4_orthogonal_to_gotro():
 
 
 def test_sphere_matches_adapted_intersection(ws, frame, g2):
-    t1 = ws.t_carrier("T1")
-    images = []
-    for row in t1.space.rows:
-        d = g2.mat(row)
-        m = matmodel.to_sl3(matmodel.row_matrix(d, frame))
-        s = m.rows[0][0] / Scalar.of(-2)
-        t = m.rows[1][2]
-        assert m == matmodel.d_st(s, t)
-        images.append(m.flatten())
-    assert Subspace.span(images, 9) == matmodel.sl3_catalog("sphere").space
+    # each family's image under to_sl3 . row_matrix spans its 3x3 partner;
+    # T1's image elements are of the d_{s,t} form
+    for kind, (_, _, partner) in FAMILIES.items():
+        images = []
+        for row in ws.t_carrier(kind).space.rows:
+            m = matmodel.to_sl3(matmodel.row_matrix(g2.mat(row), frame))
+            if kind == "T1":
+                assert m == matmodel.d_st(m.rows[0][0] / Scalar.of(-2), m.rows[1][2])
+            images.append(m.flatten())
+        assert Subspace.span(images, 9) == matmodel.sl3_catalog(partner).space, kind
 
 
 def test_grid_failure_names_the_metric_identity(monkeypatch):
