@@ -19,7 +19,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .cross7 import basis_vector, cross
-from .g2alg import G2, Frame, d_operator, derivation_algebra
+from .g2alg import G2, Frame, d_operator
 from .linalg import (Matrix, Subspace, Vec, _reduce, char_poly, cleared,
                      combine, commutator, dot, insert_row, is_zero_vec, kernel,
                      poly_from_roots_squared, projection_matrix)
@@ -145,11 +145,10 @@ class Grading:
     odd: Subspace   # basis coordinates; dimension 8
 
 
-def grading(v: AssocSubalg, g2: G2 | None = None) -> Grading:
+def grading(v: AssocSubalg, g2: G2) -> Grading:
     """Even part {d : d(V-perp) <= V-perp} and odd part {d : d(V) <= V-perp
     and d(V-perp) <= V}: the +1 and -1 eigenspaces of conjugation by
     theta_V, one kernel each."""
-    g2 = g2 or derivation_algebra()
     space, comp = v.space, v.complement()
     # d(S) <= T-perp iff <d s, t> = 0 for s in S and t in T
     even = mapping_space([(comp, space)], g2)
@@ -159,9 +158,9 @@ def grading(v: AssocSubalg, g2: G2 | None = None) -> Grading:
     return Grading(even, odd)
 
 
-def verify_grading(g: Grading, g2: G2 | None = None) -> bool:
+def verify_grading(g: Grading, g2: G2) -> bool:
     """[even,even] <= even, [even,odd] <= odd, [odd,odd] <= even on bases."""
-    bracket = (g2 or derivation_algebra()).lts.bracket
+    bracket = g2.lts.bracket
     return all(part.contains(bracket(a, b))
                for part, xs, ys in ((g.even, g.even, g.even),
                                     (g.odd, g.even, g.odd),
@@ -169,15 +168,13 @@ def verify_grading(g: Grading, g2: G2 | None = None) -> bool:
                for a in xs.rows for b in ys.rows)
 
 
-def mapping_space(systems: Sequence[tuple[Subspace, Subspace]],
-                  g2: G2 | None = None,
+def mapping_space(systems: Sequence[tuple[Subspace, Subspace]], g2: G2,
                   within: Subspace | None = None) -> Subspace:
     """{d : <d s, t> = 0 for s in source, t in orthogonal} = {d : d(source) <=
     orthogonal-perp} for every pair of systems, in basis coordinates.  With
     `within`, only the d in that subspace: each row is restricted to within's
     basis and reduced in turn, and once every coordinate of within has a
     pivot the answer is 0 and the remaining rows are not formed."""
-    g2 = g2 or derivation_algebra()
     rows = (g2.pairing_row(s, t) for source, orth in systems
             for s in source.rows for t in orth.rows)
     if within is None:
@@ -193,7 +190,7 @@ def mapping_space(systems: Sequence[tuple[Subspace, Subspace]],
                           for c in kernel(red, within.dim).rows], g2.dim)
 
 
-def annihilator_subalg(u: Sequence[Scalar], g2: G2 | None = None) -> Subspace:
+def annihilator_subalg(u: Sequence[Scalar], g2: G2) -> Subspace:
     """{d : d(u) = 0} in basis coordinates; a subalgebra of dimension 8."""
     u = [Scalar.of(x) for x in u]
     if not any(u):
@@ -226,13 +223,12 @@ def principal_eigenstructure(m: Matrix) -> Scalar | None:
     return s if cp == poly_from_roots_squared([s, 4 * s, 9 * s]) else None
 
 
-def principal_tds(frame: Frame, g2: G2 | None = None) -> PrincipalTds:
+def principal_tds(frame: Frame, g2: G2) -> PrincipalTds:
     """The explicit principal triple built from the two-argument derivations.
 
     Construction invariants are verified and violations abort loudly; this
     guards against transcription errors in the radical coefficients.
     """
-    g2 = g2 or derivation_algebra()
     i, j, k, l = frame.i, frame.j, frame.k, frame.l
     ixl = cross(i, l)
     h1 = (d_operator(l, ixl).scale(Scalar.rational(4, 6))
@@ -277,7 +273,7 @@ class AdaptednessError(AssertionError):
     """The homogeneity and intersection-dimension criteria disagreed."""
 
 
-def is_adapted(h: Subspace, v: AssocSubalg, g2: G2 | None = None) -> bool:
+def is_adapted(h: Subspace, v: AssocSubalg, g2: G2) -> bool:
     """Whether the 3-dimensional principal subalgebra h splits along V's grading.
 
     Both characterisations are computed: homogeneity (the odd projection
@@ -287,7 +283,6 @@ def is_adapted(h: Subspace, v: AssocSubalg, g2: G2 | None = None) -> bool:
     within=h), not from theta, so the two routes are independent.  They must
     agree; a disagreement is an internal consistency failure, not a result.
     """
-    g2 = g2 or derivation_algebra()
     mats = _principal_matrices(h, g2)
     th = v.theta()
     half = Scalar.rational(1, 2)
@@ -315,7 +310,7 @@ FAMILIES = {"T1": (2, 3, "sphere"), "T2": (5, 8, "sym5"),
 
 def maximal_lts(v: AssocSubalg, kind: str,
                 witness: PrincipalTds | Sequence[Scalar] | AssocSubalg,
-                g2: G2 | None = None) -> LtsCarrier:
+                g2: G2) -> LtsCarrier:
     """The four maximal families inside the odd part, as closed carriers in
     g2's basis coordinates.  The witness is h, l, i or W by kind:
 
@@ -327,7 +322,6 @@ def maximal_lts(v: AssocSubalg, kind: str,
     """
     if kind not in FAMILIES:
         raise ValueError(f"unknown kind {kind!r}")
-    g2 = g2 or derivation_algebra()
     odd = grading(v, g2).odd
     if kind == "T1":
         if not is_adapted(witness.space, v, g2):

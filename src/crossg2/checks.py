@@ -121,6 +121,9 @@ class Workspace:
         return self._get("lift", lambda: matmodel.LiftMap(
             self.v_std, self.frame, self.g2))
 
+    def sl3_carrier(self, name: str) -> lts.LtsCarrier:
+        return self._get(f"sl3_{name}", lambda: matmodel.sl3_catalog(name))
+
     @property
     def cross_table_under_test(self):
         def build():
@@ -889,12 +892,16 @@ def _mm_m34_match(ws, rng, trials):
                         "and intertwines triples with global sign -1")
 def _mm_lift(ws, rng, trials):
     lift = ws.lift
-    require(lift.sign == -1, f"recorded lift sign {lift.sign} != -1")
     for d, dtilde in zip(lift.basis, lift.lifted):
         for f in (ws.frame.i, ws.frame.j, ws.frame.k):
             require(dtilde.apply(f) == d.apply(f), "lift changes values on V0")
     require(Subspace.span([ws.g2.coords(m) for m in lift.lifted], 14)
             == ws.grading_std.odd, "lift image is not the odd part")
+    nonzero = False
+    for x, y, z, lhs, rhs in lift.triple_images(lift.lifted, catalog.GL7.operator):
+        require(lhs == [-t for t in rhs], f"sign -1 fails at ({x},{y},{z})")
+        nonzero = nonzero or any(rhs)
+    require(nonzero, "triple product vanished identically")
 
 
 @check("matmodel.to_sl3", "roundtrips both ways; intertwines all 512 basis "
@@ -925,7 +932,7 @@ def _mm_to_sl3(ws, rng, trials):
                           "intersection")
 def _mm_sphere(ws, rng, trials):
     fr = ws.frame
-    sphere = matmodel.sl3_catalog("sphere")
+    sphere = ws.sl3_carrier("sphere")
     t1 = ws.t_carrier("T1")
     images = []
     for row in t1.space.rows:
@@ -963,8 +970,7 @@ def _mm_curvature(ws, rng, trials):
 @check("matmodel.metric", "positive definite on the traceless basis; "
                           "metric(E12+E21, E12-E21) = 0")
 def _mm_metric(ws, rng, trials):
-    basis = [Matrix.from_flat(r, 3, 3) for r in
-             matmodel.sl3_full_carrier().space.rows]
+    basis = [Matrix.from_flat(r, 3, 3) for r in ws.sl3_carrier("full").space.rows]
     require(matmodel.metric_gram_is_positive_definite(basis),
             "metric Gram matrix is not positive definite")
     e12, e21 = Matrix.unit(3, 3, 0, 1), Matrix.unit(3, 3, 1, 0)
@@ -976,10 +982,9 @@ def _mm_metric(ws, rng, trials):
                                "refl4 orthogonal to gotro; gotro closed; "
                                "symmetric family reduces to the plain product")
 def _mm_sl3_catalog(ws, rng, trials):
-    carriers = _require_families((kind, dim, matmodel.sl3_catalog(kind))
+    carriers = _require_families((kind, dim, ws.sl3_carrier(kind))
                                  for dim, _, kind in catalog.FAMILIES.values())
-    gotro = matmodel.sl3_catalog("gotro")
-    require(gotro.is_closed(), "gotro is not closed")
+    gotro = ws.sl3_carrier("gotro")  # built only if it closes
     for a in carriers["refl4"].space.rows:
         for b in gotro.space.rows:
             require(matmodel.metric(Matrix.from_flat(a, 3, 3),
@@ -995,9 +1000,9 @@ def _mm_sl3_catalog(ws, rng, trials):
                                   "extension of each 3x3 family generates the "
                                   "full traceless space")
 def _mm_sl3_max(ws, rng, trials):
-    _require_maximal(((kind, matmodel.sl3_catalog(kind))
+    _require_maximal(((kind, ws.sl3_carrier(kind))
                       for _, _, kind in catalog.FAMILIES.values()),
-                     matmodel.sl3_full_carrier(), trials, rng)
+                     ws.sl3_carrier("full"), trials, rng)
 
 
 # ----------------------------------------------------------------- runner

@@ -4,7 +4,8 @@
                    [--format text|json] [--no-timing]
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
-2 usage error (including a filter that selects nothing).
+2 usage error (including a filter that selects nothing, and a malformed
+CROSSG2_SEED, CROSSG2_TRIALS or CROSSG2_FORMAT).
 
 Environment variables mirror the flags with the CROSSG2_ prefix
 (CROSSG2_SEED, CROSSG2_TRIALS, CROSSG2_FILTER as a comma-separated list,
@@ -23,11 +24,27 @@ from .checks import CheckResult, run_checks, select_checks
 __all__ = ["main", "emit", "build_parser"]
 
 
-def _env_int(name: str, default: int) -> int:
+FORMATS = ("text", "json")
+
+
+def _env(parser: argparse.ArgumentParser, flag, name: str, default,
+         choices: tuple[str, ...] | None = None):
+    """The flag's value if given, else the environment variable's (an
+    integer, or one of choices), else default; a malformed value is a usage
+    error that names the variable."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    if choices is not None:
+        if raw not in choices:
+            parser.error(f"{name} must be one of {', '.join(choices)}, not {raw!r}")
+        return raw
+    try:
+        return int(raw)
+    except ValueError:
+        parser.error(f"{name} must be an integer, not {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,16 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run the check suite")
     verify.add_argument("--seed", type=int,
-                        default=_env_int("CROSSG2_SEED", 0),
                         help="seed for randomized checks and probes")
     verify.add_argument("--trials", type=int,
-                        default=_env_int("CROSSG2_TRIALS", 25),
                         help="trial count for maximality probes (>= 1)")
     verify.add_argument("--filter", action="append", metavar="GLOB",
                         default=None,
                         help="check-id glob; may be repeated")
-    verify.add_argument("--format", choices=("text", "json"),
-                        default=os.environ.get("CROSSG2_FORMAT", "text"))
+    verify.add_argument("--format", choices=FORMATS)
     verify.add_argument("--no-timing", action="store_true",
                         default=bool(os.environ.get("CROSSG2_NO_TIMING")),
                         help="zero the duration fields (reproducible output)")
@@ -79,6 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command != "verify":  # pragma: no cover - argparse enforces this
         parser.error("unknown command")
+    args.seed = _env(parser, args.seed, "CROSSG2_SEED", 0)
+    args.trials = _env(parser, args.trials, "CROSSG2_TRIALS", 25)
+    args.format = _env(parser, args.format, "CROSSG2_FORMAT", "text", FORMATS)
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2

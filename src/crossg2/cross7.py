@@ -102,9 +102,6 @@ class Octonion:
                   cross(self.im, o.im))
         return Octonion(re, im)
 
-    def conj(self) -> "Octonion":
-        return Octonion(self.re, [-a for a in self.im])
-
     def norm(self) -> Scalar:
         return self.re * self.re + dot(self.im, self.im)
 

@@ -437,8 +437,6 @@ class Subspace:
         self._require_same_ambient(other)
         return Subspace.span(self.rows + other.rows, self.n)
 
-    __or__ = sum
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """U cap W via the kernel of the stacked coefficient system."""
         self._require_same_ambient(other)
@@ -451,8 +449,6 @@ class Subspace:
         return Subspace.span([combine(comb, self.rows) for comb in ker.rows],
                              self.n)
 
-    __and__ = intersect
-
     def complement(self) -> "Subspace":
         """Orthogonal complement under the standard dot product."""
         if not self.rows:
@@ -462,11 +458,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)
         return all(self.contains(r) for r in other.rows)
-
-    __ge__ = contains_subspace
-
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains_subspace(self)
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, Subspace):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .catalog import GL7, AssocSubalg, grading
 from .cross7 import basis_vector, cross
-from .g2alg import G2, Frame, derivation_algebra, leibniz_rows
+from .g2alg import G2, Frame, leibniz_rows
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
                      dot, flat_product, is_positive_definite, kernel,
                      projection_matrix, solve)
@@ -30,7 +30,7 @@ __all__ = [
     "ms_tangent", "row_matrix", "from_row_matrix", "matches_template",
     "skew_triple", "m34_triple", "m34_system", "m34_template_basis", "LiftMap",
     "alpha", "sl3_triple", "to_sl3", "from_sl3", "metric", "d_st",
-    "sl3_system", "sl3_full_carrier", "sl3_catalog", "curvature_check",
+    "sl3_system", "sl3_catalog", "curvature_check",
     "metric_gram_is_positive_definite",
 ]
 
@@ -250,9 +250,9 @@ class LiftMap:
     """The linear bijection from tangent elements to odd derivations.
 
     A tangent element d determines a unique odd derivation agreeing with it
-    on V0; the bijection intertwines the two triple products up to one
-    global sign, fixed empirically at construction from an exhaustive basis
-    sweep and recorded as `sign`.
+    on V0.  The bijection intertwines the two triple products up to the
+    global sign -1; the `matmodel.lift` check verifies that sign on every
+    basis triple of `lifted`.
 
     `triples[x][y][z]` holds the coordinates of [[d_x, d_y], d_z] on the
     tangent basis `basis`, computed once; building them certifies that the
@@ -260,8 +260,7 @@ class LiftMap:
     triple under any linear map is the same combination of the basis images.
     """
 
-    def __init__(self, v: AssocSubalg, frame: Frame, g2: G2 | None = None):
-        g2 = g2 or derivation_algebra()
+    def __init__(self, v: AssocSubalg, frame: Frame, g2: G2):
         self.g2 = g2
         self.frame = frame
         odd = grading(v, g2).odd
@@ -286,7 +285,6 @@ class LiftMap:
         lift_coords = [g2.coords(m) for m in self.lifted]
         if Subspace.span(lift_coords, g2.dim) != odd:
             raise AssertionError("lift image does not fill the odd part")
-        self.sign = self._fix_sign()
 
     def lift(self, d: Matrix) -> Matrix:
         rhs = []
@@ -311,25 +309,6 @@ class LiftMap:
             op = operator(flat[x], flat[y])
             for z in range(8):
                 yield x, y, z, combine(self.triples[x][y][z], flat), op(flat[z])
-
-    def _fix_sign(self) -> int:
-        sign = 0
-        for x, y, z, lhs, rhs in self.triple_images(self.lifted, GL7.operator):
-            if not any(lhs) and not any(rhs):
-                continue
-            if sign == 0:
-                if lhs == rhs:
-                    sign = 1
-                elif lhs == [-t for t in rhs]:
-                    sign = -1
-                else:
-                    raise AssertionError("lift is not a triple morphism "
-                                         "up to a global sign")
-            elif lhs != (rhs if sign == 1 else [-t for t in rhs]):
-                raise AssertionError("global sign is not constant")
-        if sign == 0:
-            raise AssertionError("triple product vanished identically")
-        return sign
 
 
 def alpha(m: Matrix) -> Vec:
@@ -400,27 +379,16 @@ def sl3_system() -> TripleSystem:
                         lambda x, y: _operator(x, y, 3, 3, twisted=True))
 
 
-def _span_carrier(mats: Sequence[Matrix], name: str) -> LtsCarrier:
-    carrier = LtsCarrier(sl3_system(),
-                         Subspace.span([m.flatten() for m in mats], 9), name)
-    carrier.struct()
-    return carrier
-
-
-def sl3_full_carrier() -> LtsCarrier:
-    """All traceless 3x3 matrices as a carrier of the twisted product."""
-    basis = [_e33(0, 0) - _e33(1, 1), _e33(1, 1) - _e33(2, 2)]
-    basis += [_e33(r, c) for r in range(3) for c in range(3) if r != c]
-    return _span_carrier(basis, "sl3")
-
-
 def sl3_catalog(kind: str) -> LtsCarrier:
-    """The 3x3 partners of the families in `catalog.FAMILIES`, plus refl4's
-    metric orthocomplement gotro, itself closed."""
+    """A carrier of the twisted product, closure certified: "full" is all
+    traceless 3x3 matrices; the others are the 3x3 partners of the families
+    in `catalog.FAMILIES`, plus refl4's metric orthocomplement gotro."""
     e = _e33
     # spans are formed on request and call d_st through the module, so a
     # wrapper bound to matmodel.d_st sees every call
     spans = {
+        "full": lambda: [e(0, 0) - e(1, 1), e(1, 1) - e(2, 2)]
+                        + [e(r, c) for r in range(3) for c in range(3) if r != c],
         "sphere": lambda: [d_st(1, 0), d_st(0, 1)],
         "sym5": lambda: [e(0, 0) - e(1, 1), e(1, 1) - e(2, 2), e(0, 1) + e(1, 0),
                          e(0, 2) + e(2, 0), e(1, 2) + e(2, 1)],
@@ -432,7 +400,10 @@ def sl3_catalog(kind: str) -> LtsCarrier:
     }
     if kind not in spans:
         raise ValueError(f"unknown catalogue kind {kind!r}")
-    return _span_carrier(spans[kind](), kind)
+    carrier = LtsCarrier(sl3_system(), Subspace.span(
+        [m.flatten() for m in spans[kind]()], 9), kind)
+    carrier.struct()  # closure certificate
+    return carrier
 
 
 def curvature_check(grid_range: int = 2) -> dict:

@@ -1,8 +1,9 @@
+import inspect
 import random
 
 import pytest
 
-from crossg2 import catalog, cross7, lts
+from crossg2 import catalog, cross7, lts, matmodel
 from crossg2.checks import SkipCheck, Workspace, run_checks, select_checks
 from crossg2.cross7 import basis_vector
 from crossg2.g2alg import lambda_operator, rho_operator
@@ -229,7 +230,17 @@ def test_maximal_lts_preconditions(v_std, g2, frame, tds):
     with pytest.raises(ValueError, match="not adapted to V"):
         catalog.maximal_lts(v_off, "T1", tds, g2)
     with pytest.raises(ValueError, match="unknown kind 'bogus'"):
-        catalog.maximal_lts(v_std, "bogus", None)
+        catalog.maximal_lts(v_std, "bogus", None, g2)
+
+
+@pytest.mark.parametrize("entry", [
+    catalog.grading, catalog.verify_grading, catalog.mapping_space,
+    catalog.annihilator_subalg, catalog.principal_tds, catalog.is_adapted,
+    catalog.maximal_lts, matmodel.LiftMap], ids=lambda f: f.__name__)
+def test_g2_is_passed_in(entry):
+    # no entry point falls back to a process-wide algebra
+    g2 = inspect.signature(entry).parameters["g2"]
+    assert g2.default is inspect.Parameter.empty
 
 
 def test_t_carrier_builds_only_its_own_witness(monkeypatch):

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from crossg2.checks import CHECKS, CheckResult, select_checks
 from crossg2.cli import emit, main
 
@@ -122,6 +124,21 @@ def test_env_overrides():
                     env_extra={"CROSSG2_FILTER": "scalar.arith"})
     payload2 = json.loads(proc2.stdout)
     assert [r["id"] for r in payload2] == ["linalg.kernel"]
+
+
+@pytest.mark.parametrize("name, value, flag", [
+    ("CROSSG2_TRIALS", "abc", ("--trials", "1")),
+    ("CROSSG2_SEED", "1.5", ("--seed", "1")),
+    ("CROSSG2_FORMAT", "xml", ("--format", "json"))])
+def test_malformed_env_value_is_a_usage_error(name, value, flag):
+    proc = run_cli("verify", "--filter", "scalar.arith", env_extra={name: value})
+    assert proc.returncode == 2
+    assert name.encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    # an explicit flag wins, so the variable is not read
+    proc = run_cli("verify", "--filter", "scalar.arith", *flag,
+                   env_extra={name: value})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_main_in_process(capsys):

@@ -47,7 +47,7 @@ def derivation_axiom_pure(struct, n: int) -> bool:
 
 
 N = 8
-SL3 = matmodel.sl3_full_carrier().struct()
+SL3 = matmodel.sl3_catalog("full").struct()
 SL3_MAX = int(np.abs(clear_tensor(SL3)).max())
 # int64 is chosen while 60 * max^2 * n < 2^62 (see contraction_dtype)
 K_MAX = math.isqrt((_INT64_LIMIT - 1) // (60 * N)) // SL3_MAX

@@ -97,7 +97,7 @@ def test_probes_form_no_gl7_commutator(ws, monkeypatch):
 def test_families_share_their_ambient_product(ws):
     for kind in KINDS:
         assert ws.t_carrier(kind).system is ws.m4v.system is ws.g2.lts
-    sl3 = matmodel.sl3_full_carrier().system
+    sl3 = matmodel.sl3_catalog("full").system
     for kind in ("sphere", "sym5", "col4", "refl4", "gotro"):
         assert matmodel.sl3_catalog(kind).system is sl3
     assert matmodel.sl3_system() is sl3
@@ -106,14 +106,14 @@ def test_families_share_their_ambient_product(ws):
 
 def test_probe_rejects_a_mismatched_product():
     sym5 = matmodel.sl3_catalog("sym5")
-    for space in (Subspace.full(9), matmodel.sl3_full_carrier().space):
+    for space in (Subspace.full(9), matmodel.sl3_catalog("full").space):
         ambient = LtsCarrier(matrix_lts(3), space)
         with pytest.raises(ValueError, match="one product"):
             catalog.maximality_probe(sym5, ambient, 1, random.Random(0))
 
 
 def test_element_checks_the_number_of_coordinates():
-    full = matmodel.sl3_full_carrier()
+    full = matmodel.sl3_catalog("full")
     assert full.element([ONE] + [ZERO] * 7) == full.space.rows[0]
     for n in (3, 7, 9, 10):
         with pytest.raises(ValueError):

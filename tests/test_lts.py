@@ -124,7 +124,7 @@ def test_counterexample_fails_derivation_axiom():
 def test_pure_and_fast_derivation_checks_agree():
     # an 8-dim passing carrier and the 2-dim failing one: the pure oracle,
     # the integer kernel and check_axioms (which always runs the kernel)
-    full = matmodel.sl3_full_carrier()
+    full = matmodel.sl3_catalog("full")
     assert derivation_axiom_pure(full.struct(), 8)
     assert derivation_axiom_holds(full.struct())
     assert check_axioms(full).all_pass()
@@ -141,7 +141,7 @@ def test_fast_path_detects_failure_at_dim_8():
     # corrupt one structure constant of a valid 8-dim system (keeping the
     # antisymmetry in the first two slots) and require both the integer
     # kernel and the pure path to reject the derivation axiom
-    good = matmodel.sl3_full_carrier().struct()
+    good = matmodel.sl3_catalog("full").struct()
     struct = [[[list(vec) for vec in line] for line in plane] for plane in good]
     struct[0][1][2][3] = struct[0][1][2][3] + ONE
     struct[1][0][2][3] = struct[1][0][2][3] - ONE
@@ -215,7 +215,7 @@ def c_major_closure(seed, ambient):
 @pytest.mark.parametrize("ambient_name", ["sl3", "m4v"])
 def test_generated_subtriple_equals_the_c_major_closure(ws, ambient_name):
     if ambient_name == "sl3":
-        ambient = matmodel.sl3_full_carrier()
+        ambient = matmodel.sl3_catalog("full")
         parts = [matmodel.sl3_catalog(k) for k in ("sphere", "sym5", "col4")]
     else:
         ambient = ws.m4v
@@ -264,7 +264,7 @@ def test_envelope_dims(ws):
     zero = LtsCarrier(ws.g2.lts, Subspace.zero(14))
     assert envelope_dim(zero) == 0
     with pytest.raises(ValueError):
-        envelope_dim(matmodel.sl3_full_carrier())  # no ambient bracket
+        envelope_dim(matmodel.sl3_catalog("full"))  # no ambient bracket
 
 
 def test_is_ideal(ws):

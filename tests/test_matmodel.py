@@ -189,7 +189,8 @@ def test_row_matrix_intertwines_m34(tangent, frame):
 
 def test_lift(ws):
     lift = ws.lift
-    assert lift.sign == -1
+    assert all(lhs == [-t for t in rhs] for *_, lhs, rhs
+               in lift.triple_images(lift.lifted, GL7.operator))
     d = lift.basis[0]
     lifted = lift.lift(d)
     for f in (lift.frame.i, lift.frame.j, lift.frame.k):
@@ -209,7 +210,8 @@ def test_triple_images_match_direct_products(ws):
             assert image == product == expected
 
 
-@pytest.mark.parametrize("check_id", ["matmodel.m34_match", "matmodel.to_sl3"])
+@pytest.mark.parametrize("check_id", ["matmodel.m34_match", "matmodel.to_sl3",
+                                      "matmodel.lift"])
 def test_corrupted_triple_constants_fail_with_a_witness(ws, check_id):
     # negate one nonzero structure constant of a copy of the shared lift
     lift = copy.copy(ws.lift)
@@ -286,7 +288,7 @@ def test_metric_examples():
     m = matmodel.d_st(1, 1)
     assert matmodel.metric(m, m).sign() > 0
     basis = [Matrix.from_flat(r, 3, 3)
-             for r in matmodel.sl3_full_carrier().space.rows]
+             for r in matmodel.sl3_catalog("full").space.rows]
     assert matmodel.metric_gram_is_positive_definite(basis)
 
 
@@ -366,13 +368,40 @@ def test_grid_rejects_a_non_integral_family(monkeypatch, name, broken):
 
 
 def test_sl3_catalog_dims_and_closure():
-    for kind, dim in (("sphere", 2), ("sym5", 5), ("col4", 4), ("refl4", 4),
-                      ("gotro", 4)):
+    for kind, dim in (("full", 8), ("sphere", 2), ("sym5", 5), ("col4", 4),
+                      ("refl4", 4), ("gotro", 4)):
         c = matmodel.sl3_catalog(kind)
         assert c.dim == dim
         assert c.is_closed()
     with pytest.raises(ValueError):
         matmodel.sl3_catalog("nope")
+
+
+def test_each_sl3_carrier_is_built_once_per_run(monkeypatch):
+    built = []
+    sl3_catalog = matmodel.sl3_catalog
+
+    def counting(kind):
+        built.append(kind)
+        return sl3_catalog(kind)
+
+    monkeypatch.setattr(matmodel, "sl3_catalog", counting)
+    results = run_checks(select_checks(["matmodel.*"]), 0, 2, timing=False)
+    assert all(r.status == "pass" for r in results), results
+    assert sorted(built) == ["col4", "full", "gotro", "refl4", "sphere", "sym5"]
+
+
+def test_an_sl3_span_that_does_not_close_skips_its_checks(monkeypatch):
+    # shifted by E12, the sphere span no longer closes
+    d_st = matmodel.d_st
+    monkeypatch.setattr(matmodel, "d_st",
+                        lambda s, t: d_st(s, t) + Matrix.unit(3, 3, 0, 1))
+    ids = ["matmodel.sphere", "matmodel.metric", "matmodel.sl3_catalog",
+           "matmodel.sl3_maximality"]
+    results = run_checks(select_checks(ids), 0, 2, timing=False)
+    assert [r.status for r in results] == ["skipped", "pass", "skipped", "skipped"]
+    assert {r.witness for r in results if r.status == "skipped"} == {
+        "prerequisite sl3_sphere failed: basis triple (0, 1, 0) leaves the carrier"}
 
 
 def test_refl4_orthogonal_to_gotro():
