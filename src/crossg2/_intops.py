@@ -27,7 +27,7 @@ from math import lcm
 
 import numpy as np
 
-from .linalg import Subspace, insert_row
+from .linalg import Subspace
 from .scalar import Scalar
 
 # (u, v) -> (w, coeff): component products on {1, r6, r10, r15}
@@ -121,15 +121,11 @@ def cyclic_sum_witness(c: np.ndarray) -> tuple[int, int, int] | None:
 
 def inner_derivation_basis(struct) -> list[tuple[int, int]]:
     """Pairs x < y whose operators struct[x][y] form a basis of the span of
-    all of them: each flattened operator is kept when it leaves a residual
-    against the RREF of those kept before it."""
-    span, pairs = Subspace.zero(len(struct) ** 2), []
-    for x, y in combinations(range(len(struct)), 2):
-        residual = span.reduce([s for vec in struct[x][y] for s in vec])
-        if any(residual):
-            insert_row(span.rows, span.pivots, residual)
-            pairs.append((x, y))
-    return pairs
+    all of them: each flattened operator is kept when it is not in the span
+    of those kept before it."""
+    span = Subspace.zero(len(struct) ** 2)
+    return [(x, y) for x, y in combinations(range(len(struct)), 2)
+            if span.add([s for vec in struct[x][y] for s in vec])]
 
 
 def derivation_axiom_holds(struct: list[list[list[list[Scalar]]]],

@@ -20,9 +20,9 @@ from typing import Sequence
 
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, d_operator
-from .linalg import (Matrix, Subspace, Vec, _reduce, char_poly, cleared,
-                     combine, commutator, dot, insert_row, is_zero_vec, kernel,
-                     poly_from_roots_squared, projection_matrix)
+from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, combine,
+                     commutator, dot, kernel, poly_from_roots_squared,
+                     projection_matrix)
 from .lts import LtsCarrier, generated_subtriple, matrix_lts
 from .scalar import ONE, ZERO, Scalar
 
@@ -141,6 +141,7 @@ def random_assoc(rng: random.Random) -> AssocSubalg:
 class Grading:
     """Commutant/anticommutant split of the derivation algebra under theta."""
 
+    v: AssocSubalg  # the subalgebra split along
     even: Subspace  # basis coordinates; dimension 6
     odd: Subspace   # basis coordinates; dimension 8
 
@@ -155,7 +156,7 @@ def grading(v: AssocSubalg, g2: G2) -> Grading:
     odd = mapping_space([(space, space), (comp, comp)], g2)
     if even.dim + odd.dim != g2.dim:
         raise AssertionError("even and odd parts do not span the algebra")
-    return Grading(even, odd)
+    return Grading(v, even, odd)
 
 
 def verify_grading(g: Grading, g2: G2) -> bool:
@@ -173,21 +174,18 @@ def mapping_space(systems: Sequence[tuple[Subspace, Subspace]], g2: G2,
     """{d : <d s, t> = 0 for s in source, t in orthogonal} = {d : d(source) <=
     orthogonal-perp} for every pair of systems, in basis coordinates.  With
     `within`, only the d in that subspace: each row is restricted to within's
-    basis and reduced in turn, and once every coordinate of within has a
+    basis and added in turn, and once every coordinate of within has a
     pivot the answer is 0 and the remaining rows are not formed."""
     rows = (g2.pairing_row(s, t) for source, orth in systems
             for s in source.rows for t in orth.rows)
     if within is None:
         return kernel(list(rows), g2.dim)
-    red, pivots = [], []
+    red = Subspace.zero(within.dim)
     for row in rows:
-        residual = _reduce(red, pivots, [dot(row, w) for w in within.rows])
-        if any(residual):
-            insert_row(red, pivots, residual)
-            if len(pivots) == within.dim:
-                return Subspace.zero(g2.dim)
+        if red.add([dot(row, w) for w in within.rows]) and red.dim == within.dim:
+            return Subspace.zero(g2.dim)
     return Subspace.span([combine(c, within.rows)
-                          for c in kernel(red, within.dim).rows], g2.dim)
+                          for c in kernel(red.rows, within.dim).rows], g2.dim)
 
 
 def annihilator_subalg(u: Sequence[Scalar], g2: G2) -> Subspace:
@@ -308,11 +306,11 @@ FAMILIES = {"T1": (2, 3, "sphere"), "T2": (5, 8, "sym5"),
             "T3": (4, 8, "col4"), "T4": (4, 6, "refl4")}
 
 
-def maximal_lts(v: AssocSubalg, kind: str,
-                witness: PrincipalTds | Sequence[Scalar] | AssocSubalg,
+def maximal_lts(split: Grading, kind: str,
+                witness: PrincipalTds | Sequence[Scalar] | Grading,
                 g2: G2) -> LtsCarrier:
-    """The four maximal families inside the odd part, as closed carriers in
-    g2's basis coordinates.  The witness is h, l, i or W by kind:
+    """The four maximal families inside odd(V), as closed carriers in g2's
+    basis coordinates.  The witness is h, l, i or W's split by kind:
 
     T1: h cap odd for a principal subalgebra h (a PrincipalTds) adapted to V.
     T2: {d in odd : d(l) = 0} for 0 != l in the orthogonal complement of V.
@@ -322,17 +320,17 @@ def maximal_lts(v: AssocSubalg, kind: str,
     """
     if kind not in FAMILIES:
         raise ValueError(f"unknown kind {kind!r}")
-    odd = grading(v, g2).odd
+    v, odd = split.v, split.odd
     if kind == "T1":
         if not is_adapted(witness.space, v, g2):
             raise ValueError("principal subalgebra is not adapted to V")
         space = witness.space.intersect(odd)
     elif kind == "T4":
-        if witness.space.intersect(v.space).dim == 0:
+        if witness.v.space.intersect(v.space).dim == 0:
             raise ValueError("kind T4 needs W meeting V")
-        if witness.space.intersect(v.complement()).dim == 0:
+        if witness.v.space.intersect(v.complement()).dim == 0:
             raise ValueError("kind T4 needs W meeting the complement of V")
-        space = grading(witness, g2).even.intersect(odd)
+        space = witness.even.intersect(odd)
     else:  # T2 and T3: ann(u) cap odd, u in V-perp or in V
         u = list(witness)
         if not any(u):
@@ -396,13 +394,10 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
         else:
             coords = [Scalar.of(rng.randint(-3, 3)) for _ in range(ambient.dim)]
             x = ambient.element(coords)
-        residual = t.space.reduce(x)
-        if is_zero_vec(residual):
+        seed = t.space.copy()  # grows to the RREF of T + x
+        if not seed.add(x):
             continue  # x is in T
         produced += 1
-        # T's canonical rows with x's residual inserted: the RREF of T + x
-        seed = Subspace(t.space.n, list(t.space.rows), list(t.space.pivots))
-        insert_row(seed.rows, seed.pivots, residual)
         closed = generated_subtriple(seed, ambient)
         if closed == ambient.space:
             passes += 1

@@ -99,6 +99,10 @@ class Workspace:
         return self._get("grading_std", lambda: catalog.grading(self.v_std, self.g2))
 
     @property
+    def grading_w(self) -> catalog.Grading:
+        return self._get("grading_w", lambda: catalog.grading(self.w_std, self.g2))
+
+    @property
     def tds(self) -> catalog.PrincipalTds:
         return self._get("tds", lambda: catalog.principal_tds(self.frame, self.g2))
 
@@ -110,16 +114,16 @@ class Workspace:
     def t_carrier(self, kind: str) -> lts.LtsCarrier:
         def build():
             fr = self.frame
-            # only the kind's own witness is built: tds for T1, w_std for T4
+            # only the kind's own witness is built: tds for T1, W's split for T4
             witness = {"T1": lambda: self.tds, "T2": lambda: fr.l,
-                       "T3": lambda: fr.i, "T4": lambda: self.w_std}[kind]
-            return catalog.maximal_lts(self.v_std, kind, witness(), self.g2)
+                       "T3": lambda: fr.i, "T4": lambda: self.grading_w}[kind]
+            return catalog.maximal_lts(self.grading_std, kind, witness(), self.g2)
         return self._get(f"carrier_{kind}", build)
 
     @property
     def lift(self) -> matmodel.LiftMap:
         return self._get("lift", lambda: matmodel.LiftMap(
-            self.v_std, self.frame, self.g2))
+            self.grading_std, self.frame, self.g2))
 
     def sl3_carrier(self, name: str) -> lts.LtsCarrier:
         return self._get(f"sl3_{name}", lambda: matmodel.sl3_catalog(name))
@@ -728,7 +732,7 @@ def _catalog_t_env(ws, rng, trials):
     # [T4, T4] equals even(W) cap even(V)
     t4 = ws.t_carrier("T4").space.rows
     lhs = Subspace.span([g2.lts.bracket(a, b) for a, b in combinations(t4, 2)], 14)
-    rhs = catalog.grading(w, g2).even.intersect(ws.grading_std.even)
+    rhs = ws.grading_w.even.intersect(ws.grading_std.even)
     require(lhs == rhs, "[T4, T4] != even(W) cap even(V)")
     require(rhs.dim == 2, "even(W) cap even(V) does not have dimension 2")
     # the annihilator of a vector inside V splits 4/4 along the grading

@@ -4,12 +4,13 @@
                    [--format text|json] [--no-timing]
 
 Exit codes: 0 all selected checks pass, 1 at least one check failed,
-2 usage error (including a filter that selects nothing, and a malformed
-CROSSG2_SEED, CROSSG2_TRIALS or CROSSG2_FORMAT).
+2 usage error (a filter that selects nothing, an unknown --corrupt tag, or
+a malformed CROSSG2_SEED, CROSSG2_TRIALS, CROSSG2_FORMAT or CROSSG2_NO_TIMING).
 
 Environment variables mirror the flags with the CROSSG2_ prefix
 (CROSSG2_SEED, CROSSG2_TRIALS, CROSSG2_FILTER as a comma-separated list,
-CROSSG2_FORMAT, CROSSG2_NO_TIMING); explicit flags win.
+CROSSG2_FORMAT, CROSSG2_NO_TIMING: a nonzero integer turns timing off);
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -62,12 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="check-id glob; may be repeated")
     verify.add_argument("--format", choices=FORMATS)
-    verify.add_argument("--no-timing", action="store_true",
-                        default=bool(os.environ.get("CROSSG2_NO_TIMING")),
+    verify.add_argument("--no-timing", action="store_true", default=None,
                         help="zero the duration fields (reproducible output)")
-    verify.add_argument("--corrupt", metavar="TAG", default=None,
-                        help="testing aid: corrupt a fixture (e.g. cross-table) "
-                             "to exercise the failure path")
+    verify.add_argument("--corrupt", choices=("cross-table",), default=None,
+                        help="testing aid: corrupt a fixture to exercise the "
+                             "failure path")
     return parser
 
 
@@ -96,6 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     args.seed = _env(parser, args.seed, "CROSSG2_SEED", 0)
     args.trials = _env(parser, args.trials, "CROSSG2_TRIALS", 25)
     args.format = _env(parser, args.format, "CROSSG2_FORMAT", "text", FORMATS)
+    args.no_timing = _env(parser, args.no_timing, "CROSSG2_NO_TIMING", 0)
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
     "Matrix", "Subspace", "dot", "vadd", "vsub", "vscale", "combine",
-    "is_zero_vec", "rref", "insert_row", "kernel", "rank", "char_poly",
+    "is_zero_vec", "rref", "kernel", "rank", "char_poly",
     "solve", "inverse", "projection_matrix",
     "is_positive_definite", "flat_commutator", "cleared",
 ]
@@ -248,34 +248,6 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
                                  n, n)
 
 
-def _reduce(rows: list[Vec], pivots: list[int], v: Sequence[Scalar]) -> Vec:
-    """Residual of v after clearing each pivot column of the RREF rows."""
-    out = list(v)
-    for r, pc in zip(rows, pivots):
-        f = out[pc]
-        if f:
-            out = [x - f * y if y else x for x, y in zip(out, r)]
-    return out
-
-
-def insert_row(rows: list[Vec], pivots: list[int], residual: Vec):
-    """Add a nonzero residual of `_reduce` to RREF rows in place.
-
-    The residual is normalised at its first nonzero entry, that column is
-    cleared from the other rows, and it goes in at its pivot's position.
-    """
-    pc = next(i for i, x in enumerate(residual) if x)
-    inv = residual[pc].inverse()
-    new = [inv * x for x in residual]
-    for idx, r in enumerate(rows):
-        f = r[pc]
-        if f:
-            rows[idx] = [x - f * y if y else x for x, y in zip(r, new)]
-    pos = bisect_left(pivots, pc)
-    rows.insert(pos, new)
-    pivots.insert(pos, pc)
-
-
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
@@ -315,14 +287,11 @@ def _eliminate(r: list[int], top: list[int], c: int) -> list[int]:
 
 
 def _insertion_rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """RREF over the field, inserting the residual of each row in turn."""
-    out: list[Vec] = []
-    pivots: list[int] = []
+    """RREF over the field, adding each row in turn."""
+    out = Subspace.zero(len(rows[0]) if rows else 0)
     for r in rows:
-        residual = _reduce(out, pivots, r)
-        if any(residual):
-            insert_row(out, pivots, residual)
-    return out, pivots
+        out.add(r)
+    return out.rows, out.pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -379,7 +348,7 @@ class Subspace:
 
     Canonicalisation makes equality of subspaces equality of
     representations.  The constructor stores rows that are already in
-    canonical form; `span` is what reduces.
+    canonical form; `span` and `add` are what reduce.
     """
 
     __slots__ = ("n", "rows", "pivots")
@@ -410,11 +379,41 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    def copy(self) -> "Subspace":
+        """The same space on its own row and pivot lists, for `add`."""
+        return Subspace(self.n, list(self.rows), list(self.pivots))
+
     def reduce(self, v: Sequence[Scalar]) -> Vec:
-        """Residual of v after elimination against the basis."""
+        """Residual of v after clearing each pivot column of the basis."""
         if len(v) != self.n:
             raise ValueError("ambient dimension mismatch")
-        return _reduce(self.rows, self.pivots, v)
+        out = list(v)
+        for r, pc in zip(self.rows, self.pivots):
+            f = out[pc]
+            if f:
+                out = [x - f * y if y else x for x, y in zip(out, r)]
+        return out
+
+    def add(self, v: Sequence[Scalar]) -> bool:
+        """Grow the space by v in place; whether it grew.  The residual of v
+        is normalised at its first nonzero entry, that column is cleared from
+        the other rows, and it goes in at its pivot's position.  Only for a
+        space the caller built or copied: a grown space hashes differently,
+        and `catalog._principal_matrices` caches on spaces."""
+        residual = self.reduce(v)
+        pc = next((i for i, x in enumerate(residual) if x), None)
+        if pc is None:
+            return False
+        inv = residual[pc].inverse()
+        new = [inv * x for x in residual]
+        for idx, r in enumerate(self.rows):
+            f = r[pc]
+            if f:
+                self.rows[idx] = [x - f * y if y else x for x, y in zip(r, new)]
+        pos = bisect_left(self.pivots, pc)
+        self.rows.insert(pos, new)
+        self.pivots.insert(pos, pc)
+        return True
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         return is_zero_vec(self.reduce(v))
@@ -505,13 +504,12 @@ def is_positive_definite(m: Matrix) -> bool:
     k-th minor is the product of the first k pivots of elimination without
     row exchanges, so every pivot must be > 0 (zero means a zero minor).
     Row k reduced against the rows before it has its pivot at column k."""
-    rows: list[Vec] = []
-    pivots: list[int] = []
+    done = Subspace.zero(m.shape[1])
     for k, row in enumerate(m.rows):
-        residual = _reduce(rows, pivots, row)
+        residual = done.reduce(row)
         if residual[k].sign() <= 0:
             return False
-        insert_row(rows, pivots, residual)
+        done.add(residual)  # already reduced: touches no pivot column
     return True
 
 

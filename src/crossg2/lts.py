@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
-                     commutator, flat_commutator, insert_row, is_zero_vec, rref)
+                     commutator, flat_commutator, rref)
 from .scalar import ZERO, Scalar
 
 __all__ = [
@@ -227,9 +227,8 @@ def check_axioms(carrier: LtsCarrier) -> AxiomReport:
 def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
     """Least triple-closed subspace of the ambient carrier containing seed.
 
-    Iterates S <- S + span [S, S, S] to a fixpoint, inserting rows as
-    `rref` does: each product is reduced against S and a nonzero residual
-    joins S as a canonical row.  A pass runs over the pairs a before b of
+    Iterates S <- S + span [S, S, S] to a fixpoint, adding each product to
+    a copy of S (`Subspace.add`).  A pass runs over the pairs a before b of
     the basis it starts from, forms the operator [a, b, .] once per pair
     and applies it to every basis row c.  Once S fills the ambient carrier
     the fixpoint is the carrier itself (closed by certification).  Only
@@ -242,8 +241,7 @@ def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
     if witness is not None:
         raise ValueError(f"closure needs an antisymmetric product: {witness}")
     operator = ambient.system.operator
-    # a private copy of the canonical seed basis, grown in place
-    closed = Subspace(seed.n, list(seed.rows), list(seed.pivots))
+    closed = seed.copy()
     while True:
         if closed.dim == ambient.dim:
             return ambient.space
@@ -252,9 +250,7 @@ def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
         for a, b in itertools.combinations(basis_now, 2):
             op = operator(a, b)
             for c in basis_now:
-                residual = closed.reduce(op(c))
-                if not is_zero_vec(residual):
-                    insert_row(closed.rows, closed.pivots, residual)
+                if closed.add(op(c)):
                     grown = True
                     if closed.dim == ambient.dim:
                         return ambient.space

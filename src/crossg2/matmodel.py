@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Sequence
 
-from .catalog import GL7, AssocSubalg, grading
+from .catalog import GL7, Grading
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, leibniz_rows
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
@@ -260,10 +260,10 @@ class LiftMap:
     triple under any linear map is the same combination of the basis images.
     """
 
-    def __init__(self, v: AssocSubalg, frame: Frame, g2: G2):
+    def __init__(self, split: Grading, frame: Frame, g2: G2):
         self.g2 = g2
         self.frame = frame
-        odd = grading(v, g2).odd
+        v, odd = split.v, split.odd
         self.m4v_mats = [g2.mat(r) for r in odd.rows]
         self.m4v_space = odd
         p = projection_onto(v.space)

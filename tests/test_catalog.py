@@ -132,7 +132,8 @@ def test_grading_check_rejects_a_corrupted_odd_part(monkeypatch):
         g = clean(v, g2)
         # still 8-dimensional, but one basis element gains an even part
         rows = [[x + y for x, y in zip(g.odd.rows[0], g.even.rows[0])]]
-        return catalog.Grading(g.even, Subspace.span(rows + g.odd.rows[1:], 14))
+        return catalog.Grading(g.v, g.even,
+                               Subspace.span(rows + g.odd.rows[1:], 14))
 
     monkeypatch.setattr(catalog, "grading", corrupted)
     [result] = run_checks(select_checks(["catalog.grading"]), 0, 1)
@@ -207,30 +208,30 @@ def test_maximal_lts_t1_is_span_of_h2_h3(ws, tds, g2):
     assert t1.space == expected
 
 
-def test_maximal_lts_preconditions(v_std, g2, frame, tds):
+def test_maximal_lts_preconditions(grading_std, g2, frame, tds):
     zero = [ZERO] * 7
     with pytest.raises(ValueError, match="nonzero vector"):
-        catalog.maximal_lts(v_std, "T2", zero, g2)
+        catalog.maximal_lts(grading_std, "T2", zero, g2)
     with pytest.raises(ValueError, match="orthogonal to V"):
-        catalog.maximal_lts(v_std, "T2", frame.i, g2)   # i not in V-perp
+        catalog.maximal_lts(grading_std, "T2", frame.i, g2)   # i not in V-perp
     with pytest.raises(ValueError, match="nonzero vector"):
-        catalog.maximal_lts(v_std, "T3", zero, g2)
+        catalog.maximal_lts(grading_std, "T3", zero, g2)
     with pytest.raises(ValueError, match="inside V"):
-        catalog.maximal_lts(v_std, "T3", frame.l, g2)   # l not in V
+        catalog.maximal_lts(grading_std, "T3", frame.l, g2)   # l not in V
     w_disjoint = catalog.AssocSubalg.from_pair(
         [x + y for x, y in zip(E[2], E[0])], E[4])
-    assert catalog.intersection_profile(v_std, w_disjoint) == (0, 1, 1, 1)
+    assert catalog.intersection_profile(grading_std.v, w_disjoint) == (0, 1, 1, 1)
     with pytest.raises(ValueError, match="meeting V$"):
-        catalog.maximal_lts(v_std, "T4", w_disjoint, g2)
+        catalog.maximal_lts(grading_std, "T4", catalog.grading(w_disjoint, g2), g2)
     with pytest.raises(ValueError, match="meeting the complement of V"):
-        catalog.maximal_lts(v_std, "T4", v_std, g2)     # W = V
+        catalog.maximal_lts(grading_std, "T4", grading_std, g2)     # W = V
     # <e3, e4, e6>: the standard principal subalgebra is not adapted to it
     v_off = catalog.AssocSubalg.from_pair(E[2], E[3])
     assert not catalog.is_adapted(tds.space, v_off, g2)
     with pytest.raises(ValueError, match="not adapted to V"):
-        catalog.maximal_lts(v_off, "T1", tds, g2)
+        catalog.maximal_lts(catalog.grading(v_off, g2), "T1", tds, g2)
     with pytest.raises(ValueError, match="unknown kind 'bogus'"):
-        catalog.maximal_lts(v_std, "bogus", None, g2)
+        catalog.maximal_lts(grading_std, "bogus", None, g2)
 
 
 @pytest.mark.parametrize("entry", [

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from crossg2 import cli
 from crossg2.checks import CHECKS, CheckResult, select_checks
 from crossg2.cli import emit, main
 
@@ -84,6 +85,28 @@ def test_cli_corrupted_fixture_fails_with_witness():
     assert "e1 x e2" in payload[0]["witness"]
 
 
+def test_cli_unknown_corrupt_tag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--filter", "cross.table", "--corrupt", "bogus"])
+    assert exc.value.code == 2
+    assert "cross-table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, flag, timing", [
+    (None, (), True), ("0", (), True), ("1", (), False), ("2", (), False),
+    ("0", ("--no-timing",), False)])
+def test_no_timing_variable_is_an_integer(monkeypatch, value, flag, timing):
+    seen = []
+    monkeypatch.setattr(cli, "run_checks",
+                        lambda *args, **kw: seen.append(kw["timing"]) or [])
+    if value is None:
+        monkeypatch.delenv("CROSSG2_NO_TIMING", raising=False)
+    else:
+        monkeypatch.setenv("CROSSG2_NO_TIMING", value)
+    assert main(["verify", "--filter", "scalar.arith", *flag]) == 0
+    assert seen == [timing]
+
+
 def test_cli_default_run_passes():
     # the headline contract: a default run executes every check and exits 0
     proc = run_cli("verify", "--format", "json", "--no-timing")
@@ -129,7 +152,8 @@ def test_env_overrides():
 @pytest.mark.parametrize("name, value, flag", [
     ("CROSSG2_TRIALS", "abc", ("--trials", "1")),
     ("CROSSG2_SEED", "1.5", ("--seed", "1")),
-    ("CROSSG2_FORMAT", "xml", ("--format", "json"))])
+    ("CROSSG2_FORMAT", "xml", ("--format", "json")),
+    ("CROSSG2_NO_TIMING", "yes", ("--no-timing",))])
 def test_malformed_env_value_is_a_usage_error(name, value, flag):
     proc = run_cli("verify", "--filter", "scalar.arith", env_extra={name: value})
     assert proc.returncode == 2

@@ -18,6 +18,14 @@ MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__main__")
 ALLOWED_LOCAL = {("lts.py", "check_axioms", "_intops"),
                  ("matmodel.py", "curvature_check", "_intops")}
 
+# (importing module, sibling, name): the only private names shared across
+# modules; row insertion, for one, is `Subspace.add`, not a private helper
+ALLOWED_PRIVATE = {
+    ("lts", "linalg", "_accumulate"), ("lts", "linalg", "_nonzeros"),
+    ("g2alg", "linalg", "_accumulate"), ("g2alg", "linalg", "_nonzeros"),
+    ("matmodel", "linalg", "_accumulate"), ("matmodel", "linalg", "_nonzeros"),
+    ("matmodel", "_intops", "_INT64_LIMIT")}
+
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_alone(module):
@@ -60,3 +68,12 @@ def test_no_function_level_imports():
              for path in sorted(PKG.glob("*.py"))
              for fn, mod in _local_imports(path)}
     assert found == ALLOWED_LOCAL
+
+
+def test_private_names_cross_modules_only_where_allowed():
+    found = {(path.stem, node.module, alias.name)
+             for path in sorted(PKG.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names if alias.name.startswith("_")}
+    assert found == ALLOWED_PRIVATE

@@ -267,6 +267,26 @@ def test_rref_invariants(system):
     assert_rref_of(ncols, rows, *rref(rows))
 
 
+@settings(max_examples=150, deadline=None)
+@given(row_systems())
+def test_add_grows_a_copy_to_the_span(system):
+    ncols, rows = system
+    space = Subspace.zero(ncols)
+    for r in rows:
+        kept = ([list(x) for x in space.rows], list(space.pivots), hash(space))
+        grown = space.copy()
+        assert grown.add(r) == (grown.dim == space.dim + 1)
+        assert grown.dim in (space.dim, space.dim + 1)
+        # the original keeps its rows, pivots and hash
+        assert (space.rows, space.pivots, hash(space)) == kept
+        space = grown
+    assert space == Subspace.span(rows, ncols)
+    assert_rref_of(ncols, rows, space.rows, space.pivots)
+    with pytest.raises(ValueError):
+        space.add([ONE] * (ncols + 1))
+    assert space == Subspace.span(rows, ncols)
+
+
 # mostly zeros and small values, with numerators and denominators up to 2^70
 BIG = 2 ** 70
 rational_entries = st.one_of(

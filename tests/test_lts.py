@@ -5,8 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from crossg2 import catalog, matmodel
 from crossg2._intops import derivation_axiom_holds
-from crossg2.linalg import (Matrix, Subspace, cleared, combine, flat_commutator,
-                            insert_row)
+from crossg2.linalg import Matrix, Subspace, cleared, combine, flat_commutator
 from crossg2.lts import (LtsCarrier, NotClosedError, abstract_lts,
                          check_axioms, envelope_dim, generated_subtriple,
                          is_ideal, matrix_lts, triple_in_lie)
@@ -195,7 +194,7 @@ def c_major_closure(seed, ambient):
     """Reference closure: c outermost, one triple(a, b, c) per product, no
     early return once the ambient carrier is filled."""
     triple = ambient.system.triple
-    closed = Subspace(seed.n, list(seed.rows), list(seed.pivots))
+    closed = seed.copy()
     grown = True
     while grown:
         grown = False
@@ -204,10 +203,8 @@ def c_major_closure(seed, ambient):
         for c in range(k):
             for a in range(k):
                 for b in range(a + 1, k):
-                    residual = closed.reduce(
-                        triple(basis_now[a], basis_now[b], basis_now[c]))
-                    if any(residual):
-                        insert_row(closed.rows, closed.pivots, residual)
+                    if closed.add(triple(basis_now[a], basis_now[b],
+                                         basis_now[c])):
                         grown = True
     return closed
 
