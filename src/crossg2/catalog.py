@@ -384,6 +384,8 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
         raise ValueError("probe needs T inside the ambient carrier")
     if t.space.dim >= ambient.space.dim:
         raise ValueError("probe needs a proper subsystem")
+    if trials < 1:
+        raise ValueError("probe needs at least one trial")
     passes = 0
     failures: list[tuple[Vec, int]] = []
     candidates: list[Vec] = [list(c) for c in extra_candidates]

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
+from . import scalar
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
                      commutator, flat_commutator, rref)
 from .scalar import ZERO, Scalar
@@ -183,6 +184,22 @@ class LtsCarrier:
             return False
 
     @cached_property
+    def struct_mod_p(self) -> list[tuple[int, int, list[int]]] | None:
+        """The nonzero tables [b_i, b_j, b_k] mod scalar.PRIME for i < j, as
+        (i, j, entries with [b_i, b_j, b_k]'s coordinate m at k * dim + m),
+        or None when the prime divides a denominator.  The pairs i > j
+        follow only for an antisymmetric product (`antisymmetry_witness`)."""
+        struct, n = self.struct(), self.dim
+        out = []
+        for i, j in itertools.combinations(range(n), 2):
+            table = [x.mod_p() for image in struct[i][j] for x in image]
+            if None in table:
+                return None
+            if any(table):
+                out.append((i, j, table))
+        return out
+
+    @cached_property
     def antisymmetry_witness(self) -> str | None:
         """The first basis triple with [x, y, z] != -[y, x, z], or None;
         read off the certified structure constants, diagonal included."""
@@ -227,24 +244,47 @@ def check_axioms(carrier: LtsCarrier) -> AxiomReport:
 def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
     """Least triple-closed subspace of the ambient carrier containing seed.
 
-    Iterates S <- S + span [S, S, S] to a fixpoint, adding each product to
-    a copy of S (`Subspace.add`).  A pass runs over the pairs a before b of
-    the basis it starts from, forms the operator [a, b, .] once per pair
-    and applies it to every basis row c.  Once S fills the ambient carrier
-    the fixpoint is the carrier itself (closed by certification).  Only
-    pairs with a before b are formed, so the product must be antisymmetric
-    in its first two slots; the ambient carrier is checked.
+    Iterates S <- S + span [S, S, S] to a fixpoint (`_close`): a pass runs
+    over the pairs a before b of the basis it starts from, forms the
+    operator [a, b, .] once per pair and applies it to every basis row c.
+    Once S fills the ambient carrier the fixpoint is the carrier itself
+    (closed by certification).  Only pairs with a before b are formed, so
+    the product must be antisymmetric in its first two slots; the ambient
+    carrier is checked.
+
+    The loop first runs over F_p, p = scalar.PRIME, on the seed's
+    coordinates in the ambient basis and the structure constants reduced
+    mod p (`LtsCarrier.struct_mod_p`).  If it fills F_p^n, n = dim of the
+    ambient, the closure over K = Q(r6, r10) is the ambient carrier:
+
+    - Let V be the span, over the ring R of the values whose denominator
+      p does not divide (`Scalar.mod_p` is a ring map R -> F_p), of every
+      iterated product of the seed vectors.  Its image mod p contains the
+      reduced seed and is closed under the reduced product, so the F_p
+      closure lies inside it.
+    - If the F_p closure has dimension n, some n of those products have a
+      nonzero n x n minor mod p.  That minor is then nonzero in K, so the
+      n products are independent and the K-closure is the ambient.
+
+    When p divides a denominator or the F_p closure stops short, the same
+    loop runs over K on Subspace rows; only it reports a proper closure.
     """
-    if not ambient.space.contains_subspace(seed):
+    coords = [ambient.space.coords(r) for r in seed.rows]
+    if None in coords:
         raise ValueError("seed is not contained in the ambient carrier")
     witness = ambient.antisymmetry_witness  # also certifies ambient closure
     if witness is not None:
         raise ValueError(f"closure needs an antisymmetric product: {witness}")
-    operator = ambient.system.operator
-    closed = seed.copy()
-    while True:
-        if closed.dim == ambient.dim:
-            return ambient.space
+    if _full_mod_p(coords, ambient):
+        return ambient.space
+    closed = _close(seed.copy(), ambient.system.operator, ambient.dim)
+    return ambient.space if closed.dim == ambient.dim else closed
+
+
+def _close(closed, operator, dim: int):
+    """Grow closed (a Subspace or an `_EchelonModP`) in place to its
+    closure under operator, stopping once it has dimension dim."""
+    while closed.dim < dim:
         grown = False
         basis_now = list(closed.rows)
         for a, b in itertools.combinations(basis_now, 2):
@@ -252,10 +292,72 @@ def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
             for c in basis_now:
                 if closed.add(op(c)):
                     grown = True
-                    if closed.dim == ambient.dim:
-                        return ambient.space
+                    if closed.dim == dim:
+                        return closed
         if not grown:
-            return closed
+            break
+    return closed
+
+
+def _full_mod_p(coords: list[Vec], ambient: LtsCarrier) -> bool:
+    """Whether the closure of the seed with these ambient coordinates fills
+    F_p^n; False also when p divides a denominator."""
+    tables = ambient.struct_mod_p
+    rows = [[x.mod_p() for x in r] for r in coords]
+    if tables is None or any(None in r for r in rows):
+        return False
+    p, n = scalar.PRIME, ambient.dim
+
+    def operator(a: list[int], b: list[int]) -> Callable[[list[int]], list[int]]:
+        # [a, b, b_k] at k * n, from the pairs i < j by antisymmetry
+        acc = [0] * (n * n)
+        for i, j, table in tables:
+            w = a[i] * b[j] - a[j] * b[i]
+            if w:
+                acc = [x + w * y for x, y in zip(acc, table)]
+        images = [[x % p for x in acc[k * n:(k + 1) * n]] for k in range(n)]
+
+        def apply(c: list[int]) -> list[int]:
+            out = [0] * n
+            for x, image in zip(c, images):
+                if x:
+                    out = [y + x * z for y, z in zip(out, image)]
+            return [y % p for y in out]
+        return apply
+
+    closed = _EchelonModP(p)
+    for r in rows:
+        closed.add(r)
+    return _close(closed, operator, n).dim == n
+
+
+class _EchelonModP:
+    """A subspace of F_p^n on echelon rows: each row's first nonzero entry
+    is 1, at its pivot, and every later row is zero at that pivot."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: list[int]) -> bool:
+        """Append the residual of v if it is nonzero; whether it was."""
+        p = self.p
+        for r, pc in zip(self.rows, self.pivots):
+            f = v[pc]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, r)]
+        pc = next((i for i, x in enumerate(v) if x), None)
+        if pc is None:
+            return False
+        inv = pow(v[pc], -1, p)
+        self.rows.append([x * inv % p for x in v])
+        self.pivots.append(pc)
+        return True
 
 
 def envelope_dim(carrier: LtsCarrier) -> int:

@@ -10,6 +10,11 @@ Internally a value is stored as four integer numerators over one common
 positive denominator, reduced so that gcd(na, nb, nc, nd, q) = 1.  This
 keeps bulk arithmetic (structure-constant tensors, closure loops) fast
 while staying exact.
+
+`Scalar.mod_p` reduces a value modulo the fixed prime PRIME, at which 6
+and 10 are squares: the ring map r6 -> PRIME_R6, r10 -> PRIME_R10,
+r15 -> PRIME_R15 on the values whose denominator PRIME does not divide.
+Closure certificates (`lts.generated_subtriple`) compute ranks there.
 """
 
 from __future__ import annotations
@@ -17,7 +22,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-__all__ = ["Scalar", "ZERO", "ONE", "SQRT6", "SQRT10", "SQRT15"]
+__all__ = ["Scalar", "ZERO", "ONE", "SQRT6", "SQRT10", "SQRT15",
+           "PRIME", "PRIME_R6", "PRIME_R10", "PRIME_R15"]
+
+# p = 2**31 - 61, p = 3 (mod 4); R6**2 = 6, R10**2 = 10 and
+# R15 = R6 * R10 / 2 (mod p), since r15 = r6 * r10 / 2
+PRIME = 2147483587
+PRIME_R6 = 1815018666
+PRIME_R10 = 608383731
+PRIME_R15 = 436197702
 
 
 class Scalar:
@@ -83,6 +96,15 @@ class Scalar:
     @property
     def d(self) -> Fraction:
         return Fraction(self.nd, self.q)
+
+    def mod_p(self) -> int | None:
+        """(na + nb*R6 + nc*R10 + nd*R15) / q modulo PRIME, or None when
+        PRIME divides q.  A ring homomorphism on the values it is defined on:
+        R6*R15 = 3*R10, R10*R15 = 5*R6 and R15**2 = 15 (mod PRIME)."""
+        if self.q % PRIME == 0:
+            return None
+        num = self.na + self.nb * PRIME_R6 + self.nc * PRIME_R10 + self.nd * PRIME_R15
+        return num * pow(self.q, -1, PRIME) % PRIME
 
     # -- ring operations ----------------------------------------------
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crossg2 import catalog, cross7, lts, matmodel
+from crossg2 import catalog, cross7, lts, matmodel, scalar
 from crossg2.checks import SkipCheck, Workspace, run_checks, select_checks
 from crossg2.cross7 import basis_vector
 from crossg2.g2alg import lambda_operator, rho_operator
@@ -344,6 +344,43 @@ def test_maximality_failure_names_the_family_and_the_closure_dims(
 def test_probe_rejects_full_carrier(ws):
     with pytest.raises(ValueError):
         catalog.maximality_probe(ws.m4v, ws.m4v, 1, random.Random(0))
+
+
+def test_probe_needs_a_trial(ws):
+    with pytest.raises(ValueError, match="at least one trial"):
+        catalog.maximality_probe(ws.t_carrier("T2"), ws.m4v, 0, random.Random(0))
+
+
+def probe_run(monkeypatch):
+    """Results and closures of a seeded run of both maximality checks, and
+    how many closures ran the exact loop.  The run builds its own carriers,
+    so their reduced structure constants use the prime set now."""
+    closures, exact = [], []
+    closure, close = catalog.generated_subtriple, lts._close
+    with monkeypatch.context() as m:
+        m.setattr(lts, "_close", lambda closed, op, dim: exact.append(
+            isinstance(closed, Subspace)) or close(closed, op, dim))
+        m.setattr(catalog, "generated_subtriple", lambda seed, amb: closures.append(
+            closure(seed, amb)) or closures[-1])
+        results = run_checks(select_checks(["catalog.maximality",
+                                            "matmodel.sl3_maximality"]),
+                             1, 25, timing=False)
+    return results, closures, sum(exact)
+
+
+@pytest.mark.parametrize("prime, roots", [(3, (0, 1, 0)), (5, (1, 0, 0))])
+def test_probes_agree_at_a_small_prime(monkeypatch, prime, roots):
+    """Mod 3 (r6 -> 0, r10 -> 1) or 5 (r6 -> 1, r10 -> 0) many certificates
+    fail or decline; the exact loop decides those, and every closure and
+    check result equals the one at the real prime, where none falls back."""
+    results, closures, fallbacks = probe_run(monkeypatch)
+    assert fallbacks == 0 and len(closures) == 200
+    for name, value in zip(("PRIME", "PRIME_R6", "PRIME_R10", "PRIME_R15"),
+                           (prime,) + roots):
+        monkeypatch.setattr(scalar, name, value)
+    small = probe_run(monkeypatch)
+    assert small[:2] == (results, closures)
+    assert 0 < small[2] < len(closures)
 
 
 def test_mapping_space_within_h_equals_the_intersection_with_odd(ws, tds, g2):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossg2 import catalog, matmodel
+from crossg2 import catalog, lts, matmodel, scalar
 from crossg2._intops import derivation_axiom_holds
 from crossg2.linalg import Matrix, Subspace, cleared, combine, flat_commutator
 from crossg2.lts import (LtsCarrier, NotClosedError, abstract_lts,
@@ -236,6 +236,99 @@ def test_generated_subtriple_equals_the_c_major_closure(ws, ambient_name):
         dims.add(closed.dim)
     assert kinds == {True, False}  # rational and irrational seeds
     assert max(dims) == ambient.dim and min(dims) < ambient.dim
+
+
+def ambient_coords(seed, ambient):
+    return [ambient.space.coords(r) for r in seed.rows]
+
+
+@pytest.mark.parametrize("ambient_name", ["m4v", "sl3"])
+def test_certified_closures_equal_the_reference_closure(ws, ambient_name):
+    """Seeds T + x (full closures) and pairs of elements of T (proper
+    closures that grow) for each family T, with small integer or irrational
+    coordinates: the certificate holds exactly for the seeds the reference
+    loop closes to the ambient, and every result equals the reference's."""
+    if ambient_name == "sl3":
+        ambient = matmodel.sl3_catalog("full")
+        parts = [matmodel.sl3_catalog(kind)
+                 for _, _, kind in catalog.FAMILIES.values()]
+    else:
+        ambient = ws.m4v
+        parts = [ws.t_carrier(kind) for kind in catalog.FAMILIES]
+    rng = random.Random(19)
+    irrational = [Scalar(0, 1, 0, 0), Scalar(0, 0, 1, 0, 3), Scalar(0, 0, 0, 2)]
+    kinds = set()
+    for trial in range(32):
+        t = parts[trial % 4]  # T1 and sphere have irrational bases
+        extend = trial % 8 < 4
+        source = ambient if extend else t
+        elements = []
+        for _ in range(1 if extend else 2):
+            coords = [Scalar.of(rng.randint(-3, 3)) for _ in range(source.dim)]
+            if trial % 3:
+                coords[rng.randrange(source.dim)] += irrational[trial % 3]
+            elements.append(source.element(coords))
+        seed = Subspace.span((t.space.rows if extend else []) + elements,
+                             ambient.system.dim)
+        reference = c_major_closure(seed, ambient)
+        full = reference == ambient.space
+        assert lts._full_mod_p(ambient_coords(seed, ambient), ambient) == full
+        assert generated_subtriple(seed, ambient) == reference
+        kinds.add((extend, full, reference.dim > seed.dim))
+    assert {(True, True, True), (False, False, True)} <= kinds
+
+
+def test_proper_closures_keep_their_exact_dimensions(ws, g2, tds):
+    """The certificate cannot call a proper closure full; the exact loop
+    then reports it and its dimension."""
+    m4v, sl3 = ws.m4v, matmodel.sl3_catalog("full")
+    h2, h3 = g2.coords(tds.h2), g2.coords(tds.h3)
+    cases = [(m4v, Subspace.span([h2], 14), 1), (m4v, Subspace.span([h2, h3], 14), 2),
+             (m4v, Subspace.zero(14), 0), (sl3, Subspace.zero(9), 0)]
+    cases += [(m4v, ws.t_carrier(kind).space, dim)
+              for kind, (dim, _, _) in catalog.FAMILIES.items()]
+    cases += [(sl3, matmodel.sl3_catalog(kind).space, dim)
+              for dim, _, kind in catalog.FAMILIES.values()]
+    for ambient, seed, dim in cases:
+        assert not lts._full_mod_p(ambient_coords(seed, ambient), ambient)
+        closed = generated_subtriple(seed, ambient)
+        assert closed.dim == dim and closed == c_major_closure(seed, ambient)
+
+
+def test_certificate_declines_when_the_prime_divides_a_denominator(monkeypatch):
+    """On the basis b_i / p of the traceless 3 x 3 matrices the structure
+    constants are those of b_i over p^2, and a seed may have p in a
+    coordinate's denominator: the exact loop decides, with the same result."""
+    p, sl3 = scalar.PRIME, matmodel.sl3_catalog("full")
+    over_p2 = Scalar(1, 0, 0, 0, p * p)
+    plain = LtsCarrier(abstract_lts(sl3.struct()), Subspace.full(8), "plain")
+    scaled = LtsCarrier(abstract_lts(
+        [[[[x * over_p2 for x in image] for image in plane] for plane in row]
+         for row in sl3.struct()]), Subspace.full(8), "scaled")
+    assert plain.struct_mod_p is not None and scaled.struct_mod_p is None
+    exact = []
+    close = lts._close
+    monkeypatch.setattr(lts, "_close", lambda closed, op, dim: exact.append(
+        isinstance(closed, Subspace)) or close(closed, op, dim))
+    rng = random.Random(4)
+    dims = set()
+    for kind in ("sphere", "sym5", "col4", "refl4"):
+        t = [sl3.space.coords(r) for r in matmodel.sl3_catalog(kind).space.rows]
+        x = [Scalar.of(rng.randint(-3, 3)) for _ in range(8)]
+        for rows in (t, t + [x]):
+            seed = Subspace.span(rows, 8)
+            del exact[:]
+            closed = generated_subtriple(seed, scaled)
+            assert exact == [True]  # no certificate was tried
+            assert closed == generated_subtriple(seed, plain)
+            dims.add(closed.dim)
+    assert dims == {2, 4, 5, 8}
+    # a seed coordinate over p: no certificate either
+    seed = Subspace.span([[ONE, Scalar(1, 0, 0, 0, p)] + [ZERO] * 6,
+                          [ZERO, ZERO, ONE] + [ZERO] * 5], 8)
+    del exact[:]
+    assert generated_subtriple(seed, plain) == c_major_closure(seed, plain)
+    assert exact == [True]
 
 
 def test_gl_products_reject_vectors_of_the_wrong_length():

@@ -1,10 +1,11 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossg2 import scalar
 from crossg2.scalar import ONE, SQRT6, SQRT10, SQRT15, ZERO, Scalar
 
 scalars = st.builds(Scalar,
@@ -252,3 +253,36 @@ def test_zero_operands_return_the_other_operand():
     assert x * ZERO is ZERO and ZERO * x is ZERO and x * 0 is ZERO
     assert Scalar.__radd__ is Scalar.__add__
     assert Scalar.__rmul__ is Scalar.__mul__
+
+
+def test_reduction_constants():
+    p = scalar.PRIME
+    assert p < 2 ** 31 and p % 4 == 3
+    assert all(p % d for d in range(2, isqrt(p) + 1))  # p is prime
+    s, t, u = scalar.PRIME_R6, scalar.PRIME_R10, scalar.PRIME_R15
+    assert (s * s % p, t * t % p, 2 * u % p) == (6, 10, s * t % p)
+    assert [r.mod_p() for r in (SQRT6, SQRT10, SQRT15)] == [s, t, u]
+    assert Scalar(2, 0, 0, 0, p).mod_p() is None
+    assert Scalar(1, 1, 0, 0, 3 * p).mod_p() is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_scalars(), wide_scalars())
+def test_reduction_is_a_ring_map(x, y):
+    """On values whose denominator p does not divide; the oracle is the
+    reduction of each numerator and the inverse of q mod p."""
+    p = scalar.PRIME
+    if x.q % p == 0 or y.q % p == 0:
+        return
+    fx, fy = x.mod_p(), y.mod_p()
+    assert 0 <= fx < p
+    assert fx == (x.na + x.nb * scalar.PRIME_R6 + x.nc * scalar.PRIME_R10
+                  + x.nd * scalar.PRIME_R15) * pow(x.q, p - 2, p) % p
+    assert (x + y).mod_p() == (fx + fy) % p
+    assert (x - y).mod_p() == (fx - fy) % p
+    assert (x * y).mod_p() == fx * fy % p
+    if x:
+        # a nonzero x may reduce to 0; its inverse then has p in its
+        # denominator, else it reduces to the inverse of fx
+        inv = x.inverse().mod_p()
+        assert inv is None or inv * fx % p == 1
