@@ -17,7 +17,7 @@ from .lts import (LtsCarrier, TripleSystem, check_axioms, envelope_dim,
 from .catalog import (AssocSubalg, Grading, PrincipalTds, annihilator_subalg,
                       grading, intersection_profile, is_adapted,
                       is_associative, maximal_lts, maximality_probe,
-                      principal_tds, theta_map)
+                      principal_tds)
 from .matmodel import (Projection, alpha, curvature_check, d_st, gr3_tangent,
                        in_ms_prime, m34_triple, metric, ms_tangent,
                        projection_onto, sl3_catalog, sl3_triple, to_sl3)

@@ -18,24 +18,21 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
-from .cross7 import basis_vector, cross
+from .cross7 import cross
 from .g2alg import G2, Frame, d_operator
 from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, combine,
                      commutator, dot, kernel, poly_from_roots_squared,
                      projection_matrix)
-from .lts import LtsCarrier, generated_subtriple, matrix_lts
+from .lts import LtsCarrier, generated_subtriple
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
     "AssocSubalg", "FAMILIES", "Grading", "PrincipalTds", "ProbeReport",
-    "is_associative", "theta_map", "grading", "verify_grading",
+    "is_associative", "grading", "verify_grading",
     "annihilator_subalg", "principal_tds", "is_adapted", "maximal_lts",
     "intersection_profile", "maximality_probe", "random_assoc",
     "mapping_space", "is_subalgebra",
 ]
-
-GL7 = matrix_lts(7)
-
 
 def is_associative(v: Subspace) -> bool:
     """dim 3 and the cross product of basis pairs stays inside."""
@@ -52,17 +49,12 @@ def is_associative(v: Subspace) -> bool:
 class AssocSubalg:
     """A 3-dimensional subspace closed under the cross product."""
 
-    __slots__ = ("space", "frame", "_complement")
+    __slots__ = ("space", "_complement")
 
-    def __init__(self, space: Subspace, frame: Frame | None = None):
+    def __init__(self, space: Subspace):
         if not is_associative(space):
             raise ValueError("subspace is not a 3-dimensional associative subalgebra")
-        if frame is not None:
-            fspan = Subspace.span([frame.i, frame.j, frame.k], 7)
-            if fspan != space:
-                raise ValueError("frame does not span the subalgebra")
         self.space = space
-        self.frame = frame
         comp = self._complement = space.complement()
         failure = _split_failure(space, comp)
         if failure:
@@ -70,12 +62,8 @@ class AssocSubalg:
 
     @classmethod
     def from_frame(cls, frame: Frame) -> "AssocSubalg":
-        return cls(Subspace.span([frame.i, frame.j, frame.k], 7), frame)
-
-    @classmethod
-    def standard(cls) -> "AssocSubalg":
-        """V = <e1, e2, e4> with the desk frame (l = e3)."""
-        return cls.from_frame(Frame.standard())
+        """V = <i, j, k> of the frame."""
+        return cls(Subspace.span([frame.i, frame.j, frame.k], 7))
 
     @classmethod
     def from_pair(cls, u: Sequence[Scalar], w: Sequence[Scalar]) -> "AssocSubalg":
@@ -109,21 +97,6 @@ def _split_failure(space: Subspace, comp: Subspace) -> str | None:
             if any(sum(x * y for x, y in zip(ab, t)) for t in orth):
                 return failure
     return None
-
-
-def theta_map(v: AssocSubalg) -> Matrix:
-    """theta_V, verified to be an order-two automorphism of the product."""
-    th = v.theta()
-    if th @ th != Matrix.identity(7):
-        raise AssertionError("theta is not an involution")
-    e = [basis_vector(i) for i in range(7)]
-    for i in range(7):
-        for j in range(i + 1, 7):
-            lhs = th.apply(cross(e[i], e[j]))
-            rhs = cross(th.apply(e[i]), th.apply(e[j]))
-            if lhs != rhs:
-                raise AssertionError("theta is not an algebra automorphism")
-    return th
 
 
 def random_assoc(rng: random.Random) -> AssocSubalg:
@@ -255,16 +228,18 @@ def is_subalgebra(space: Subspace, g2: G2) -> bool:
 
 
 @lru_cache(maxsize=4)
-def _principal_matrices(h: Subspace, g2: G2) -> list[Matrix]:
-    """The matrices of h's basis once h passes as a 3-dimensional principal
-    subalgebra; a failure raises, and raised errors are not cached."""
+def _principal_matrices(rows: tuple, g2: G2) -> tuple[Matrix, ...]:
+    """The matrices of the canonical basis rows of h once h passes as a
+    3-dimensional principal subalgebra; a failure raises, and raised errors
+    are not cached.  The key is the rows, not h: a Subspace can grow."""
+    h = Subspace.span(rows, g2.dim)
     if h.dim != 3 or not is_subalgebra(h, g2):
         raise ValueError("adaptedness is defined for 3-dimensional subalgebras")
     mats = [g2.mat(r) for r in h.rows]
     if not any(principal_eigenstructure(m) for m in mats):
         raise ValueError("subalgebra fails the principal eigenvalue-ladder check")
     # rational first: conjugation by a rational theta stays rational
-    return sorted(mats, key=lambda m: cleared(m.flatten()) is None)
+    return tuple(sorted(mats, key=lambda m: cleared(m.flatten()) is None))
 
 
 class AdaptednessError(AssertionError):
@@ -281,7 +256,7 @@ def is_adapted(h: Subspace, v: AssocSubalg, g2: G2) -> bool:
     within=h), not from theta, so the two routes are independent.  They must
     agree; a disagreement is an internal consistency failure, not a result.
     """
-    mats = _principal_matrices(h, g2)
+    mats = _principal_matrices(tuple(map(tuple, h.rows)), g2)
     th = v.theta()
     half = Scalar.rational(1, 2)
     homogeneous = True

@@ -19,7 +19,7 @@ from typing import Callable
 from . import catalog, cross7, g2alg, lts, matmodel
 from .linalg import (Matrix, Subspace, char_poly, commutator, dot,
                      is_positive_definite, is_zero_vec, kernel,
-                     poly_from_roots_squared, projection_matrix, rank)
+                     poly_from_roots_squared, rank)
 from .scalar import ONE, SQRT6, SQRT10, SQRT15, ZERO, Scalar
 
 __all__ = ["CheckResult", "CheckFailure", "SkipCheck", "Workspace",
@@ -86,7 +86,7 @@ class Workspace:
 
     @property
     def v_std(self) -> catalog.AssocSubalg:
-        return self._get("v_std", catalog.AssocSubalg.standard)
+        return self._get("v_std", lambda: catalog.AssocSubalg.from_frame(self.frame))
 
     @property
     def w_std(self) -> catalog.AssocSubalg:
@@ -492,7 +492,7 @@ def _g2_lambda_rho(ws, rng, trials):
                      "odd part; kappa = 4 * (7-dim trace form), recorded")
 def _g2_killing(ws, rng, trials):
     g2 = ws.g2
-    kf = g2.killing_form()
+    kf = g2.killing_form
     require(is_positive_definite(-kf), "Killing form is not negative definite")
     grading = ws.grading_std
     for er in grading.even.rows:
@@ -500,7 +500,7 @@ def _g2_killing(ws, rng, trials):
             require(dot(er, kf.apply(orow)) == ZERO,
                     "even and odd parts are not Killing-orthogonal")
     ratio = g2.killing_trace_ratio()
-    require(g2.killing_form() == g2.trace_form().scale(ratio),
+    require(g2.killing_form == g2.trace_form.scale(ratio),
             "Killing form is not proportional to the trace form")
     require(ratio == Scalar.of(4), f"recorded ratio changed: {ratio}")
 
@@ -533,7 +533,7 @@ def _lts_triple(ws, rng, trials):
 @check("lts.axioms_full", "the full 14-dim algebra as a triple system passes "
                           "antisymmetry, the cyclic sum, and the derivation axiom")
 def _lts_axioms_full(ws, rng, trials):
-    carrier = lts.LtsCarrier(catalog.GL7, ws.g2.space, "full-algebra")
+    carrier = lts.LtsCarrier(lts.GL7, ws.g2.space, "full-algebra")
     report = lts.check_axioms(carrier)
     require(report.all_pass(), report.witness or "axiom failure")
 
@@ -557,7 +557,7 @@ def _lts_counterexample(ws, rng, trials):
 @check("lts.m34", "the 3x4 skew product satisfies (i)-(iv) on the full 12-dim "
                   "space and the 8-element template basis closes")
 def _lts_m34(ws, rng, trials):
-    system = matmodel.m34_system()
+    system = matmodel.M34
     full = lts.LtsCarrier(system, Subspace.full(12), "m34-full")
     report = lts.check_axioms(full)
     require(report.all_pass(), report.witness or "axiom failure on 3x4 blocks")
@@ -613,14 +613,19 @@ def _catalog_assoc(ws, rng, trials):
                         "automorphism, +1 on V and -1 on the complement")
 def _catalog_theta(ws, rng, trials):
     v = ws.v_std
-    th = catalog.theta_map(v)
+    th = v.theta()
     e = [cross7.basis_vector(i) for i in range(7)]
     require(th.apply(e[0]) == e[0], "theta(e1) != e1")
     require(th.apply(e[2]) == [-t for t in e[2]], "theta(e3) != -e3")
     require(th @ th == Matrix.identity(7), "theta^2 != id")
-    require(th == projection_matrix(v.space).scale(Scalar.of(2))
-            - Matrix.identity(7),
-            "theta != 2 proj - 1")
+    # against V and its complement, not theta's own formula
+    require(all(th.apply(r) == r for r in v.space.rows), "theta is not +1 on V")
+    require(all(th.apply(r) == [-t for t in r] for r in v.complement().rows),
+            "theta is not -1 on the complement")
+    for i, j in combinations(range(7), 2):
+        require(th.apply(cross7.cross(e[i], e[j]))
+                == cross7.cross(th.apply(e[i]), th.apply(e[j])),
+                f"theta(e{i+1} x e{j+1}) != theta(e{i+1}) x theta(e{j+1})")
 
 
 @check("catalog.grading", "even/odd dims 6 and 8; bracket laws; even part = "
@@ -864,7 +869,7 @@ def _mm_ms_tangent(ws, rng, trials):
         require(matmodel.matches_template(rm), "third-row template violated")
         require(matmodel.from_row_matrix(rm, fr) == d,
                 "row-matrix data does not determine the tangent element")
-    vs = matmodel.frame_v_basis(fr)
+    vs = fr.vectors[3:]
     table = {("i", 0): vs[1], ("i", 1): [-t for t in vs[0]],
              ("i", 2): [-t for t in vs[3]], ("i", 3): vs[2],
              ("j", 0): vs[2], ("j", 1): vs[3],
@@ -887,7 +892,7 @@ def _mm_m34_match(ws, rng, trials):
     lift = ws.lift
     rms = [matmodel.row_matrix(d, ws.frame) for d in lift.basis]
     # row_matrix is linear, so lhs is the row matrix of [[d_x, d_y], d_z]
-    for x, y, z, lhs, rhs in lift.triple_images(rms, matmodel.m34_system().operator):
+    for x, y, z, lhs, rhs in lift.triple_images(rms, matmodel.M34.operator):
         require(lhs == rhs, f"mismatch at basis triple ({x},{y},{z})")
 
 
@@ -902,7 +907,7 @@ def _mm_lift(ws, rng, trials):
     require(Subspace.span([ws.g2.coords(m) for m in lift.lifted], 14)
             == ws.grading_std.odd, "lift image is not the odd part")
     nonzero = False
-    for x, y, z, lhs, rhs in lift.triple_images(lift.lifted, catalog.GL7.operator):
+    for x, y, z, lhs, rhs in lift.triple_images(lift.lifted, lts.GL7.operator):
         require(lhs == [-t for t in rhs], f"sign -1 fails at ({x},{y},{z})")
         nonzero = nonzero or any(rhs)
     require(nonzero, "triple product vanished identically")
@@ -924,11 +929,13 @@ def _mm_to_sl3(ws, rng, trials):
                 "to_sl3(from_sl3) is not the identity")
     require(not any(m.trace() for m in sl3s), "an sl3 image is not traceless")
     # to_sl3 and row_matrix are linear, so lhs is the image of [[d_x, d_y], d_z]
-    for x, y, z, lhs, rhs in lift.triple_images(sl3s, matmodel.sl3_system().operator):
+    for x, y, z, lhs, rhs in lift.triple_images(sl3s, matmodel.SL3.operator):
         require(not (rhs[0] + rhs[4] + rhs[8]),
                 f"triple product left the traceless space at ({x},{y},{z})")
         require(lhs == rhs, f"intertwining fails at ({x},{y},{z})")
-    require(lts.envelope_dim(ws.m4v) == 14, "envelope through the lift != 14")
+    image = Subspace.span([m.flatten() for m in lift.lifted], 49)
+    require(lts.envelope_dim(lts.LtsCarrier(lts.GL7, image, "lift-image")) == 14,
+            "envelope through the lift != 14")
 
 
 @check("matmodel.sphere", "the 2-dim family maps onto the (-2s, ..., s, t) "

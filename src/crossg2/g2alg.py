@@ -66,9 +66,6 @@ class G2:
         self._int_terms = flat and [[(i, j, flat[49 * b + 7 * i + j])
                                      for i, j, _ in e]
                                     for b, e in enumerate(self._terms)]
-        self._brackets: list[list[Vec]] | None = None
-        self._killing: Matrix | None = None
-        self._trace_form: Matrix | None = None
 
     # -- membership and coordinates -----------------------------------
 
@@ -97,47 +94,44 @@ class G2:
 
     # -- bracket structure ---------------------------------------------
 
+    @cached_property
     def bracket_coords(self) -> list[list[Vec]]:
         """sc[i][j] = coordinates of [b_i, b_j]."""
-        if self._brackets is None:
-            n, b = self.dim, self.basis
-            sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-            for i, j in combinations(range(n), 2):
-                sc[i][j] = self.coords(commutator(b[i], b[j]))
-                sc[j][i] = [-x for x in sc[i][j]]
-            self._brackets = sc
-        return self._brackets
+        n, b = self.dim, self.basis
+        sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            sc[i][j] = self.coords(commutator(b[i], b[j]))
+            sc[j][i] = [-x for x in sc[i][j]]
+        return sc
 
     @cached_property
     def lts(self) -> TripleSystem:
         """[[x, y], z] on basis coordinates, from the bracket constants."""
-        return lie_lts(self.bracket_coords(), "g2")
+        return lie_lts(self.bracket_coords, "g2")
 
+    @cached_property
     def killing_form(self) -> Matrix:
         """kappa(b_i, b_j) = tr(ad b_i ad b_j) on the adjoint representation."""
-        if self._killing is None:
-            sc, r = self.bracket_coords(), range(self.dim)
-            # entry (q, p) of ad b_i is sc[i][p][q]; tr(AB) = sum A_qp B_pq
-            ad = [[sc[i][p][q] for q in r for p in r] for i in r]
-            ad_t = [[sc[i][q][p] for q in r for p in r] for i in r]
-            self._killing = Matrix._computed([[dot(a, b) for b in ad_t] for a in ad])
-        return self._killing
+        sc, r = self.bracket_coords, range(self.dim)
+        # entry (q, p) of ad b_i is sc[i][p][q]; tr(AB) = sum A_qp B_pq
+        ad = [[sc[i][p][q] for q in r for p in r] for i in r]
+        ad_t = [[sc[i][q][p] for q in r for p in r] for i in r]
+        return Matrix._computed([[dot(a, b) for b in ad_t] for a in ad])
 
+    @cached_property
     def trace_form(self) -> Matrix:
         """The 7-dimensional trace form tr(b_i b_j), kept alongside kappa."""
-        if self._trace_form is None:
-            flat_t = [b.transpose().flatten() for b in self.basis]
-            self._trace_form = Matrix._computed(
-                [[dot(a, b) for b in flat_t] for a in self.space.rows])
-        return self._trace_form
+        flat_t = [b.transpose().flatten() for b in self.basis]
+        return Matrix._computed([[dot(a, b) for b in flat_t]
+                                 for a in self.space.rows])
 
     def killing(self, m1: Matrix, m2: Matrix) -> Scalar:
-        return dot(self.coords(m1), self.killing_form().apply(self.coords(m2)))
+        return dot(self.coords(m1), self.killing_form.apply(self.coords(m2)))
 
     def killing_trace_ratio(self) -> Scalar:
         """Observed constant kappa / tr-form; recorded, not asserted."""
-        k = self.killing_form()
-        t = self.trace_form()
+        k = self.killing_form
+        t = self.trace_form
         for i in range(self.dim):
             for j in range(self.dim):
                 if t.rows[i][j]:
@@ -157,7 +151,7 @@ class G2:
     def _stabilizer(self, s: Subspace, target: Subspace) -> Subspace:
         """{d : [d, s] <= target}, on the coords of [b_t, r] for rows r of s."""
         self._check_subspace(s)
-        sc = self.bracket_coords()
+        sc = self.bracket_coords
         images = [[target.reduce(combine(r, sc[t])) for t in range(self.dim)]
                   for r in s.rows]
         return kernel([row for per_m in images for row in zip(*per_m)], self.dim)
@@ -167,9 +161,9 @@ class G2:
             raise ValueError("subspace must live in basis coordinates")
 
 
-@lru_cache(maxsize=1)
 def derivation_algebra() -> G2:
-    """The cached algebra instance; construction is deterministic."""
+    """A new algebra instance, its dimension checked; a run's `Workspace`
+    builds one and shares it."""
     g2 = G2()
     if g2.dim != 14:
         raise AssertionError(f"derivation algebra has dimension {g2.dim}")

@@ -254,7 +254,10 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vec], list[int]]:
     Entries may be Scalar, int or Fraction; they are coerced as Matrix does.
     All-rational input is eliminated on cleared integers, anything else by
     row insertion; the RREF is unique, so both give the same result.
+    Ragged rows raise ValueError.
     """
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged rows")
     ints = [list(r) if all(type(x) is int for x in r)
             else cleared([Scalar.of(x) for x in r]) for r in rows]
     if None in ints:
@@ -299,11 +302,13 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
 
 
 def kernel(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> "Subspace":
-    """Canonical basis of {x : A x = 0} for A given by rows."""
+    """Canonical basis of {x : A x = 0} for A given by rows of ncols entries."""
     if ncols is None:
         if not rows:
             raise ValueError("need ncols for an empty system")
         ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError(f"rows must have {ncols} entries")
     red, pivots = rref(rows)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
@@ -332,6 +337,8 @@ def inverse(m: Matrix) -> Matrix:
 
 def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Vec | None:
     """One solution of A x = rhs, or None if inconsistent."""
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     ncols = len(rows[0])
@@ -398,8 +405,7 @@ class Subspace:
         """Grow the space by v in place; whether it grew.  The residual of v
         is normalised at its first nonzero entry, that column is cleared from
         the other rows, and it goes in at its pivot's position.  Only for a
-        space the caller built or copied: a grown space hashes differently,
-        and `catalog._principal_matrices` caches on spaces."""
+        space the caller built or copied."""
         residual = self.reduce(v)
         pc = next((i for i, x in enumerate(residual) if x), None)
         if pc is None:
@@ -462,9 +468,6 @@ class Subspace:
         if not isinstance(o, Subspace):
             return NotImplemented
         return self.n == o.n and self.pivots == o.pivots and self.rows == o.rows
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.pivots)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, n={self.n})"

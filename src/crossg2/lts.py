@@ -36,7 +36,7 @@ from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
 from .scalar import ZERO, Scalar
 
 __all__ = [
-    "TripleSystem", "LtsCarrier", "NotClosedError", "AxiomReport",
+    "TripleSystem", "LtsCarrier", "NotClosedError", "AxiomReport", "GL7",
     "matrix_lts", "lie_lts", "abstract_lts", "triple_in_lie", "check_axioms",
     "generated_subtriple", "envelope_dim", "is_ideal",
 ]
@@ -82,6 +82,9 @@ def matrix_lts(n: int) -> TripleSystem:
         return apply
 
     return TripleSystem(f"gl{n}", n * n, operator, bracket)
+
+
+GL7 = matrix_lts(7)  # g2's ambient as 7x7 matrices, one product for every caller
 
 
 def lie_lts(brackets: Sequence[Sequence[Vec]], name: str = "lie") -> TripleSystem:

@@ -12,25 +12,25 @@ product {m1,m2,m3} = [m1,m2,m3] + gamma(m1,m2,m3).
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
-from .catalog import GL7, Grading
+from .catalog import Grading
 from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, leibniz_rows
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
                      dot, flat_product, is_positive_definite, kernel,
                      projection_matrix, solve)
-from .lts import FlatOperator, LtsCarrier, TripleSystem
+from .lts import GL7, FlatOperator, LtsCarrier, TripleSystem
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
     "Projection", "projection_onto", "in_ms_prime", "gr3_tangent",
     "ms_tangent", "row_matrix", "from_row_matrix", "matches_template",
-    "skew_triple", "m34_triple", "m34_system", "m34_template_basis", "LiftMap",
+    "skew_triple", "m34_triple", "M34", "m34_template_basis", "LiftMap",
     "alpha", "sl3_triple", "to_sl3", "from_sl3", "metric", "d_st",
-    "sl3_system", "sl3_catalog", "curvature_check",
+    "SL3", "sl3_catalog", "curvature_check",
     "metric_gram_is_positive_definite",
 ]
 
@@ -124,15 +124,10 @@ def ms_tangent(p: Projection, frame: Frame) -> Subspace:
     return kernel(_gr3_rows(p) + leibniz_rows(pairs), 49)
 
 
-def frame_v_basis(frame: Frame) -> list[Vec]:
-    """v0 = l, v1 = i x l, v2 = j x l, v3 = k x l."""
-    return [frame.l, cross(frame.i, frame.l), cross(frame.j, frame.l),
-            cross(frame.k, frame.l)]
-
-
 def row_matrix(d: Matrix, frame: Frame) -> Matrix:
-    """3x4 coordinates of d restricted to V0: entry (r, c) = <d f_r, v_c>."""
-    vs = frame_v_basis(frame)
+    """3x4 coordinates of d restricted to V0: entry (r, c) = <d f_r, v_c>,
+    v0..v3 = l, i x l, j x l, k x l = frame.vectors[3:]."""
+    vs = frame.vectors[3:]
     out = []
     for f in (frame.i, frame.j, frame.k):
         img = d.apply(f)
@@ -144,7 +139,7 @@ def from_row_matrix(rm: Matrix, frame: Frame) -> Matrix:
     """The self-adjoint odd extension of the row-matrix data."""
     if rm.shape != (3, 4):
         raise ValueError("row matrix must be 3x4")
-    vs = frame_v_basis(frame)
+    vs = frame.vectors[3:]
     fs = [frame.i, frame.j, frame.k]
     out = Matrix.zeros(7, 7)
     for r in range(3):
@@ -230,9 +225,7 @@ def m34_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     return skew_triple(a, b, c)
 
 
-@lru_cache(maxsize=1)
-def m34_system() -> TripleSystem:
-    return TripleSystem("m34", 12, lambda x, y: _operator(x, y, 3, 4))
+M34 = TripleSystem("m34", 12, lambda x, y: _operator(x, y, 3, 4))
 
 
 def m34_template_basis() -> list[Matrix]:
@@ -373,10 +366,8 @@ def d_st(s: Scalar | int, t: Scalar | int) -> Matrix:
     ])
 
 
-@lru_cache(maxsize=1)
-def sl3_system() -> TripleSystem:
-    return TripleSystem("sl3-twisted", 9,
-                        lambda x, y: _operator(x, y, 3, 3, twisted=True))
+SL3 = TripleSystem("sl3-twisted", 9,
+                  lambda x, y: _operator(x, y, 3, 3, twisted=True))
 
 
 def sl3_catalog(kind: str) -> LtsCarrier:
@@ -400,7 +391,7 @@ def sl3_catalog(kind: str) -> LtsCarrier:
     }
     if kind not in spans:
         raise ValueError(f"unknown catalogue kind {kind!r}")
-    carrier = LtsCarrier(sl3_system(), Subspace.span(
+    carrier = LtsCarrier(SL3, Subspace.span(
         [m.flatten() for m in spans[kind]()], 9), kind)
     carrier.struct()  # closure certificate
     return carrier

@@ -1,35 +1,35 @@
 import pytest
 
-from crossg2 import catalog, g2alg
 from crossg2.checks import Workspace
 
 
 @pytest.fixture(scope="session")
-def g2():
-    return g2alg.derivation_algebra()
-
-
-@pytest.fixture(scope="session")
-def frame():
-    return g2alg.Frame.standard()
-
-
-@pytest.fixture(scope="session")
-def v_std():
-    return catalog.AssocSubalg.standard()
-
-
-@pytest.fixture(scope="session")
-def tds(frame, g2):
-    return catalog.principal_tds(frame, g2)
-
-
-@pytest.fixture(scope="session")
-def grading_std(v_std, g2):
-    return catalog.grading(v_std, g2)
-
-
-@pytest.fixture(scope="session")
 def ws():
-    """Shared check workspace; builds lazily and is reused across modules."""
+    """Shared check workspace; builds lazily and is reused across modules.
+    The fixtures below read their objects from it, so tests share one g2."""
     return Workspace()
+
+
+@pytest.fixture(scope="session")
+def g2(ws):
+    return ws.g2
+
+
+@pytest.fixture(scope="session")
+def frame(ws):
+    return ws.frame
+
+
+@pytest.fixture(scope="session")
+def v_std(ws):
+    return ws.v_std
+
+
+@pytest.fixture(scope="session")
+def tds(ws):
+    return ws.tds
+
+
+@pytest.fixture(scope="session")
+def grading_std(ws):
+    return ws.grading_std

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crossg2 import catalog, cross7, lts, matmodel, scalar
+from crossg2 import catalog, checks, cross7, lts, matmodel, scalar
 from crossg2.checks import SkipCheck, Workspace, run_checks, select_checks
 from crossg2.cross7 import basis_vector
 from crossg2.g2alg import lambda_operator, rho_operator
@@ -77,12 +77,29 @@ def test_split_check_decides_alike_on_ints_and_scalars(monkeypatch):
 
 
 def test_theta(v_std):
-    th = catalog.theta_map(v_std)
+    th = v_std.theta()
     assert th.apply(E[0]) == E[0]
     assert th.apply(E[2]) == [-t for t in E[2]]
     assert th @ th == Matrix.identity(7)
     pi = projection_matrix(v_std.space)
     assert th == pi.scale(Scalar.of(2)) - Matrix.identity(7)
+    for i in range(7):  # an automorphism of the cross product
+        for j in range(i + 1, 7):
+            assert (th.apply(cross7.cross(E[i], E[j]))
+                    == cross7.cross(th.apply(E[i]), th.apply(E[j])))
+
+
+def test_theta_check_tells_v_from_another_subalgebra(monkeypatch):
+    # theta_W for W = <e1, e5, e6> (associative, contains e1, orthogonal to
+    # e3) is an automorphism fixing e1 and negating e3, as theta_V is; only a
+    # comparison with V itself tells them apart
+    proj_w = projection_matrix(Subspace.span([E[0], E[4], E[5]], 7))
+    for module in (catalog, checks):  # every projection the check can reach
+        monkeypatch.setattr(module, "projection_matrix", lambda space: proj_w,
+                            raising=False)
+    [result] = run_checks(select_checks(["catalog.theta"]), 0, 1)
+    assert result.status == "fail"
+    assert result.witness == "theta is not +1 on V"
 
 
 def test_grading(v_std, g2, grading_std, frame):

@@ -61,7 +61,7 @@ def test_membership_and_coords(g2):
 
 
 def test_bracket_closure(g2):
-    sc = g2.bracket_coords()
+    sc = g2.bracket_coords
     for i in range(14):
         assert all(not x for x in sc[i][i])
     m = commutator(g2.basis[0], g2.basis[5])
@@ -120,7 +120,7 @@ def test_lambda_rejects_outside_v(frame):
 
 
 def test_killing(g2, tds):
-    kf = g2.killing_form()
+    kf = g2.killing_form
     assert kf == kf.transpose()
     assert g2.killing_trace_ratio() == Scalar.of(4)
     d = g2.basis[3]

@@ -18,6 +18,10 @@ MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__main__")
 ALLOWED_LOCAL = {("lts.py", "check_axioms", "_intops"),
                  ("matmodel.py", "curvature_check", "_intops")}
 
+# the only memoised functions: every other shared object has one owner, the
+# run's Workspace, a module constant or a cached_property of its object
+ALLOWED_CACHES = {("g2alg.py", "_d_basis"), ("catalog.py", "_principal_matrices")}
+
 # (importing module, sibling, name): the only private names shared across
 # modules; row insertion, for one, is `Subspace.add`, not a private helper
 ALLOWED_PRIVATE = {
@@ -77,3 +81,19 @@ def test_private_names_cross_modules_only_where_allowed():
              if isinstance(node, ast.ImportFrom) and node.level == 1
              for alias in node.names if alias.name.startswith("_")}
     assert found == ALLOWED_PRIVATE
+
+
+def _memoised(path: Path):
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in fn.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    yield fn.name
+
+
+def test_only_allowed_functions_are_memoised():
+    found = {(path.name, fn) for path in sorted(PKG.glob("*.py"))
+             for fn in _memoised(path)}
+    assert found == ALLOWED_CACHES

@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossg2 import _intops, catalog, matmodel
+from crossg2 import _intops, matmodel
 from crossg2._intops import (_INT64_LIMIT, _PRODUCTS, clear_struct,
                              clear_tensor, contraction_dtype,
                              cyclic_sum_witness, derivation_axiom_holds,
                              inner_derivation_basis, qproduct)
 from crossg2.linalg import Subspace, combine, vadd
-from crossg2.lts import LtsCarrier, abstract_lts, check_axioms
+from crossg2.lts import GL7, LtsCarrier, abstract_lts, check_axioms
 from crossg2.scalar import ONE, ZERO, Scalar
 
 
@@ -282,7 +282,7 @@ def test_c1211_single_entry_corruptions_agree(entry, delta):
 
 
 def test_m34_single_entry_corruptions_fail_like_the_all_pairs_sweep():
-    good = LtsCarrier(matmodel.m34_system(), Subspace.full(12)).struct()
+    good = LtsCarrier(matmodel.M34, Subspace.full(12)).struct()
     rng = random.Random(12)
     for _ in range(20):
         i, j = sorted(rng.sample(range(12), 2))
@@ -297,10 +297,10 @@ def test_m34_single_entry_corruptions_fail_like_the_all_pairs_sweep():
 def test_inner_derivation_basis_sizes(g2):
     # ad g2 for g2 on gl(7); so(3) + so(4) for the 3x4 model; so(4) for the
     # 3x3 model of G2/SO(4)
-    full_g2 = LtsCarrier(catalog.GL7, g2.space).struct()
+    full_g2 = LtsCarrier(GL7, g2.space).struct()
     pairs = inner_derivation_basis(full_g2)
     assert len(pairs) == 14 and all(x < y for x, y in pairs)
-    m34 = LtsCarrier(matmodel.m34_system(), Subspace.full(12)).struct()
+    m34 = LtsCarrier(matmodel.M34, Subspace.full(12)).struct()
     assert len(inner_derivation_basis(m34)) == 9
     assert len(inner_derivation_basis(SL3)) == 6
     assert inner_derivation_basis(c1211()) == [(0, 1)]

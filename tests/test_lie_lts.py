@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossg2 import catalog, linalg, lts, matmodel
+from crossg2.checks import Workspace
 from crossg2.linalg import Subspace, cleared, commutator
 from crossg2.lts import LtsCarrier, generated_subtriple, matrix_lts, triple_in_lie
 from crossg2.scalar import ONE, SQRT6, SQRT10, ZERO, Scalar
@@ -30,7 +31,7 @@ coordinates = st.lists(
 
 def test_coordinate_struct_equals_the_gl7_struct(g2):
     coords = LtsCarrier(g2.lts, Subspace.full(14))
-    gl7 = LtsCarrier(catalog.GL7, g2.space)
+    gl7 = LtsCarrier(lts.GL7, g2.space)
     assert gl7.space.rows == [g2.mat(r).flatten() for r in coords.space.rows]
     assert coords.struct() == gl7.struct()
 
@@ -59,7 +60,7 @@ def test_coordinate_closure_equals_the_gl7_closure(ws, g2, kind):
 
     def flat(space):
         return Subspace.span([g2.mat(r).flatten() for r in space.rows], 49)
-    ambient49 = LtsCarrier(catalog.GL7, flat(m4v.space))
+    ambient49 = LtsCarrier(lts.GL7, flat(m4v.space))
     rng = random.Random(17)
     dims, rational = set(), set()
     for trial in range(6):
@@ -88,7 +89,7 @@ def test_probes_form_no_gl7_commutator(ws, monkeypatch):
     monkeypatch.setattr(linalg, "flat_commutator", refuse)
     monkeypatch.setattr(lts, "flat_commutator", refuse)
     with pytest.raises(AssertionError):
-        catalog.GL7.bracket([ZERO] * 49, [ZERO] * 49)
+        lts.GL7.bracket([ZERO] * 49, [ZERO] * 49)
     for t in carriers:
         report = catalog.maximality_probe(t, ambient, 3, random.Random(8))
         assert report.all_passed()
@@ -98,10 +99,18 @@ def test_families_share_their_ambient_product(ws):
     for kind in KINDS:
         assert ws.t_carrier(kind).system is ws.m4v.system is ws.g2.lts
     sl3 = matmodel.sl3_catalog("full").system
+    assert sl3 is matmodel.SL3
     for kind in ("sphere", "sym5", "col4", "refl4", "gotro"):
         assert matmodel.sl3_catalog(kind).system is sl3
-    assert matmodel.sl3_system() is sl3
-    assert matmodel.m34_system() is matmodel.m34_system()
+
+
+def test_each_workspace_owns_its_g2(ws):
+    other = Workspace()
+    assert other.g2 is not ws.g2
+    # the two g2s carry two products, so their carriers do not mix
+    with pytest.raises(ValueError, match="one product"):
+        catalog.maximality_probe(ws.t_carrier("T2"), other.m4v, 1,
+                                 random.Random(0))
 
 
 def test_probe_rejects_a_mismatched_product():

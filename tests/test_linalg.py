@@ -85,6 +85,25 @@ def test_solve():
     assert solve([[ONE, ONE], [ONE, ONE]], [ZERO, ONE]) is None
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: rref([[1, 2], [3]]), id="rref-ragged"),
+    pytest.param(lambda: rref([[SQRT6, 2], [3]]), id="rref-ragged-irrational"),
+    pytest.param(lambda: kernel([[1, 2, 3]], 2), id="kernel-wider-than-ncols"),
+    pytest.param(lambda: kernel([[1, 2], [3]]), id="kernel-ragged"),
+    pytest.param(lambda: solve([[1, 0], [0, 1]], [1]), id="solve-short-rhs"),
+    pytest.param(lambda: solve([[1, 0]], [1, 2]), id="solve-long-rhs"),
+])
+def test_malformed_shapes_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_subspaces_are_unhashable():
+    # a Subspace grows in place (`add`), so no hash could stay valid
+    with pytest.raises(TypeError):
+        hash(Subspace.zero(3))
+
+
 def test_span_kernel_and_solve_take_int_and_fraction_entries():
     half = Fraction(1, 2)
     line = Subspace.span([[1, 0]], 2)
@@ -273,12 +292,12 @@ def test_add_grows_a_copy_to_the_span(system):
     ncols, rows = system
     space = Subspace.zero(ncols)
     for r in rows:
-        kept = ([list(x) for x in space.rows], list(space.pivots), hash(space))
+        kept = ([list(x) for x in space.rows], list(space.pivots))
         grown = space.copy()
         assert grown.add(r) == (grown.dim == space.dim + 1)
         assert grown.dim in (space.dim, space.dim + 1)
-        # the original keeps its rows, pivots and hash
-        assert (space.rows, space.pivots, hash(space)) == kept
+        # the original keeps its rows and pivots
+        assert (space.rows, space.pivots) == kept
         space = grown
     assert space == Subspace.span(rows, ncols)
     assert_rref_of(ncols, rows, space.rows, space.pivots)

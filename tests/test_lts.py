@@ -25,10 +25,10 @@ def test_triple_in_lie_examples():
 
 def test_g2_structure_constants_match_the_bracket_constants(g2):
     rows = [b.flatten() for b in g2.basis]
-    carrier = LtsCarrier(catalog.GL7, Subspace.span(rows, 49), "g2")
+    carrier = LtsCarrier(lts.GL7, Subspace.span(rows, 49), "g2")
     assert carrier.space.rows == rows  # struct() is on g2's own basis
     # oracle: [[b_i, b_j], b_k] = sum_m sc[i][j][m] [b_m, b_k]
-    sc = g2.bracket_coords()
+    sc = g2.bracket_coords
     n = g2.dim
     cols = [[sc[m][k] for m in range(n)] for k in range(n)]
     expected = [[[combine(sc[i][j], cols[k]) for k in range(n)]
@@ -103,7 +103,7 @@ def test_abstract_products_reject_arguments_of_the_wrong_length(args):
 
 
 def test_g2_struct_on_gl7_equals_the_struct_in_g2_coordinates(g2):
-    on_gl7 = LtsCarrier(catalog.GL7, g2.space).struct()
+    on_gl7 = LtsCarrier(lts.GL7, g2.space).struct()
     assert on_gl7 == LtsCarrier(g2.lts, Subspace.full(14)).struct()
 
 
@@ -368,7 +368,7 @@ def test_is_ideal(ws):
 
 
 def test_m34_skew_symmetrization_is_lts():
-    full = LtsCarrier(matmodel.m34_system(), Subspace.full(12))
+    full = LtsCarrier(matmodel.M34, Subspace.full(12))
     assert check_axioms(full).all_pass()
 
 

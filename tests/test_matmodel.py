@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossg2 import lts, matmodel
-from crossg2.catalog import FAMILIES, GL7
+from crossg2.catalog import FAMILIES
 from crossg2.checks import (CHECKS, CheckFailure, Workspace, run_checks,
                             select_checks)
 from crossg2.cross7 import basis_vector
 from crossg2.linalg import Matrix, Subspace
+from crossg2.lts import GL7
 from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
 
 E = [basis_vector(i) for i in range(7)]
@@ -64,7 +65,7 @@ def test_ms_tangent_dim_and_template(tangent, frame):
 
 def test_dk_closed_form(tangent, frame):
     # d(k) = (a2-b1)v0 + (a3+b0)v1 - (a0-b3)v2 - (a1+b2)v3
-    vs = matmodel.frame_v_basis(frame)
+    vs = frame.vectors[3:]
     for row in tangent.rows:
         d = Matrix.from_flat(row, 7, 7)
         rm = matmodel.row_matrix(d, frame)
@@ -77,7 +78,7 @@ def test_dk_closed_form(tangent, frame):
 
 
 def test_v_basis_in_standard_frame(frame):
-    vs = matmodel.frame_v_basis(frame)
+    vs = frame.vectors[3:]
     assert vs[0] == E[2]
     assert vs[1] == E[6]
     assert vs[2] == E[4]
@@ -134,7 +135,7 @@ def test_skew_triple_equals_the_eight_product_formula(mats):
 @given(matrices(3, 4, 4))
 def test_m34_operator_equals_the_eight_product_formula(mats):
     x, y, z, z2 = mats
-    op = matmodel.m34_system().operator(x.flatten(), y.flatten())
+    op = matmodel.M34.operator(x.flatten(), y.flatten())
     for c in (z, z2):  # one operator, applied twice
         expected = skew_oracle(x, y, c)
         assert op(c.flatten()) == expected.flatten()
@@ -145,7 +146,7 @@ def test_m34_operator_equals_the_eight_product_formula(mats):
 @given(matrices(3, 3, 4, traceless=True))
 def test_sl3_operator_equals_the_eleven_product_formula(mats):
     x, y, z, z2 = mats
-    op = matmodel.sl3_system().operator(x.flatten(), y.flatten())
+    op = matmodel.SL3.operator(x.flatten(), y.flatten())
     for c in (z, z2):
         expected = sl3_oracle(x, y, c)
         assert op(c.flatten()) == expected.flatten()
@@ -154,7 +155,7 @@ def test_sl3_operator_equals_the_eleven_product_formula(mats):
 
 
 def test_flat_products_reject_vectors_of_the_wrong_length():
-    for system, n in ((matmodel.sl3_system(), 9), (matmodel.m34_system(), 12)):
+    for system, n in ((matmodel.SL3, 9), (matmodel.M34, 12)):
         ok = [ONE] + [ZERO] * (n - 1)
         for bad in ([ONE] + [ZERO] * (n + 2), [ONE] + [ZERO] * (n - 2)):
             for args in ((bad, ok, ok), (ok, bad, ok), (ok, ok, bad)):
@@ -172,7 +173,7 @@ def test_m34_template_basis_closes():
     basis = matmodel.m34_template_basis()
     space = Subspace.span([m.flatten() for m in basis], 12)
     assert space.dim == 8
-    carrier = lts.LtsCarrier(matmodel.m34_system(), space)
+    carrier = lts.LtsCarrier(matmodel.M34, space)
     assert carrier.is_closed()
 
 
@@ -451,6 +452,17 @@ def _sign_flipped(real, shape):
             return out
         return wrong
     return operator
+
+
+def test_to_sl3_envelope_is_taken_through_the_lift(ws):
+    # the eighth lifted image replaced by a copy of the first: 7 of 8 remain
+    lift = copy.copy(ws.lift)
+    lift.lifted = lift.lifted[:7] + [lift.lifted[0]]
+    bad = Workspace()
+    bad._cache.update(lift=lift, frame=ws.frame)
+    check = next(c for c in CHECKS if c.id == "matmodel.to_sl3")
+    with pytest.raises(CheckFailure, match="envelope through the lift"):
+        check.fn(bad, random.Random(0), 1)
 
 
 def test_m34_match_fails_on_a_sign_error_in_the_3x4_operator(ws, monkeypatch):
