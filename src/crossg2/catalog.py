@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
@@ -24,7 +23,7 @@ from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, combine,
                      commutator, dot, kernel, poly_from_roots_squared,
                      projection_matrix)
 from .lts import LtsCarrier, generated_subtriple
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ZERO, Scalar
 
 __all__ = [
     "AssocSubalg", "FAMILIES", "Grading", "PrincipalTds", "ProbeReport",
@@ -177,28 +176,18 @@ class PrincipalTds:
     h2: Matrix
     h3: Matrix
     space: Subspace  # basis coordinates
-    frame: Frame
 
     def matrices(self) -> list[Matrix]:
         return [self.h1, self.h2, self.h3]
 
 
-def principal_eigenstructure(m: Matrix) -> Scalar | None:
-    """The scale s if char(m) = lambda prod(lambda^2 + k^2 s), else None."""
-    cp = char_poly(m)
-    if len(cp) != 8:
-        return None
-    s = cp[5] / Scalar.of(14)
-    if s.sign() <= 0:
-        return None
-    return s if cp == poly_from_roots_squared([s, 4 * s, 9 * s]) else None
-
-
 def principal_tds(frame: Frame, g2: G2) -> PrincipalTds:
     """The explicit principal triple built from the two-argument derivations.
 
-    Construction invariants are verified and violations abort loudly; this
-    guards against transcription errors in the radical coefficients.
+    The only validation of a principal triple: the bracket relations, the
+    eigenvalue ladder char(h1) = lambda (lambda^2 + 1)(lambda^2 + 4)(lambda^2 + 9),
+    dimension 3 and self-normalizing.  Violations abort loudly; this guards
+    against transcription errors in the radical coefficients.
     """
     i, j, k, l = frame.i, frame.j, frame.k, frame.l
     ixl = cross(i, l)
@@ -212,14 +201,14 @@ def principal_tds(frame: Frame, g2: G2) -> PrincipalTds:
     for idx in range(3):
         if commutator(hs[idx], hs[(idx + 1) % 3]) != hs[(idx + 2) % 3]:
             raise AssertionError(f"[h{idx+1}, h{idx+2}] != h{idx+3}")
-    if principal_eigenstructure(h1) != ONE:
+    if char_poly(h1) != poly_from_roots_squared([1, 4, 9]):
         raise AssertionError("h1 does not have the expected eigenvalue ladder")
     space = g2.subspace_from_matrices(hs)
     if space.dim != 3:
         raise AssertionError("generators are linearly dependent")
     if g2.normalizer(space) != space:
         raise AssertionError("the subalgebra is not self-normalizing")
-    return PrincipalTds(h1, h2, h3, space, frame)
+    return PrincipalTds(h1, h2, h3, space)
 
 
 def is_subalgebra(space: Subspace, g2: G2) -> bool:
@@ -227,47 +216,34 @@ def is_subalgebra(space: Subspace, g2: G2) -> bool:
                for a, b in combinations(space.rows, 2))
 
 
-@lru_cache(maxsize=4)
-def _principal_matrices(rows: tuple, g2: G2) -> tuple[Matrix, ...]:
-    """The matrices of the canonical basis rows of h once h passes as a
-    3-dimensional principal subalgebra; a failure raises, and raised errors
-    are not cached.  The key is the rows, not h: a Subspace can grow."""
-    h = Subspace.span(rows, g2.dim)
-    if h.dim != 3 or not is_subalgebra(h, g2):
-        raise ValueError("adaptedness is defined for 3-dimensional subalgebras")
-    mats = [g2.mat(r) for r in h.rows]
-    if not any(principal_eigenstructure(m) for m in mats):
-        raise ValueError("subalgebra fails the principal eigenvalue-ladder check")
-    # rational first: conjugation by a rational theta stays rational
-    return tuple(sorted(mats, key=lambda m: cleared(m.flatten()) is None))
-
-
 class AdaptednessError(AssertionError):
     """The homogeneity and intersection-dimension criteria disagreed."""
 
 
-def is_adapted(h: Subspace, v: AssocSubalg, g2: G2) -> bool:
-    """Whether the 3-dimensional principal subalgebra h splits along V's grading.
+def is_adapted(h: PrincipalTds, v: AssocSubalg, g2: G2) -> bool:
+    """Whether the principal subalgebra h, as validated by `principal_tds`,
+    splits along V's grading.
 
     Both characterisations are computed: homogeneity (the odd projection
     (d - theta d theta)/2 stays inside h) and the intersection dimension
     dim(h cap odd) = 2.  The intersection is solved on h's own coordinates
     from the odd part's membership conditions (`mapping_space` with
-    within=h), not from theta, so the two routes are independent.  They must
+    within=h.space), not from theta, so the two routes are independent.  They must
     agree; a disagreement is an internal consistency failure, not a result.
     """
-    mats = _principal_matrices(tuple(map(tuple, h.rows)), g2)
+    if not isinstance(h, PrincipalTds):
+        raise TypeError("adaptedness is defined for a PrincipalTds")
     th = v.theta()
     half = Scalar.rational(1, 2)
     homogeneous = True
-    for m in mats:
+    for m in h.matrices():  # h1 first: it is rational
         p = (m - th @ m @ th).scale(half)
-        if not h.contains(g2.coords(p)):
+        if not h.space.contains(g2.coords(p)):
             homogeneous = False
             break
     comp = v.complement()
     by_dimension = mapping_space([(v.space, v.space), (comp, comp)], g2,
-                                 within=h).dim == 2
+                                 within=h.space).dim == 2
     if homogeneous != by_dimension:
         raise AdaptednessError(
             f"homogeneity says {homogeneous}, intersection dimension says {by_dimension}")
@@ -297,7 +273,7 @@ def maximal_lts(split: Grading, kind: str,
         raise ValueError(f"unknown kind {kind!r}")
     v, odd = split.v, split.odd
     if kind == "T1":
-        if not is_adapted(witness.space, v, g2):
+        if not is_adapted(witness, v, g2):
             raise ValueError("principal subalgebra is not adapted to V")
         space = witness.space.intersect(odd)
     elif kind == "T4":

@@ -690,7 +690,7 @@ def _catalog_principal(ws, rng, trials):
                           "random subalgebras; a non-adapted witness exists")
 def _catalog_adapted(ws, rng, trials):
     tds = ws.tds
-    require(catalog.is_adapted(tds.space, ws.v_std, ws.g2),
+    require(catalog.is_adapted(tds, ws.v_std, ws.g2),
             "standard pair is not adapted")
     require(tds.space.intersect(ws.grading_std.odd).dim == 2,
             "dim(h cap odd) != 2")
@@ -698,7 +698,7 @@ def _catalog_adapted(ws, rng, trials):
     for _ in range(100):
         v = catalog.random_assoc(rng)
         # is_adapted raises if the two criteria ever disagree
-        if not catalog.is_adapted(tds.space, v, ws.g2):
+        if not catalog.is_adapted(tds, v, ws.g2):
             non_adapted += 1
     require(non_adapted > 0, "no non-adapted subalgebra found in 100 draws")
 

@@ -171,9 +171,6 @@ class Matrix:
     def __eq__(self, o) -> bool:
         return isinstance(o, Matrix) and self.rows == o.rows
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
     def __repr__(self):
         return "Matrix([" + ",\n        ".join(
             "[" + ", ".join(str(x) for x in r) + "]" for r in self.rows) + "])"
@@ -506,7 +503,10 @@ def is_positive_definite(m: Matrix) -> bool:
     """Sylvester's criterion for a symmetric m: all leading minors > 0.  The
     k-th minor is the product of the first k pivots of elimination without
     row exchanges, so every pivot must be > 0 (zero means a zero minor).
-    Row k reduced against the rows before it has its pivot at column k."""
+    Row k reduced against the rows before it has its pivot at column k.
+    A matrix that is not square and symmetric raises ValueError."""
+    if m != m.transpose():
+        raise ValueError("Sylvester's criterion needs a square symmetric matrix")
     done = Subspace.zero(m.shape[1])
     for k, row in enumerate(m.rows):
         residual = done.reduce(row)

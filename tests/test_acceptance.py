@@ -77,11 +77,11 @@ def test_criterion_04(ws):
               "100 random subalgebras")
 def test_criterion_05(ws):
     assert ws.tds.space.intersect(ws.grading_std.odd).dim == 2
-    assert catalog.is_adapted(ws.tds.space, ws.v_std, ws.g2)
+    assert catalog.is_adapted(ws.tds, ws.v_std, ws.g2)
     rng = random.Random(SEED)
     for _ in range(100):
         v = catalog.random_assoc(rng)
-        catalog.is_adapted(ws.tds.space, v, ws.g2)  # raises on disagreement
+        catalog.is_adapted(ws.tds, v, ws.g2)  # raises on disagreement
 
 
 @criterion(6, "families: dims 2/5/4/4, closed, axioms pass, envelope dims "

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from crossg2 import catalog, checks, cross7, lts, matmodel, scalar
 from crossg2.checks import SkipCheck, Workspace, run_checks, select_checks
 from crossg2.cross7 import basis_vector
-from crossg2.g2alg import lambda_operator, rho_operator
+from crossg2.g2alg import G2, lambda_operator, rho_operator
 from crossg2.linalg import (Matrix, Subspace, char_poly, cleared, commutator,
                             is_zero_vec, kernel, projection_matrix)
 from crossg2.scalar import ONE, ZERO, Scalar
@@ -183,14 +184,14 @@ def test_principal_tds(tds, g2, grading_std):
 
 
 def test_is_adapted(tds, v_std, g2, grading_std):
-    assert catalog.is_adapted(tds.space, v_std, g2)
+    assert catalog.is_adapted(tds, v_std, g2)
     assert tds.space.intersect(grading_std.odd).dim == 2
     # a non-adapted associative subalgebra exists among random draws
     rng = random.Random(100)
     found = False
     for _ in range(60):
         v = catalog.random_assoc(rng)
-        if not catalog.is_adapted(tds.space, v, g2):
+        if not catalog.is_adapted(tds, v, g2):
             found = True
             break
     assert found
@@ -199,10 +200,38 @@ def test_is_adapted(tds, v_std, g2, grading_std):
 def test_is_adapted_rejects_non_principal(v_std, g2, frame):
     lam_span = g2.subspace_from_matrices(
         [lambda_operator(a, frame) for a in (frame.i, frame.j, frame.k)])
-    with pytest.raises(ValueError):
+    # a bare span is not a principal triple: only principal_tds validates one
+    with pytest.raises(TypeError):
         catalog.is_adapted(lam_span, v_std, g2)
-    with pytest.raises(ValueError):  # a failed validation is not remembered
+    with pytest.raises(TypeError):  # a rejected call leaves nothing behind
         catalog.is_adapted(lam_span, v_std, g2)
+
+
+def test_principal_tds_rejects_a_corrupted_triple(monkeypatch, frame, g2):
+    # doubling D(j, k) breaks h1, so the bracket relations fail first
+    real = catalog.d_operator
+
+    def doubled_jk(x, y):
+        d = real(x, y)
+        return d.scale(2) if (x, y) == (frame.j, frame.k) else d
+
+    monkeypatch.setattr(catalog, "d_operator", doubled_jk)
+    with pytest.raises(AssertionError, match=r"\[h1, h2\] != h3"):
+        catalog.principal_tds(frame, g2)
+
+
+def test_adapted_checks_leave_no_g2_alive():
+    # the triple's matrices live on the run's PrincipalTds, in no module cache
+    def live_g2():
+        gc.collect()
+        return sum(isinstance(o, G2) for o in gc.get_objects())
+
+    before = live_g2()
+    for seed in range(3):
+        results = run_checks(select_checks(["catalog.adapted"]), seed, 1)
+        assert [r.status for r in results] == ["pass"]
+    del results
+    assert live_g2() == before
 
 
 def test_family_table_states_the_papers_values():
@@ -244,7 +273,7 @@ def test_maximal_lts_preconditions(grading_std, g2, frame, tds):
         catalog.maximal_lts(grading_std, "T4", grading_std, g2)     # W = V
     # <e3, e4, e6>: the standard principal subalgebra is not adapted to it
     v_off = catalog.AssocSubalg.from_pair(E[2], E[3])
-    assert not catalog.is_adapted(tds.space, v_off, g2)
+    assert not catalog.is_adapted(tds, v_off, g2)
     with pytest.raises(ValueError, match="not adapted to V"):
         catalog.maximal_lts(catalog.grading(v_off, g2), "T1", tds, g2)
     with pytest.raises(ValueError, match="unknown kind 'bogus'"):

@@ -18,9 +18,10 @@ MODULES = sorted(p.stem for p in PKG.glob("*.py") if p.stem != "__main__")
 ALLOWED_LOCAL = {("lts.py", "check_axioms", "_intops"),
                  ("matmodel.py", "curvature_check", "_intops")}
 
-# the only memoised functions: every other shared object has one owner, the
-# run's Workspace, a module constant or a cached_property of its object
-ALLOWED_CACHES = {("g2alg.py", "_d_basis"), ("catalog.py", "_principal_matrices")}
+# the only memoised function, on the octonion table alone: every other shared
+# object has one owner, the run's Workspace (the validated principal triple
+# included), a module constant or a cached_property of its object
+ALLOWED_CACHES = {("g2alg.py", "_d_basis")}
 
 # (importing module, sibling, name): the only private names shared across
 # modules; row insertion, for one, is `Subspace.add`, not a private helper

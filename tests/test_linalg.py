@@ -104,6 +104,12 @@ def test_subspaces_are_unhashable():
         hash(Subspace.zero(3))
 
 
+def test_matrices_are_unhashable():
+    # Matrix.unit, from_row_matrix and induced_bilinear fill rows in place
+    with pytest.raises(TypeError):
+        hash(Matrix.identity(2))
+
+
 def test_span_kernel_and_solve_take_int_and_fraction_entries():
     half = Fraction(1, 2)
     line = Subspace.span([[1, 0]], 2)
@@ -400,6 +406,12 @@ def test_is_positive_definite():
     # a zero pivot: the 2x2 leading minor vanishes
     assert not is_positive_definite(
         Matrix([[ONE, ONE, ZERO], [ONE, ONE, ZERO], [ZERO, ZERO, ONE]]))
+    # the precondition is checked: [[1, 5], [0, 1]] has x^t m x = -3 at
+    # x = (1, -1), and a 2 x 3 matrix is no form at all
+    for m in (Matrix([[ONE, Scalar.of(5)], [ZERO, ONE]]),
+              Matrix([[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])):
+        with pytest.raises(ValueError, match="square symmetric"):
+            is_positive_definite(m)
 
 
 # mostly zeros, with irrational values (r6, r15/3) and large rationals
