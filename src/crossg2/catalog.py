@@ -327,33 +327,39 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
     T and the ambient must carry the same product.  Random candidates have
     small integer coordinates (range +-3) in the ambient basis, rejecting
     members of T.  Extra candidates, when given, are ambient vectors probed
-    before the random ones.
+    before the random ones.  Each trial runs in the ambient's own
+    coordinates (`LtsCarrier.own_coordinates`): its seed is the span of T's
+    coordinates and the candidate's, and a failure records the candidate
+    as an ambient vector.
     """
     if t.system is not ambient.system:
         raise ValueError("probe needs T and the ambient under one product")
-    if not ambient.space.contains_subspace(t.space):
+    t_coords = [ambient.space.coords(r) for r in t.space.rows]
+    if None in t_coords:
         raise ValueError("probe needs T inside the ambient carrier")
     if t.space.dim >= ambient.space.dim:
         raise ValueError("probe needs a proper subsystem")
     if trials < 1:
         raise ValueError("probe needs at least one trial")
+    candidates = [ambient.space.coords(c) for c in extra_candidates]
+    if None in candidates:
+        raise ValueError("seed is not contained in the ambient carrier")
+    own, t_space = ambient.own_coordinates, Subspace.span(t_coords, ambient.dim)
     passes = 0
     failures: list[tuple[Vec, int]] = []
-    candidates: list[Vec] = [list(c) for c in extra_candidates]
     produced = 0
     while produced < trials:
         if candidates:
             x = candidates.pop(0)
         else:
-            coords = [Scalar.of(rng.randint(-3, 3)) for _ in range(ambient.dim)]
-            x = ambient.element(coords)
-        seed = t.space.copy()  # grows to the RREF of T + x
+            x = [Scalar.of(rng.randint(-3, 3)) for _ in range(ambient.dim)]
+        seed = t_space.copy()  # grows to the RREF of T + x
         if not seed.add(x):
             continue  # x is in T
         produced += 1
-        closed = generated_subtriple(seed, ambient)
-        if closed == ambient.space:
+        closed = generated_subtriple(seed, own)
+        if closed.dim == ambient.dim:
             passes += 1
         else:
-            failures.append((x, closed.dim))
+            failures.append((ambient.element(x), closed.dim))
     return ProbeReport(trials, passes, failures)

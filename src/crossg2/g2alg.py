@@ -7,7 +7,7 @@ Skew-adjointness is not imposed; it emerges from the solve and is kept
 as a verification.
 
 Also houses the named operator families: the two-argument derivations
-D(x, y) built inside the octonions, the lambda/rho operators attached to
+D(x, y) from the octonion formula written in cross products, the lambda/rho operators attached to
 a frame, the Killing form, and normalizer/centralizer solves.
 """
 
@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .cross7 import Octonion, basis_vector, cross, oct_associator
+from .cross7 import basis_vector, cross
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, cleared,
                      combine, commutator, dot, kernel, vadd, vscale, vsub)
 from .lts import TripleSystem, lie_lts
@@ -173,7 +173,7 @@ def derivation_algebra() -> G2:
 def d_operator(x: Sequence[Scalar], y: Sequence[Scalar]) -> Matrix:
     """The derivation z -> [[x,y],z] + 3(x,z,y), bilinear in (x, y): the sum
     of x_a y_b D(e_a, e_b) over the 49 basis values (a = b included), each
-    built once by octonion arithmetic (`_d_basis`)."""
+    built once on integers (`_d_basis`)."""
     x, y = [Scalar.of(t) for t in x], [Scalar.of(t) for t in y]
     if len(x) != 7 or len(y) != 7:
         raise ValueError("D needs two vectors with 7 coordinates")
@@ -185,34 +185,24 @@ def d_operator(x: Sequence[Scalar], y: Sequence[Scalar]) -> Matrix:
 @lru_cache(maxsize=1)
 def _d_basis() -> tuple:
     """The `_nonzeros` listing of the 49 x 49 matrix whose row 7a + b is
-    D(e_a, e_b) flattened."""
-    e = [basis_vector(i) for i in range(7)]
-    return _nonzeros([t for a in e for b in e
-                      for t in _d_octonion(a, b).flatten()], 49)
+    D(e_a, e_b) flattened.  On pure octonions [x, y] = 2 x cross y and the
+    real parts of the associator cancel, so D(x, y)z = 4 (x cross y) cross z
+    + 3 ((x cross z) cross y - x cross (z cross y) - <x, z> y + <y, z> x),
+    here on integer unit vectors."""
+    e = [[int(i == j) for j in range(7)] for i in range(7)]
 
-
-def _d_octonion(x: Vec, y: Vec) -> Matrix:
-    """D(x, y) by octonion arithmetic.
-
-    The real part of the result vanishes identically on pure arguments;
-    this is checked, and the restriction to R^7 is returned.
-    """
-    ox = Octonion.pure(x)
-    oy = Octonion.pure(y)
-    comm = ox * oy - oy * ox
-    cols = []
-    for c in range(7):
-        oz = Octonion.pure(basis_vector(c))
-        val = (comm * oz - oz * comm) + _scale_oct(oct_associator(ox, oz, oy), 3)
-        if val.re:
-            raise AssertionError("derivation has a real component")
-        cols.append(val.im)
-    return Matrix.from_columns(cols)
-
-
-def _scale_oct(o: Octonion, k: int) -> Octonion:
-    ks = Scalar.of(k)
-    return Octonion(ks * o.re, vscale(ks, o.im))
+    def d(a: int, b: int, c: int) -> list[int]:  # D(e_a, e_b) e_c
+        x, y, z = e[a], e[b], e[c]
+        return [4 * s + 3 * (t - u - (a == c) * yk + (b == c) * xk)
+                for s, t, u, xk, yk in zip(
+                    cross(cross(x, y, 0), z, 0), cross(cross(x, z, 0), y, 0),
+                    cross(x, cross(z, y, 0), 0), x, y)]
+    flat = []
+    for a in range(7):
+        for b in range(7):
+            columns = [d(a, b, c) for c in range(7)]
+            flat += [Scalar.of(t) for row in zip(*columns) for t in row]
+    return _nonzeros(flat, 49)
 
 
 class Frame:

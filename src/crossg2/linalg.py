@@ -425,8 +425,13 @@ class Subspace:
         """Coefficients of v on the canonical basis, or None if outside.
 
         No basis row changes another row's pivot entry, so the coefficient
-        of row r is v at r's pivot column.
+        of row r is v at r's pivot column.  The canonical basis of the full
+        space is the identity: there v is its own coordinates, copied.
         """
+        if self.dim == self.n:
+            if len(v) != self.n:
+                raise ValueError("ambient dimension mismatch")
+            return list(v)
         if not is_zero_vec(self.reduce(v)):
             return None
         return [v[pc] for pc in self.pivots]

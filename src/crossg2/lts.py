@@ -187,11 +187,26 @@ class LtsCarrier:
             return False
 
     @cached_property
-    def struct_mod_p(self) -> list[tuple[int, int, list[int]]] | None:
+    def own_coordinates(self) -> "LtsCarrier":
+        """The same triple system on R^dim, the carrier's own coordinates: the
+        full space under the structure constants.  On the identity basis its
+        structure constants are these same numbers, so it shares them, the
+        antisymmetry witness and the tables mod p."""
+        struct = self.struct()
+        own = LtsCarrier(abstract_lts(struct, f"{self.name} coordinates"),
+                         Subspace.full(self.dim))
+        own._struct = struct
+        own.antisymmetry_witness = self.antisymmetry_witness
+        own.struct_mod_p = self.struct_mod_p
+        return own
+
+    @cached_property
+    def struct_mod_p(self) -> list[tuple[int, int, list[tuple[int, int]]]] | None:
         """The nonzero tables [b_i, b_j, b_k] mod scalar.PRIME for i < j, as
-        (i, j, entries with [b_i, b_j, b_k]'s coordinate m at k * dim + m),
-        or None when the prime divides a denominator.  The pairs i > j
-        follow only for an antisymmetric product (`antisymmetry_witness`)."""
+        (i, j, the nonzero (k * dim + m, [b_i, b_j, b_k]'s coordinate m)
+        pairs), or None when the prime divides a denominator.  The pairs
+        i > j follow only for an antisymmetric product
+        (`antisymmetry_witness`)."""
         struct, n = self.struct(), self.dim
         out = []
         for i, j in itertools.combinations(range(n), 2):
@@ -199,7 +214,7 @@ class LtsCarrier:
             if None in table:
                 return None
             if any(table):
-                out.append((i, j, table))
+                out.append((i, j, [(km, y) for km, y in enumerate(table) if y]))
         return out
 
     @cached_property
@@ -257,8 +272,9 @@ def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
 
     The loop first runs over F_p, p = scalar.PRIME, on the seed's
     coordinates in the ambient basis and the structure constants reduced
-    mod p (`LtsCarrier.struct_mod_p`).  If it fills F_p^n, n = dim of the
-    ambient, the closure over K = Q(r6, r10) is the ambient carrier:
+    mod p (`LtsCarrier.struct_mod_p`); on an ambient's `own_coordinates`
+    the seed rows are those coordinates.  If it fills F_p^n, n = dim of
+    the ambient, the closure over K = Q(r6, r10) is the ambient carrier:
 
     - Let V be the span, over the ring R of the values whose denominator
       p does not divide (`Scalar.mod_p` is a ring map R -> F_p), of every
@@ -304,7 +320,16 @@ def _close(closed, operator, dim: int):
 
 def _full_mod_p(coords: list[Vec], ambient: LtsCarrier) -> bool:
     """Whether the closure of the seed with these ambient coordinates fills
-    F_p^n; False also when p divides a denominator."""
+    F_p^n; False also when p divides a denominator.
+
+    The coordinates, reduced mod p, are the F_p echelon as they stand, with
+    no elimination.  Seed and ambient rows are canonical (RREF), and a seed
+    row s's coordinate on an ambient row is s at that row's pivot
+    (`Subspace.coords`).  Let c be s's pivot column.  s is 0 before c, so
+    its coordinates on the ambient rows with earlier pivots are 0; the
+    other ambient rows are 0 at c but one, a, with pivot c, since
+    s[c] = 1.  So s's first nonzero coordinate is 1, on a, and every other
+    seed row, 0 at c, has coordinate 0 on a.  Reduction mod p keeps 1 and 0."""
     tables = ambient.struct_mod_p
     rows = [[x.mod_p() for x in r] for r in coords]
     if tables is None or any(None in r for r in rows):
@@ -317,7 +342,8 @@ def _full_mod_p(coords: list[Vec], ambient: LtsCarrier) -> bool:
         for i, j, table in tables:
             w = a[i] * b[j] - a[j] * b[i]
             if w:
-                acc = [x + w * y for x, y in zip(acc, table)]
+                for km, y in table:
+                    acc[km] += w * y
         images = [[x % p for x in acc[k * n:(k + 1) * n]] for k in range(n)]
 
         def apply(c: list[int]) -> list[int]:
@@ -328,27 +354,34 @@ def _full_mod_p(coords: list[Vec], ambient: LtsCarrier) -> bool:
             return [y % p for y in out]
         return apply
 
-    closed = _EchelonModP(p)
-    for r in rows:
-        closed.add(r)
-    return _close(closed, operator, n).dim == n
+    return _close(_EchelonModP(p, n, rows), operator, n).dim == n
 
 
 class _EchelonModP:
     """A subspace of F_p^n on echelon rows: each row's first nonzero entry
-    is 1, at its pivot, and every later row is zero at that pivot."""
+    is 1, at its pivot, and every later row is zero at that pivot.  It
+    starts from such rows, in order, as given."""
 
-    def __init__(self, p: int):
-        self.p = p
+    def __init__(self, p: int, n: int, rows: Sequence[list[int]] = ()):
+        self.p, self.n = p, n
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        for r in rows:
+            self._check_length(r)
+            self.rows.append(r)
+            self.pivots.append(next(i for i, x in enumerate(r) if x))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    def _check_length(self, v: list[int]):
+        if len(v) != self.n:
+            raise ValueError(f"{len(v)} entries in F_p^{self.n}")
+
     def add(self, v: list[int]) -> bool:
         """Append the residual of v if it is nonzero; whether it was."""
+        self._check_length(v)
         p = self.p
         for r, pc in zip(self.rows, self.pivots):
             f = v[pc]

@@ -103,6 +103,8 @@ class Scalar:
         R6*R15 = 3*R10, R10*R15 = 5*R6 and R15**2 = 15 (mod PRIME)."""
         if self.q % PRIME == 0:
             return None
+        if not (self.na or self.nb or self.nc or self.nd):
+            return 0
         num = self.na + self.nb * PRIME_R6 + self.nc * PRIME_R10 + self.nd * PRIME_R15
         return num * pow(self.q, -1, PRIME) % PRIME
 

@@ -352,11 +352,66 @@ def test_probe_seed_is_the_span_of_t_and_the_candidate(ws, kind, monkeypatch):
                          for _ in range(ambient.dim)]) for _ in range(3)]
     seeds = []
     closure = catalog.generated_subtriple
-    monkeypatch.setattr(catalog, "generated_subtriple",
-                        lambda seed, amb: seeds.append(seed) or closure(seed, amb))
+    monkeypatch.setattr(catalog, "generated_subtriple", lambda seed, amb: seeds.append(
+        (seed, amb)) or closure(seed, amb))
     report = catalog.maximality_probe(t, ambient, 3, rng, extra_candidates=xs)
     assert report.all_passed()
-    assert seeds == [Subspace.span(t.space.rows + [x], 14) for x in xs[1:]]
+    # seeds and closures are in the ambient's own 8 coordinates
+    coords = [ambient.space.coords(r) for r in t.space.rows]
+    assert seeds == [(Subspace.span(coords + [ambient.space.coords(x)], 8),
+                      ambient.own_coordinates) for x in xs[1:]]
+
+
+def ambient_vector_probe(t, ambient, trials, rng, extra_candidates=()):
+    """Oracle: the probe on ambient vectors.  Each candidate is built as an
+    ambient vector, T + x grows in the ambient's coordinate space, and the
+    closure runs in the ambient carrier itself."""
+    passes, failures, produced = 0, [], 0
+    candidates = [list(c) for c in extra_candidates]
+    while produced < trials:
+        if candidates:
+            x = candidates.pop(0)
+        else:
+            x = ambient.element([Scalar.of(rng.randint(-3, 3))
+                                 for _ in range(ambient.dim)])
+        seed = t.space.copy()
+        if not seed.add(x):
+            continue
+        produced += 1
+        closed = lts.generated_subtriple(seed, ambient)
+        if closed == ambient.space:
+            passes += 1
+        else:
+            failures.append((x, closed.dim))
+    return catalog.ProbeReport(trials, passes, failures)
+
+
+def test_probe_equals_the_ambient_vector_probe(ws, g2, tds):
+    cases = [(ws.t_carrier(kind), ws.m4v) for kind in catalog.FAMILIES]
+    cases += [(ws.sl3_carrier(kind), ws.sl3_carrier("full"))
+              for _, _, kind in catalog.FAMILIES.values()]
+    for t, ambient in cases:
+        for seed in range(5):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            report = catalog.maximality_probe(t, ambient, 8, rng)
+            assert report == ambient_vector_probe(t, ambient, 8, oracle_rng)
+            assert rng.getstate() == oracle_rng.getstate()
+    # a proper closure records the candidate as an ambient vector; a
+    # candidate in T is skipped, not probed
+    line = lts.LtsCarrier(g2.lts, Subspace.span([g2.coords(tds.h2)], 14), "line")
+    xs = [line.space.rows[0], g2.coords(tds.h3)]
+    rng, oracle_rng = random.Random(3), random.Random(3)
+    report = catalog.maximality_probe(line, ws.m4v, 3, rng, extra_candidates=xs)
+    assert report == ambient_vector_probe(line, ws.m4v, 3, oracle_rng, xs)
+    assert report.failures[0] == (xs[1], 2)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_probe_rejects_a_candidate_outside_the_ambient(ws, g2, tds):
+    h1 = g2.coords(tds.h1)  # even, so outside the odd part
+    with pytest.raises(ValueError, match="not contained in the ambient"):
+        catalog.maximality_probe(ws.t_carrier("T2"), ws.m4v, 1,
+                                 random.Random(0), extra_candidates=[h1])
 
 
 def test_probe_determinism(ws):

@@ -3,11 +3,12 @@ from itertools import combinations, product
 
 import pytest
 
-from crossg2.cross7 import basis_vector, cross
+from crossg2.cross7 import Octonion, basis_vector, cross, oct_associator
 from crossg2 import g2alg
 from crossg2.g2alg import (Frame, d_operator, lambda_operator, leibniz_rows,
                            rho_operator)
-from crossg2.linalg import Matrix, Subspace, commutator, is_zero_vec, vsub
+from crossg2.linalg import (Matrix, Subspace, _nonzeros, commutator,
+                            is_zero_vec, vscale, vsub)
 from crossg2.scalar import ONE, SQRT6, SQRT15, ZERO, Scalar
 
 E = [basis_vector(i) for i in range(7)]
@@ -138,18 +139,43 @@ def test_normalizer_and_centralizer(g2, tds):
     assert g2.centralizer(full).dim == 0   # the algebra has trivial centre
 
 
+def d_octonion(x, y):
+    """Oracle: D(x, y) by octonion arithmetic, [[x,y],z] + 3(x,z,y).
+
+    The real part of the result vanishes identically on pure arguments;
+    this is checked, and the restriction to R^7 is returned.
+    """
+    ox = Octonion.pure(x)
+    oy = Octonion.pure(y)
+    comm = ox * oy - oy * ox
+    three = Scalar.of(3)
+    cols = []
+    for c in range(7):
+        oz = Octonion.pure(basis_vector(c))
+        assoc = oct_associator(ox, oz, oy)
+        val = (comm * oz - oz * comm) + Octonion(three * assoc.re,
+                                                 vscale(three, assoc.im))
+        assert not val.re, "derivation has a real component"
+        cols.append(val.im)
+    return Matrix.from_columns(cols)
+
+
 def test_d_operator_equals_the_octonion_formula():
+    # the integer listing of the 49 D(e_a, e_b) is the octonion one
+    assert g2alg._d_basis() == _nonzeros(
+        [t for a, b in product(range(7), repeat=2)
+         for t in d_octonion(E[a], E[b]).flatten()], 49)
     for a, b in product(range(7), repeat=2):
-        assert d_operator(E[a], E[b]) == g2alg._d_octonion(E[a], E[b])
+        assert d_operator(E[a], E[b]) == d_octonion(E[a], E[b])
     rng = random.Random(15)
     entries = [ZERO, ZERO, ONE, -ONE, SQRT6, Scalar(0, 0, 1, 0, 3),
                Scalar(2, -1, 0, 1, 5), Scalar.rational(2 ** 70 + 1, 3), SQRT15]
     for _ in range(8):
         x = [rng.choice(entries) for _ in range(7)]
         y = [rng.choice(entries) for _ in range(7)]
-        assert d_operator(x, y) == g2alg._d_octonion(x, y)
+        assert d_operator(x, y) == d_octonion(x, y)
     assert d_operator([1, 0, 0, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0, 0]) == (
-        g2alg._d_octonion(E[0], E[1]).scale(Scalar.of(2)))
+        d_octonion(E[0], E[1]).scale(Scalar.of(2)))
 
 
 @pytest.mark.parametrize("x, y", [(E[0][:6], E[1]), (E[0], E[1] + [ZERO])])

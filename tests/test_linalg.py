@@ -201,6 +201,20 @@ def test_coords_on_canonical_basis():
     assert space.coords(outside) is None
 
 
+def test_coords_on_the_full_space_are_a_copy():
+    full = Subspace.full(4)
+    v = [ONE, ZERO, SQRT6, Scalar.rational(-3, 7)]
+    c = full.coords(v)
+    assert c == v and c is not v
+    c[0] = ZERO
+    assert v[0] == ONE
+    for bad in (v[:3], v + [ZERO]):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            full.coords(bad)
+    # a space of full dimension spanned by other rows is the same space
+    assert Subspace.span(rand_rows(random.Random(3), 6, 4), 4) == full
+
+
 def test_matrix_unit():
     u = Matrix.unit(3, 4, 2, 1)
     assert u.shape == (3, 4)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crossg2 import catalog, lts, matmodel, scalar
 from crossg2._intops import derivation_axiom_holds
@@ -331,6 +331,76 @@ def test_certificate_declines_when_the_prime_divides_a_denominator(monkeypatch):
     assert exact == [True]
 
 
+def test_echelon_mod_p_checks_the_vector_length():
+    e = lts._EchelonModP(7, 2)
+    assert e.add([1, 2])
+    for bad in ([1, 2, 3], [1]):  # zip would read [1, 2, 3] as [1, 2]
+        with pytest.raises(ValueError):
+            e.add(bad)
+    assert e.dim == 1
+    with pytest.raises(ValueError):
+        lts._EchelonModP(7, 2, [[1, 0, 0]])
+
+
+SEED_COEFFICIENTS = st.one_of(
+    st.integers(-3, 3).map(Scalar.of),
+    st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+              st.integers(-3, 3), st.integers(1, 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["m4v", "sl3", "m4v own", "sl3 own"]), st.data())
+def test_seed_coordinates_are_an_echelon_mod_p(ws, name, data):
+    """The coordinates of a canonical seed in a canonical ambient, reduced
+    mod p, are an F_p echelon as they stand (`_full_mod_p`'s argument): the
+    first nonzero entry of each row is 1, the other rows are 0 there, and
+    they span what row-by-row insertion spans."""
+    ambient = ws.m4v if name.startswith("m4v") else ws.sl3_carrier("full")
+    if name.endswith("own"):
+        ambient = ambient.own_coordinates
+    p, n = scalar.PRIME, ambient.dim
+    coefficients = st.lists(SEED_COEFFICIENTS, min_size=n, max_size=n)
+    elements = [ambient.element(c)
+                for c in data.draw(st.lists(coefficients, min_size=1, max_size=n))]
+    seed = Subspace.span(elements, ambient.system.dim)
+    rows = [[x.mod_p() for x in ambient.space.coords(r)] for r in seed.rows]
+    assume(not any(None in r for r in rows))  # p divides no denominator
+    direct = lts._EchelonModP(p, n, rows)
+    for r, pc in zip(direct.rows, direct.pivots):
+        assert r[pc] == 1 and not any(r[:pc])
+        assert all(other[pc] == 0 for other in direct.rows if other is not r)
+    added = lts._EchelonModP(p, n)
+    for r in rows:
+        added.add(r)
+    assert added.dim == direct.dim == seed.dim
+    assert not any(direct.add(r) for r in added.rows)
+
+
+@pytest.mark.parametrize("name, nonzero", [("m4v", 232), ("sl3", 236), ("T1", None)])
+def test_own_coordinates_share_the_certified_structure_constants(ws, name, nonzero):
+    carrier = {"m4v": ws.m4v, "sl3": ws.sl3_carrier("full"),
+               "T1": ws.t_carrier("T1")}[name]
+    own, n = carrier.own_coordinates, carrier.dim
+    assert own is carrier.own_coordinates and own.space == Subspace.full(n)
+    assert own.struct() is carrier.struct()
+    assert own.struct_mod_p is carrier.struct_mod_p
+    assert own.antisymmetry_witness is carrier.antisymmetry_witness is None
+    # the same numbers built from scratch on the identity basis
+    scratch = LtsCarrier(abstract_lts(carrier.struct()), Subspace.full(n))
+    assert own.struct() == scratch.struct()
+    assert own.struct_mod_p == scratch.struct_mod_p
+    # the tables list exactly the nonzero entries mod p of each pair i < j
+    tables = {(i, j): dict(table) for i, j, table in own.struct_mod_p}
+    assert all(tables.values())
+    for i in range(n):
+        for j in range(i + 1, n):
+            table = tables.get((i, j), {})
+            assert [x.mod_p() for image in carrier.struct()[i][j] for x in image] == [
+                table.get(km, 0) for km in range(n * n)]
+    if nonzero is not None:
+        assert sum(map(len, tables.values())) == nonzero
+
+
 def test_gl_products_reject_vectors_of_the_wrong_length():
     gl3 = matrix_lts(3)
     ok, bad = [ONE] + [ZERO] * 8, [ONE] + [ZERO] * 4
@@ -380,6 +450,7 @@ def test_closure_rejects_a_product_that_is_not_antisymmetric():
     struct[0][0][0] = [ZERO, ONE]
     carrier = LtsCarrier(abstract_lts(struct), Subspace.full(2))
     assert carrier.antisymmetry_witness == "[b0, b0, b0] != 0"
+    assert carrier.own_coordinates.antisymmetry_witness == "[b0, b0, b0] != 0"
     report = check_axioms(carrier)
     assert not report.antisymmetry
     assert report.witness == "[b0, b0, b0] != 0"
