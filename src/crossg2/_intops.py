@@ -10,13 +10,15 @@ derived from r6*r10 = 2*r15, r6*r15 = 3*r10, r10*r15 = 5*r6.  `qproduct`
 lifts a bilinear numpy op through this table, skipping each component pair
 with an all-zero operand, so a rational tensor costs one op, not sixteen.
 It has two clients: the derivation-axiom sweep, homogeneous of equal degree
-on both sides, so the cleared denominator cancels; and the sphere-family
-grid of `matmodel.curvature_check`, on tensors `clear_integral` checks.
-The cyclic sum is one integer identity on the sweep's cleared tensor.
+on both sides, so the cleared denominator cancels, and run one slice of
+the first index at a time; and the sphere-family grid of
+`matmodel.curvature_check`, on tensors `clear_integral` checks.  The cyclic
+sum is one integer identity on the sweep's cleared tensor.
 
 The arithmetic is exact at any size: a contraction runs in int64 when its
-worst-case accumulator provably fits (see `contraction_dtype`) and on
-Python integers (dtype object) otherwise, with the same code.
+worst-case accumulator, and the sweep's running difference of four of
+them, provably fit (see `contraction_dtype`) and on Python integers
+(dtype object) otherwise, with the same code.
 """
 
 from __future__ import annotations
@@ -41,22 +43,39 @@ _PRODUCTS = [
 _INT64_LIMIT = 2 ** 62
 
 
+def _entries(nested) -> tuple[tuple[int, ...], list[Scalar]]:
+    """The shape of nested lists of Scalar and their entries in row-major
+    order, in one walk; ValueError on a ragged or mixed-depth nesting."""
+    shape, level = [], [nested]
+    while any(isinstance(x, (list, tuple)) for x in level):
+        sizes = {len(x) if isinstance(x, (list, tuple)) else -1 for x in level}
+        if len(sizes) > 1:
+            raise ValueError("ragged or mixed-depth nesting")
+        shape.append(sizes.pop())
+        level = [y for x in level for y in x]
+    return tuple(shape), level
+
+
 def clear_tensor(nested) -> np.ndarray:
     """Nested lists of Scalar -> integer array [..., 4], the common
     denominator dropped: int64 when every component is below _INT64_LIMIT
-    in absolute value, else Python ints (dtype object)."""
-    scalars = np.array(nested, dtype=object)
-    flat = scalars.ravel().tolist()
+    in absolute value, else Python ints (dtype object).  A rational tensor
+    writes component 0 only."""
+    shape, flat = _entries(nested)
     den = lcm(*{s.q for s in flat})
-    ints = [c * (den // s.q) for s in flat for c in (s.na, s.nb, s.nc, s.nd)]
+    width = 4 if any(s.nb or s.nc or s.nd for s in flat) else 1
+    ints = ([c * (den // s.q) for s in flat for c in (s.na, s.nb, s.nc, s.nd)]
+            if width == 4 else [s.na * (den // s.q) for s in flat])
     lo, hi = min(ints, default=0), max(ints, default=0)
     dtype = np.int64 if -_INT64_LIMIT < lo and hi < _INT64_LIMIT else object
-    return np.array(ints, dtype=dtype).reshape(scalars.shape + (4,))
+    out = np.zeros((len(flat), 4), dtype=dtype)
+    out[:, :width] = np.array(ints, dtype=dtype).reshape(-1, width)
+    return out.reshape(shape + (4,))
 
 
 def clear_integral(nested) -> np.ndarray:
     """clear_tensor of Scalars that must all have denominator 1."""
-    if any(s.q != 1 for s in np.ravel(np.array(nested, dtype=object))):
+    if any(s.q != 1 for s in _entries(nested)[1]):
         raise ValueError("tensor is not integral on {1, r6, r10, r15}")
     return clear_tensor(nested)
 
@@ -87,18 +106,18 @@ def _qmul_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def contraction_dtype(a: np.ndarray, b: np.ndarray, contract_len: int):
-    """int64 when every contraction of a with b, and the sums of three of
-    them in derivation_axiom_holds, provably fit in int64; else object."""
+    """int64 when every contraction of a with b, and the running difference
+    of four of them in derivation_axiom_holds, provably fit; else object."""
     # One matmul entry is at most ma * mb * K.  An output component sums
     # coeff times such entries over its table rows, and the coefficients per
-    # component sum to 32 (w = 0: 1 + 6 + 10 + 15), 12, 8 and 6, so 60 here
-    # over-counts.  Admitting 60 * ma * mb * K < 2^62 bounds a contraction
-    # by (32/60) * 2^62, and the three-term sum t1 + t2 + t3 in
-    # derivation_axiom_holds by 1.6 * 2^62 < 2^63: no int64 overflow.
-    # Past the bound, Python integers keep every sum exact.
+    # component sum to 32 (w = 0: 1 + 6 + 10 + 15), 12, 8 and 6.  Admitting
+    # 64 * ma * mb * K < 2^62 bounds a contraction by 32 * ma * mb * K < 2^61,
+    # and each partial result of lhs - t1 - t2 - t3 in derivation_axiom_holds
+    # by 4 * 2^61 = 2^63, strictly: no int64 overflow.  Past the bound,
+    # Python integers keep every sum exact.
     ma = int(np.abs(a).max(initial=0))
     mb = int(np.abs(b).max(initial=0))
-    bound = 4 * 15 * ma * mb * max(contract_len, 1)
+    bound = 64 * ma * mb * max(contract_len, 1)
     return np.int64 if bound < _INT64_LIMIT else object
 
 
@@ -142,19 +161,24 @@ def derivation_axiom_holds(struct: list[list[list[list[Scalar]]]],
     the sweep runs over the pairs of `inner_derivation_basis` and all basis
     tuples (A, B, E).  This is exhaustive, not a sample.  The pairs with
     X >= Y are covered by antisymmetry in (X, Y), which check_axioms checks.
+    Each pair runs one first index A at a time: the difference of the two
+    sides on the slice c[A] is the only tensor kept, each term subtracted
+    in place, and the first nonzero slice ends the sweep.
     """
     n = len(struct)
     c = clear_struct(struct) if c is None else c
-    shape = (n, n, n, n, 4)
+    rows = c.reshape(n, n ** 3, 4)
     for x, y in inner_derivation_basis(struct):
         m = c[x, y]                            # [l, m, 4]: operator L_{xy}
-        lhs = _qmul_contract(c.reshape(n * n * n, n, 4), m).reshape(shape)
-        # [[X,Y,A],B,E]: sum_p m[a,p] c[p,b,e,:]
-        rhs = _qmul_contract(m, c.reshape(n, n * n * n, 4)).reshape(shape)
-        # [A,[X,Y,B],E]: sum_p m[b,p] c[a,p,e,:], one product per a
-        rhs += _qmul_contract(m, c.reshape(n, n, n * n, 4)).reshape(shape)
-        # [A,B,[X,Y,E]]: sum_p m[e,p] c[a,b,p,:], one product per (a, b)
-        rhs += _qmul_contract(m, c.reshape(n * n, n, n, 4)).reshape(shape)
-        if not np.array_equal(lhs, rhs):
-            return False
+        for a, ca in enumerate(c):             # one [n, n, n, 4] slice live
+            # D[A,B,E]: sum_p c[a,b,e,p] m[p,:]
+            diff = _qmul_contract(ca.reshape(n * n, n, 4), m).reshape(ca.shape)
+            # [[X,Y,A],B,E]: sum_p m[a,p] c[p,b,e,:]
+            diff -= _qmul_contract(m[a:a + 1], rows).reshape(ca.shape)
+            # [A,[X,Y,B],E]: sum_p m[b,p] c[a,p,e,:]
+            diff -= _qmul_contract(m, ca.reshape(n, -1, 4)).reshape(ca.shape)
+            # [A,B,[X,Y,E]]: sum_p m[e,p] c[a,b,p,:], one product per b
+            diff -= _qmul_contract(m, ca)
+            if diff.any():
+                return False
     return True

@@ -533,7 +533,7 @@ def _lts_triple(ws, rng, trials):
 @check("lts.axioms_full", "the full 14-dim algebra as a triple system passes "
                           "antisymmetry, the cyclic sum, and the derivation axiom")
 def _lts_axioms_full(ws, rng, trials):
-    carrier = lts.LtsCarrier(lts.GL7, ws.g2.space, "full-algebra")
+    carrier = lts.LtsCarrier(ws.g2.lts, Subspace.full(14), "full-algebra")
     report = lts.check_axioms(carrier)
     require(report.all_pass(), report.witness or "axiom failure")
 

@@ -2,13 +2,13 @@
 
 A carrier is a subspace of some ambient coordinate space together with a
 trilinear product on that space.  A Lie algebra given by its bracket
-constants carries [[x,y],z] on its own coordinates (`lie_lts`); the g2
-families live in g2's 14 basis coordinates this way.  gl(n) flattened row
-by row (`matrix_lts`, on `linalg`'s listed flat product) realizes g2 as
-matrices, for the axiom check of g2 itself and the lift of the matrix
-model.  Closure under the product is certified at construction by
-expressing every basis triple product back in the carrier basis; those
-coordinates are the structure constants used by the axiom checks.
+constants carries [[x,y],z] on its own coordinates (`lie_lts`); g2 itself,
+for its axiom check, and the g2 families live in g2's 14 basis coordinates
+this way.  gl(n) flattened row by row (`matrix_lts`, on `linalg`'s listed
+flat product) realizes g2 as matrices, for the lift of the matrix model.
+Closure under the product is certified at construction by expressing
+every basis triple product back in the carrier basis; those coordinates
+are the structure constants used by the axiom checks.
 
 The four defining axioms:
 

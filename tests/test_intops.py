@@ -1,6 +1,7 @@
 """The zero-skipping quadruple kernel, the int64 bound of the derivation
 sweep at and past its edge, the sweep over a basis of the inner
-derivations, and the cyclic sum on the cleared tensor.
+derivations one slice at a time, the cyclic sum on the cleared tensor,
+and the clearing of nested lists.
 
 The derivation identity is homogeneous of degree two in the structure
 constants, so scaling a valid structure by any scalar keeps it valid.
@@ -10,6 +11,7 @@ Up to the bound the kernel runs in int64; past it, on Python integers.
 import itertools
 import math
 import random
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -18,23 +20,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crossg2 import _intops, matmodel
-from crossg2._intops import (_INT64_LIMIT, _PRODUCTS, clear_struct,
-                             clear_tensor, contraction_dtype,
+from crossg2._intops import (_INT64_LIMIT, _PRODUCTS, clear_integral,
+                             clear_struct, clear_tensor, contraction_dtype,
                              cyclic_sum_witness, derivation_axiom_holds,
                              inner_derivation_basis, qproduct)
 from crossg2.linalg import Subspace, combine, vadd
-from crossg2.lts import GL7, LtsCarrier, abstract_lts, check_axioms
-from crossg2.scalar import ONE, ZERO, Scalar
+from crossg2.lts import GL7, LtsCarrier, abstract_lts, check_axioms, lie_lts
+from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
 
 
-def derivation_axiom_pure(struct, n: int) -> bool:
+def derivation_axiom_pure(struct, n: int, antisymmetric: bool = True) -> bool:
     """The derivation axiom as a Python loop, the oracle of the kernel."""
-    # both sides are antisymmetric in (x, y) and in (a, b)
+    # both sides are antisymmetric in (x, y), and in (a, b) when the struct
+    # is; otherwise every (a, b) runs, as in the kernel
     for x in range(n):
         for y in range(x + 1, n):
             op = struct[x][y]  # op[l] = coords of [b_x, b_y, b_l]
             for a in range(n):
-                for b in range(a + 1, n):
+                for b in range(a + 1 if antisymmetric else 0, n):
                     for e in range(n):
                         lhs = combine(struct[a][b][e], op)
                         rhs = vadd(vadd(
@@ -49,8 +52,8 @@ def derivation_axiom_pure(struct, n: int) -> bool:
 N = 8
 SL3 = matmodel.sl3_catalog("full").struct()
 SL3_MAX = int(np.abs(clear_tensor(SL3)).max())
-# int64 is chosen while 60 * max^2 * n < 2^62 (see contraction_dtype)
-K_MAX = math.isqrt((_INT64_LIMIT - 1) // (60 * N)) // SL3_MAX
+# int64 is chosen while 64 * max^2 * n < 2^62 (see contraction_dtype)
+K_MAX = math.isqrt((_INT64_LIMIT - 1) // (64 * N)) // SL3_MAX
 
 
 def scaled(k: int):
@@ -64,6 +67,17 @@ def test_k_max_is_the_guard_edge():
     assert contraction_dtype(at, at, N) is np.int64
     past = clear_tensor(scaled(K_MAX + 1))
     assert contraction_dtype(past, past, N) is object
+
+
+@pytest.mark.parametrize("nested", [[[ONE, ONE], [ONE]], [ONE, [ONE]],
+                                    [[ONE], ONE], [[[ONE]], [ONE]]],
+                         ids=["ragged", "list-after-scalar",
+                              "scalar-after-list", "deeper-first"])
+def test_ragged_or_mixed_depth_nesting_is_rejected(nested):
+    with pytest.raises(ValueError, match="ragged or mixed-depth nesting"):
+        clear_tensor(nested)
+    with pytest.raises(ValueError, match="ragged or mixed-depth nesting"):
+        clear_integral(nested)
 
 
 def clear_by_element(nested) -> np.ndarray:
@@ -110,6 +124,7 @@ def test_contraction_dtype_on_int64_tensors():
         assert edge.dtype == np.int64
         assert contraction_dtype(edge, edge, 1) is object
     assert clear_tensor([]).shape == (0, 4)
+    assert clear_tensor([[], []]).shape == (2, 0, 4)
 
 
 @settings(max_examples=6, deadline=None)
@@ -276,7 +291,7 @@ def test_c1211_single_entry_corruptions_agree(entry, delta):
     struct = c1211()
     i, j, k, l = entry
     struct[i][j][k][l] = struct[i][j][k][l] + delta
-    expected = derivation_axiom_pure(struct, 2)
+    expected = derivation_axiom_pure(struct, 2, antisymmetric=False)
     assert derivation_axiom_holds(struct) == expected
     assert derivation_all_pairs(struct) == expected
 
@@ -292,6 +307,61 @@ def test_m34_single_entry_corruptions_fail_like_the_all_pairs_sweep():
         struct[j][i][k][l] = struct[j][i][k][l] - ONE
         assert not derivation_axiom_holds(struct), (i, j, k, l)
         assert not derivation_all_pairs(struct), (i, j, k, l)
+
+
+def so3_plus_center():
+    """[[x, y], z] on so(3) + R^2, so(3) on coordinates 1-3 and the center on
+    0 and 4: no operator reads or reaches a central coordinate, so a
+    corruption that has one in every contracted slot of three of the four
+    terms of the sweep reaches only the fourth."""
+    zero = [ZERO] * 5
+    brackets = [[list(zero) for _ in range(5)] for _ in range(5)]
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        brackets[i][j] = [ONE if m == k else ZERO for m in range(5)]
+        brackets[j][i] = [-x for x in brackets[i][j]]
+    return copy_struct(LtsCarrier(lie_lts(brackets), Subspace.full(5)).struct())
+
+
+# one entry per term, with central coordinates in the slots the other terms
+# contract: D[A,B,E] contracts the fourth index, [DA,B,E] the first,
+# [A,DB,E] the second and [A,B,DE] the third; all but [DA,B,E]'s entry lie
+# in the last slice, A = 4
+ONE_TERM_ENTRIES = {"D[A,B,E]": (4, 4, 4, 2), "[DA,B,E]": (1, 0, 0, 0),
+                    "[A,DB,E]": (4, 2, 4, 4), "[A,B,DE]": (4, 4, 2, 4)}
+
+
+@pytest.mark.parametrize("term", list(ONE_TERM_ENTRIES))
+def test_a_corruption_reaching_one_term_only_is_detected(term):
+    struct = so3_plus_center()
+    assert derivation_axiom_holds(struct) and derivation_axiom_pure(struct, 5)
+    i, j, k, l = ONE_TERM_ENTRIES[term]
+    struct[i][j][k][l] = struct[i][j][k][l] + ONE
+    assert not derivation_axiom_holds(struct)
+    assert not derivation_axiom_pure(struct, 5, antisymmetric=False)
+
+
+@pytest.mark.parametrize("entry", list(itertools.product(range(5), repeat=3)))
+def test_single_entry_corruptions_of_the_last_slice_agree(entry):
+    # not antisymmetric: c[4] changes, c[:, 4] does not
+    struct = so3_plus_center()
+    j, k, l = entry
+    struct[4][j][k][l] = struct[4][j][k][l] + SQRT6
+    assert derivation_axiom_holds(struct) == derivation_axiom_pure(
+        struct, 5, antisymmetric=False)
+
+
+def test_the_sweep_holds_one_slice_at_a_time(g2):
+    # the full [n, n, n, n, 4] tensor of g2 is 1.23 MB; one slice, 88 kB
+    struct = LtsCarrier(g2.lts, Subspace.full(14)).struct()
+    c = clear_struct(struct)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert derivation_axiom_holds(struct, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 500_000
 
 
 def test_inner_derivation_basis_sizes(g2):
