@@ -1,19 +1,18 @@
 """Integer-cleared numpy kernels for bulk quadruple arithmetic.
 
-Scalars live on the basis {1, r6, r10, r15}; a Scalar tensor becomes an
-integer array with a trailing component axis of length 4 over one common
-denominator.  Multiplication of two components is the bilinear table
+A Scalar tensor becomes an integer array over one common denominator with
+a trailing axis of its components on the basis {1, r6, r10, r15}: one if
+every entry is rational, else four.  Components multiply by the table
 
     (u, v) -> (w, coeff)
 
 derived from r6*r10 = 2*r15, r6*r15 = 3*r10, r10*r15 = 5*r6.  `qproduct`
-lifts a bilinear numpy op through this table, skipping each component pair
-with an all-zero operand, so a rational tensor costs one op, not sixteen.
-It has two clients: the derivation-axiom sweep, homogeneous of equal degree
-on both sides, so the cleared denominator cancels, and run one slice of
-the first index at a time; and the sphere-family grid of
-`matmodel.curvature_check`, on tensors `clear_integral` checks.  The cyclic
-sum is one integer identity on the sweep's cleared tensor.
+lifts a bilinear numpy op through it: one op on two rational operands, else
+one per component pair with no all-zero operand.  Its clients are the
+derivation-axiom sweep (homogeneous of equal degree on both sides, so the
+denominator cancels; one slice of the first index at a time), whose
+cleared tensor also carries the cyclic sum, and the sphere-family grid of
+`matmodel.curvature_check`, on tensors `clear_integral` checks.
 
 The arithmetic is exact at any size: a contraction runs in int64 when its
 worst-case accumulator, and the sweep's running difference of four of
@@ -57,10 +56,9 @@ def _entries(nested) -> tuple[tuple[int, ...], list[Scalar]]:
 
 
 def clear_tensor(nested) -> np.ndarray:
-    """Nested lists of Scalar -> integer array [..., 4], the common
-    denominator dropped: int64 when every component is below _INT64_LIMIT
-    in absolute value, else Python ints (dtype object).  A rational tensor
-    writes component 0 only."""
+    """Nested lists of Scalar -> integer array [..., w] (w = 1 if every entry
+    is rational, else 4), the common denominator dropped: int64 when every
+    component is below _INT64_LIMIT in absolute value, else Python ints."""
     shape, flat = _entries(nested)
     den = lcm(*{s.q for s in flat})
     width = 4 if any(s.nb or s.nc or s.nd for s in flat) else 1
@@ -68,9 +66,7 @@ def clear_tensor(nested) -> np.ndarray:
             if width == 4 else [s.na * (den // s.q) for s in flat])
     lo, hi = min(ints, default=0), max(ints, default=0)
     dtype = np.int64 if -_INT64_LIMIT < lo and hi < _INT64_LIMIT else object
-    out = np.zeros((len(flat), 4), dtype=dtype)
-    out[:, :width] = np.array(ints, dtype=dtype).reshape(-1, width)
-    return out.reshape(shape + (4,))
+    return np.array(ints, dtype=dtype).reshape(shape + (width,))
 
 
 def clear_integral(nested) -> np.ndarray:
@@ -81,13 +77,16 @@ def clear_integral(nested) -> np.ndarray:
 
 
 def qproduct(a: np.ndarray, b: np.ndarray, op=np.matmul) -> np.ndarray:
-    """The bilinear op (a callable, or an einsum spec) lifted to quadruple
-    arrays [..., 4]; component pairs with an all-zero operand are skipped."""
+    """The bilinear op (a callable or an einsum spec) on cleared arrays:
+    [..., 1] from two one-component operands, else [..., 4], each component
+    pair with an all-zero operand skipped."""
     op = partial(np.einsum, op) if isinstance(op, str) else op
-    live_a = [a[..., u].any() for u in range(4)]
-    live_b = [b[..., v].any() for v in range(4)]
+    if a.shape[-1] == b.shape[-1] == 1:
+        return op(a[..., 0], b[..., 0])[..., None]
+    live_a = {u for u in range(a.shape[-1]) if a[..., u].any()}
+    live_b = {v for v in range(b.shape[-1]) if b[..., v].any()}
     # with nothing live, the (0, 0) pair still gives the zero result's shape
-    pairs = [p for p in _PRODUCTS if live_a[p[0]] and live_b[p[1]]]
+    pairs = [p for p in _PRODUCTS if p[0] in live_a and p[1] in live_b]
     out = None
     for u, v, w, coeff in pairs or _PRODUCTS[:1]:
         term = op(a[..., u], b[..., v])
@@ -101,7 +100,7 @@ def qproduct(a: np.ndarray, b: np.ndarray, op=np.matmul) -> np.ndarray:
 
 
 def _qmul_contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A @ B on quadruples: [M, K, 4] x [..., K, N, 4] -> [..., M, N, 4]."""
+    """A @ B, cleared: [M, K, w] x [..., K, N, w] -> [..., M, N, w]."""
     return qproduct(a, b)
 
 
@@ -122,10 +121,11 @@ def contraction_dtype(a: np.ndarray, b: np.ndarray, contract_len: int):
 
 
 def clear_struct(struct) -> np.ndarray:
-    """struct[i][j][k][l] as one cleared tensor [n, n, n, n, 4], in the
+    """struct[i][j][k][l] as one cleared tensor [n, n, n, n, w], in the
     dtype `contraction_dtype` admits for the derivation sweep."""
     n = len(struct)
-    c = clear_tensor(struct).reshape((n, n, n, n, 4))
+    c = clear_tensor(struct)
+    c = c.reshape((n,) * 4 + c.shape[-1:])
     return c.astype(contraction_dtype(c, c, n), copy=False)
 
 
@@ -167,16 +167,16 @@ def derivation_axiom_holds(struct: list[list[list[list[Scalar]]]],
     """
     n = len(struct)
     c = clear_struct(struct) if c is None else c
-    rows = c.reshape(n, n ** 3, 4)
+    rows = c.reshape(n, n ** 3, c.shape[-1])
     for x, y in inner_derivation_basis(struct):
-        m = c[x, y]                            # [l, m, 4]: operator L_{xy}
-        for a, ca in enumerate(c):             # one [n, n, n, 4] slice live
+        m = c[x, y]                            # [l, m, w]: operator L_{xy}
+        for a, ca in enumerate(c):             # one [n, n, n, w] slice live
             # D[A,B,E]: sum_p c[a,b,e,p] m[p,:]
-            diff = _qmul_contract(ca.reshape(n * n, n, 4), m).reshape(ca.shape)
+            diff = _qmul_contract(ca.reshape(n * n, n, -1), m).reshape(ca.shape)
             # [[X,Y,A],B,E]: sum_p m[a,p] c[p,b,e,:]
             diff -= _qmul_contract(m[a:a + 1], rows).reshape(ca.shape)
             # [A,[X,Y,B],E]: sum_p m[b,p] c[a,p,e,:]
-            diff -= _qmul_contract(m, ca.reshape(n, -1, 4)).reshape(ca.shape)
+            diff -= _qmul_contract(m, ca.reshape(n, n * n, -1)).reshape(ca.shape)
             # [A,B,[X,Y,E]]: sum_p m[e,p] c[a,b,p,:], one product per b
             diff -= _qmul_contract(m, ca)
             if diff.any():

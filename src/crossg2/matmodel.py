@@ -413,11 +413,11 @@ def curvature_check(grid_range: int = 2) -> dict:
     rng = range(-grid_range, grid_range + 1)
     points = [(s, t) for s in rng for t in rng]
     mats = [d_st(s, t).scale(Scalar.of(3)) for s, t in points]
-    d = clear_integral([m.rows for m in mats])              # [P, 3, 3, 4]
-    a = clear_integral([alpha(m) for m in mats])            # [P, 3, 4]
+    da = clear_integral([m.rows + [alpha(m)] for m in mats])  # [P, 4, 3, w]
+    d, a = da[:, :3], da[:, 3]             # one width: y adds d and a terms
     g = clear_integral([[metric(x, y) for y in mats] for x in mats])
     c = clear_integral([[Scalar.of(s1 * t2 - s2 * t1) for s2, t2 in points]
-                        for s1, t1 in points])              # [P, P, 4]
+                        for s1, t1 in points])              # [P, P, 1]
     # M bounds |entries| of d, a, g, c.  A qproduct component is at most
     # 60 M^2 per contracted index (4 table rows, coefficients <= 15): y
     # reaches 240 M^2, z 180 M^2, v 360 M^2, the triple 180 (480 + 360) M^3
@@ -433,7 +433,7 @@ def curvature_check(grid_range: int = 2) -> dict:
         v = qproduct(a, d[i], "jb,bc->jc") - qproduct(a[i], d, "b,jbc->jc")
         trip = (qproduct(y - y.swapaxes(1, 2), d, "jab,kbc->jkac")
                 + qproduct(d, z - z.swapaxes(1, 2), "kab,jbc->jkac")
-                + qproduct(a, v, "ka,jc->jkac"))          # [m2, m3, 3, 3, 4]
+                + qproduct(a, v, "ka,jc->jkac"))          # [m2, m3, 3, 3, w]
         lhs = (qproduct(g[i], d, "k,jab->jkab")
                - qproduct(g, d[i], "jk,ab->jkab"))
         rhs = qproduct(c[i], target, "j,kab->jkab")

@@ -1,7 +1,8 @@
-"""The zero-skipping quadruple kernel, the int64 bound of the derivation
-sweep at and past its edge, the sweep over a basis of the inner
-derivations one slice at a time, the cyclic sum on the cleared tensor,
-and the clearing of nested lists.
+"""The zero-skipping quadruple kernel on one- and four-component operands,
+the int64 bound of the derivation sweep at and past its edge, the sweep
+over a basis of the inner derivations one slice at a time, the cyclic sum
+on the cleared tensor, and the clearing of nested lists (one component
+when every entry is rational, four otherwise).
 
 The derivation identity is homogeneous of degree two in the structure
 constants, so scaling a valid structure by any scalar keeps it valid.
@@ -93,6 +94,17 @@ def clear_by_element(nested) -> np.ndarray:
     return cleared.reshape(scalars.shape + (4,))
 
 
+def assert_clears_like_the_oracle(out, nested):
+    """out holds the oracle's first w components value by value, w = 1 when
+    the oracle's other components are all zero and 4 otherwise."""
+    expected = clear_by_element(nested)
+    w = out.shape[-1]
+    assert w == (4 if expected[..., 1:].any() else 1)
+    assert out.shape == expected.shape[:-1] + (w,)
+    assert out.tolist() == expected[..., :w].tolist()
+    assert not expected[..., w:].any()
+
+
 @pytest.mark.parametrize("value", [v * sign for v in (2 ** 62 - 1, 2 ** 62, 2 ** 70)
                                    for sign in (1, -1)])
 @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (5, 1), (5, 5)])
@@ -104,7 +116,7 @@ def test_clear_tensor_at_the_int64_edge(value, p, q):
     expected = clear_by_element(nested)
     out = clear_tensor(nested)
     assert out.shape == expected.shape == (2, 2, 4)
-    assert out.tolist() == expected.tolist()
+    assert_clears_like_the_oracle(out, nested)
     fits = abs(value) * (math.lcm(p, q) // p) < _INT64_LIMIT
     assert fits == all(abs(v) < _INT64_LIMIT for v in expected.ravel())
     assert out.dtype == (np.int64 if fits else object)
@@ -114,7 +126,7 @@ def test_contraction_dtype_on_int64_tensors():
     for k in (K_MAX, K_MAX + 1):
         c = clear_tensor(scaled(k))
         assert c.dtype == np.int64
-        assert c.tolist() == clear_by_element(scaled(k)).tolist()
+        assert_clears_like_the_oracle(c, scaled(k))
         as_object = c.astype(object)
         assert (contraction_dtype(c, c, N)
                 is contraction_dtype(as_object, as_object, N))
@@ -123,8 +135,8 @@ def test_contraction_dtype_on_int64_tensors():
         edge = clear_tensor([Scalar.of(value), ONE])
         assert edge.dtype == np.int64
         assert contraction_dtype(edge, edge, 1) is object
-    assert clear_tensor([]).shape == (0, 4)
-    assert clear_tensor([[], []]).shape == (2, 0, 4)
+    assert clear_tensor([]).shape == (0, 1)
+    assert clear_tensor([[], []]).shape == (2, 0, 1)
 
 
 @settings(max_examples=6, deadline=None)
@@ -176,21 +188,27 @@ def dense_qproduct(a, b, op):
 
 
 @st.composite
-def quad_operands(draw, dtype):
-    """[M, K, 4] and [K, N, 4] arrays, each with some all-zero components."""
+def quad_operands(draw, dtype, widths=(4, 4)):
+    """[M, K, wa] and [K, N, wb] arrays, each with some all-zero components."""
     m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
     bound = 2 ** 70 if dtype is object else 10 ** 6
 
-    def operand(shape):
-        live = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    def operand(shape, width):
+        live = draw(st.lists(st.booleans(), min_size=width, max_size=width))
         size = math.prod(shape)
         comps = [draw(st.lists(st.integers(-bound, bound), min_size=size,
                                max_size=size)) if on else [0] * size
                  for on in live]
-        return np.array(comps, dtype=dtype).reshape((4,) + shape).transpose(
-            tuple(range(1, len(shape) + 1)) + (0,))
+        arr = np.array(comps, dtype=dtype).reshape((width,) + shape)
+        return np.moveaxis(arr, 0, -1)
 
-    return operand((m, k)), operand((k, n))
+    return operand((m, k), widths[0]), operand((k, n), widths[1])
+
+
+def padded(x):
+    """x with zero components appended up to four."""
+    pad = np.zeros(x.shape[:-1] + (4 - x.shape[-1],), dtype=x.dtype)
+    return np.concatenate([x, pad], axis=-1)
 
 
 @pytest.mark.parametrize("op", [np.matmul, "ab,bc->ac", "ab,bc->abc"],
@@ -205,6 +223,26 @@ def test_zero_skip_equals_the_dense_loop(data, dtype, op):
     assert out.shape == dense.shape
     assert out.dtype == dense.dtype
     assert np.array_equal(out, dense)
+
+
+# four components on both sides is test_zero_skip_equals_the_dense_loop
+@pytest.mark.parametrize("widths", [(1, 1), (1, 4), (4, 1)],
+                         ids=["1x1", "1x4", "4x1"])
+@pytest.mark.parametrize("op", [np.matmul, "ab,bc->ac", "ab,bc->abc"],
+                         ids=["matmul", "einsum", "einsum-outer"])
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_each_operand_width_equals_the_zero_padded_product(data, dtype, op,
+                                                           widths):
+    a, b = data.draw(quad_operands(dtype, widths))
+    out = qproduct(a, b, op)
+    dense = dense_qproduct(padded(a), padded(b), op)
+    w = 1 if widths == (1, 1) else 4
+    assert out.shape == dense.shape[:-1] + (w,)
+    assert out.dtype == dense.dtype
+    assert np.array_equal(out, dense[..., :w])
+    assert not dense[..., w:].any()
 
 
 def test_all_zero_operand_gives_zeros_of_the_product_shape():
@@ -350,8 +388,20 @@ def test_single_entry_corruptions_of_the_last_slice_agree(entry):
         struct, 5, antisymmetric=False)
 
 
+def test_a_rational_struct_clears_to_one_component(g2):
+    # g2's constants are rational: one int64 each, not four
+    c = clear_struct(LtsCarrier(g2.lts, Subspace.full(14)).struct())
+    assert c.shape == (14,) * 4 + (1,) and c.nbytes == 14 ** 4 * 8
+    # sl(3) times r6 carries r6 only, in the second of four components
+    c = clear_struct([[[[SQRT6 * x for x in vec] for vec in line]
+                       for line in plane] for plane in SL3])
+    assert c.shape == (N,) * 4 + (4,) and c.dtype == np.int64
+    assert np.array_equal(c[..., 1], clear_struct(SL3)[..., 0])
+    assert not c[..., [0, 2, 3]].any()
+
+
 def test_the_sweep_holds_one_slice_at_a_time(g2):
-    # the full [n, n, n, n, 4] tensor of g2 is 1.23 MB; one slice, 88 kB
+    # g2's full [n, n, n, n, 1] tensor is 0.31 MB; one slice, 22 kB
     struct = LtsCarrier(g2.lts, Subspace.full(14)).struct()
     c = clear_struct(struct)
     tracemalloc.start()

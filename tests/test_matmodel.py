@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossg2 import lts, matmodel
+from crossg2 import _intops, lts, matmodel
 from crossg2.catalog import FAMILIES
 from crossg2.checks import (CHECKS, CheckFailure, Workspace, run_checks,
                             select_checks)
@@ -355,6 +355,48 @@ def test_grid_kernel_and_oracle_agree_on_a_corrupted_family(monkeypatch, kind):
     assert report == _grid_oracle(1)
     assert (report["triple_coefficient_ok"], report["metric_identity_ok"]) == (
         triple_ok, metric_ok)
+
+
+def _rational_d_st(s, t):
+    """d_st with sqrt(15)/3 replaced by 1: rational, the identities fail."""
+    s, t = Scalar.of(s), Scalar.of(t)
+    return Matrix([[Scalar.of(-2) * s, ZERO, ZERO], [-t, s, t], [s, -t, s]])
+
+
+def _symmetric_r6_d_st(s, t):
+    """_rational_d_st plus a symmetric r6 part: alpha(d) stays rational."""
+    return _rational_d_st(s, t) + (U[1, 2] + U[2, 1]).scale(SQRT6 * Scalar.of(s))
+
+
+# family and the width of d and alpha(d), cleared as one tensor
+GRID_WIDTHS = {
+    "rational": (_rational_d_st, 1),
+    "zero": (lambda s, t: Matrix.zeros(3, 3), 1),
+    "symmetric-r6": (_symmetric_r6_d_st, 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_WIDTHS))
+def test_grid_d_and_alpha_share_one_width(monkeypatch, kind):
+    family, width = GRID_WIDTHS[kind]
+    cleared, products = [], []
+
+    def spy(f, widths):
+        def wrapped(*args):
+            out = f(*args)
+            widths.append(out.shape[-1])
+            return out
+        return wrapped
+
+    monkeypatch.setattr(_intops, "clear_integral",
+                        spy(_intops.clear_integral, cleared))
+    monkeypatch.setattr(_intops, "qproduct", spy(_intops.qproduct, products))
+    monkeypatch.setattr(matmodel, "d_st", family)
+    assert matmodel.curvature_check(1) == _grid_oracle(1)
+    # clear_integral gives d with alpha, then g and c; every product has
+    # the width of d, and a rational family clears to one component only
+    assert cleared[0] == width and set(products) == {width}
+    assert width == 4 or set(cleared) == {1}
 
 
 @pytest.mark.parametrize("name, broken", [
