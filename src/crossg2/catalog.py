@@ -13,16 +13,15 @@ envelopes never form a 7x7 matrix.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cross7 import cross
 from .g2alg import G2, Frame, d_operator
 from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, combine,
                      commutator, dot, kernel, poly_from_roots_squared,
                      projection_matrix)
-from .lts import LtsCarrier, generated_subtriple
+from .lts import LtsCarrier, generated_subtriple, quotient_module_test
 from .scalar import ZERO, Scalar
 
 __all__ = [
@@ -109,8 +108,7 @@ def random_assoc(rng: random.Random) -> AssocSubalg:
             continue
 
 
-@dataclass
-class Grading:
+class Grading(NamedTuple):
     """Commutant/anticommutant split of the derivation algebra under theta."""
 
     v: AssocSubalg  # the subalgebra split along
@@ -168,8 +166,7 @@ def annihilator_subalg(u: Sequence[Scalar], g2: G2) -> Subspace:
     return mapping_space([(Subspace.span([u], 7), Subspace.full(7))], g2)
 
 
-@dataclass
-class PrincipalTds:
+class PrincipalTds(NamedTuple):
     """A 3-dimensional simple subalgebra acting irreducibly on R^7."""
 
     h1: Matrix
@@ -309,8 +306,7 @@ def intersection_profile(v: AssocSubalg, w: AssocSubalg) -> tuple[int, int, int,
             vp.intersect(wp).dim)
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(NamedTuple):
     trials: int
     passes: int
     failures: list[tuple[Vec, int]]  # (adjoined coordinates, closure dimension)
@@ -324,13 +320,20 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
                      extra_candidates: Sequence[Vec] = ()) -> ProbeReport:
     """Adjoin elements outside T and close; maximality predicts full closure.
 
-    T and the ambient must carry the same product.  Random candidates have
-    small integer coordinates (range +-3) in the ambient basis, rejecting
-    members of T.  Extra candidates, when given, are ambient vectors probed
-    before the random ones.  Each trial runs in the ambient's own
-    coordinates (`LtsCarrier.own_coordinates`): its seed is the span of T's
-    coordinates and the candidate's, and a failure records the candidate
-    as an ambient vector.
+    T must be closed and carry the ambient's product.  Random candidates
+    have integer coordinates in [-3, 3] in the ambient basis, redrawn in T;
+    extra candidates, ambient vectors, come first.  Trials run in the
+    ambient's n own coordinates; a failure records an ambient vector.
+
+    A trial is first decided mod p (`lts.quotient_module_test`).  The
+    closure S of T + x is triple-closed and contains T, so D(a, b) =
+    [a, b, .], a, b in T, maps S into S, and the image mod p of S's
+    spanning products (`lts.generated_subtriple`) contains T-bar, T reduced,
+    and the D-module of x's residual in F_p^n / T-bar.  If that module
+    fills the quotient, the image is F_p^n and the minor argument there
+    gives S = the ambient; a nonzero residual also shows x is not in T.
+    A declined candidate's seed, the span of T and x, closes by
+    `lts.generated_subtriple`, which alone reports a proper closure.
     """
     if t.system is not ambient.system:
         raise ValueError("probe needs T and the ambient under one product")
@@ -344,22 +347,24 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
     candidates = [ambient.space.coords(c) for c in extra_candidates]
     if None in candidates:
         raise ValueError("seed is not contained in the ambient carrier")
+    t.struct()  # certifies that T is closed
     own, t_space = ambient.own_coordinates, Subspace.span(t_coords, ambient.dim)
-    passes = 0
+    fills = quotient_module_test(t_space, own)
     failures: list[tuple[Vec, int]] = []
     produced = 0
     while produced < trials:
         if candidates:
             x = candidates.pop(0)
+            v = [c.mod_p() for c in x]
         else:
-            x = [Scalar.of(rng.randint(-3, 3)) for _ in range(ambient.dim)]
-        seed = t_space.copy()  # grows to the RREF of T + x
-        if not seed.add(x):
-            continue  # x is in T
+            x = v = [rng.randint(-3, 3) for _ in range(ambient.dim)]
+        if not fills(v):
+            x = [Scalar.of(c) for c in x]
+            seed = t_space.copy()  # grows to the RREF of T + x
+            if not seed.add(x):
+                continue  # x is in T
+            closed = generated_subtriple(seed, own)
+            if closed.dim < ambient.dim:
+                failures.append((ambient.element(x), closed.dim))
         produced += 1
-        closed = generated_subtriple(seed, own)
-        if closed.dim == ambient.dim:
-            passes += 1
-        else:
-            failures.append((ambient.element(x), closed.dim))
-    return ProbeReport(trials, passes, failures)
+    return ProbeReport(trials, trials - len(failures), failures)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import catalog, cross7, g2alg, lts, matmodel
 from .linalg import (Matrix, Subspace, char_poly, commutator, dot,
@@ -34,8 +33,7 @@ class SkipCheck(Exception):
     """A prerequisite failed; the check cannot run."""
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     anchor: str
     status: str            # pass | fail | skipped
@@ -43,11 +41,9 @@ class CheckResult:
     duration_ms: int
 
 
-@dataclass
-class Check:
-    id: str
-    anchor: str
-    fn: Callable
+class Check:  # not a NamedTuple: perfbench's tracer rebinds fn
+    def __init__(self, id: str, anchor: str, fn: Callable):
+        self.id, self.anchor, self.fn = id, anchor, fn
 
 
 def require(cond: bool, witness: str):

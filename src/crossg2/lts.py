@@ -26,9 +26,8 @@ i >= j.  (iii) and (iv) run on the integer-cleared numpy kernel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Sequence
 
 from . import scalar
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
@@ -38,15 +37,14 @@ from .scalar import ZERO, Scalar
 __all__ = [
     "TripleSystem", "LtsCarrier", "NotClosedError", "AxiomReport", "GL7",
     "matrix_lts", "lie_lts", "abstract_lts", "triple_in_lie", "check_axioms",
-    "generated_subtriple", "envelope_dim", "is_ideal",
+    "generated_subtriple", "quotient_module_test", "envelope_dim", "is_ideal",
 ]
 
 FlatOperator = Callable[[Vec, Vec], Callable[[Vec], Vec]]
 FlatBracket = Callable[[Vec, Vec], Vec]
 
 
-@dataclass(frozen=True)
-class TripleSystem:
+class TripleSystem(NamedTuple):
     """R^dim with the trilinear product operator(x, y)(z) = [x, y, z]."""
 
     name: str
@@ -233,8 +231,7 @@ class LtsCarrier:
         return None
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     antisymmetry: bool
     cyclic: bool
     derivation: bool
@@ -287,6 +284,7 @@ def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
 
     When p divides a denominator or the F_p closure stops short, the same
     loop runs over K on Subspace rows; only it reports a proper closure.
+    `catalog.maximality_probe` skips most closures by a module argument mod p.
     """
     coords = [ambient.space.coords(r) for r in seed.rows]
     if None in coords:
@@ -330,37 +328,69 @@ def _full_mod_p(coords: list[Vec], ambient: LtsCarrier) -> bool:
     other ambient rows are 0 at c but one, a, with pivot c, since
     s[c] = 1.  So s's first nonzero coordinate is 1, on a, and every other
     seed row, 0 at c, has coordinate 0 on a.  Reduction mod p keeps 1 and 0."""
-    tables = ambient.struct_mod_p
+    tables, n = ambient.struct_mod_p, ambient.dim
     rows = [[x.mod_p() for x in r] for r in coords]
     if tables is None or any(None in r for r in rows):
         return False
-    p, n = scalar.PRIME, ambient.dim
+    return _close(_EchelonModP(scalar.PRIME, n, rows), lambda a, b: partial(
+        _apply_mod_p, _images_mod_p(tables, n, a, b)), n).dim == n
 
-    def operator(a: list[int], b: list[int]) -> Callable[[list[int]], list[int]]:
-        # [a, b, b_k] at k * n, from the pairs i < j by antisymmetry
-        acc = [0] * (n * n)
-        for i, j, table in tables:
-            w = a[i] * b[j] - a[j] * b[i]
-            if w:
-                for km, y in table:
-                    acc[km] += w * y
-        images = [[x % p for x in acc[k * n:(k + 1) * n]] for k in range(n)]
 
-        def apply(c: list[int]) -> list[int]:
-            out = [0] * n
-            for x, image in zip(c, images):
-                if x:
-                    out = [y + x * z for y, z in zip(out, image)]
-            return [y % p for y in out]
-        return apply
+def _images_mod_p(tables, n: int, a: list[int], b: list[int]) -> list[list[int]]:
+    """The images [a, b, b_k] mod p, k < n, of the F_p operator [a, b, .]: from
+    tables as in `LtsCarrier.struct_mod_p`, the pairs i > j by antisymmetry."""
+    acc = [0] * (n * n)  # [a, b, b_k] at k * n
+    for i, j, table in tables:
+        w = a[i] * b[j] - a[j] * b[i]
+        if w:
+            for km, y in table:
+                acc[km] += w * y
+    return [[x % scalar.PRIME for x in acc[k * n:(k + 1) * n]] for k in range(n)]
 
-    return _close(_EchelonModP(p, n, rows), operator, n).dim == n
+
+def _apply_mod_p(images: list[list[int]], c: list[int]) -> list[int]:
+    """sum_k c_k images[k] mod p."""
+    out = [0] * len(images[0])
+    for x, image in zip(c, images):
+        if x:
+            out = [y + x * z for y, z in zip(out, image)]
+    return [y % scalar.PRIME for y in out]
+
+
+def quotient_module_test(t: Subspace, ambient: LtsCarrier) -> Callable[[list], bool]:
+    """For closed T with canonical rows t in the ambient's coordinates, a test
+    of candidate coordinates mod p (None, p dividing a denominator, fails):
+    whether the residual mod T-bar = t mod p is nonzero and generates
+    F_p^n / T-bar under the m x m maps, on the non-pivot columns, induced by
+    D(a, b) = [a, b, .], a < b rows of T-bar.  Sound: `catalog.maximality_probe`."""
+    tables, p, n = ambient.struct_mod_p, scalar.PRIME, ambient.dim
+    rows = [[x.mod_p() for x in r] for r in t.rows]
+    if tables is None or any(None in r for r in rows):
+        return lambda x: False
+    t_bar, m = _EchelonModP(p, n, rows), n - len(rows)
+
+    def free(v: list) -> list:  # the entries at the non-pivot columns
+        return [x for k, x in enumerate(v) if k not in t_bar.pivots]
+
+    maps = [[free(t_bar.reduce(y)) for y in free(_images_mod_p(tables, n, a, b))]
+            for a, b in itertools.combinations(rows, 2)]
+
+    def test(v: list[int | None]) -> bool:
+        module = _EchelonModP(p, m)
+        if None in v or not module.add(free(t_bar.reduce([c % p for c in v]))):
+            return False
+        for row in module.rows:  # the frontier: rows added below are read too
+            for d in maps:
+                if module.add(_apply_mod_p(d, row)) and module.dim == m:
+                    return True
+        return module.dim == m
+    return test
 
 
 class _EchelonModP:
     """A subspace of F_p^n on echelon rows: each row's first nonzero entry
-    is 1, at its pivot, and every later row is zero at that pivot.  It
-    starts from such rows, in order, as given."""
+    is 1, at its pivot, and every later row is zero there.  It starts from
+    reduced rows as given: entries in [0, p), pivots rising, others 0 there."""
 
     def __init__(self, p: int, n: int, rows: Sequence[list[int]] = ()):
         self.p, self.n = p, n
@@ -368,8 +398,12 @@ class _EchelonModP:
         self.pivots: list[int] = []
         for r in rows:
             self._check_length(r)
+            pc = next((i for i, x in enumerate(r) if x), n)
+            if (pc == n or r[pc] != 1 or pc <= max(self.pivots, default=-1)
+                    or any(not 0 <= x < p for x in r) or any(o[pc] for o in self.rows)):
+                raise ValueError(f"rows are not a reduced echelon mod {p}")
             self.rows.append(r)
-            self.pivots.append(next(i for i, x in enumerate(r) if x))
+            self.pivots.append(pc)
 
     @property
     def dim(self) -> int:
@@ -379,19 +413,24 @@ class _EchelonModP:
         if len(v) != self.n:
             raise ValueError(f"{len(v)} entries in F_p^{self.n}")
 
-    def add(self, v: list[int]) -> bool:
-        """Append the residual of v if it is nonzero; whether it was."""
+    def reduce(self, v: list[int]) -> list[int]:
+        """v less its components along the rows, 0 at every pivot."""
         self._check_length(v)
         p = self.p
         for r, pc in zip(self.rows, self.pivots):
             f = v[pc]
             if f:
                 v = [(x - f * y) % p for x, y in zip(v, r)]
+        return v
+
+    def add(self, v: list[int]) -> bool:
+        """Append the residual of v if it is nonzero; whether it was."""
+        v = self.reduce(v)
         pc = next((i for i, x in enumerate(v) if x), None)
         if pc is None:
             return False
-        inv = pow(v[pc], -1, p)
-        self.rows.append([x * inv % p for x in v])
+        inv = pow(v[pc], -1, self.p)
+        self.rows.append([x * inv % self.p for x in v])
         self.pivots.append(pc)
         return True
 

@@ -3,6 +3,7 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossg2 import catalog, checks, cross7, lts, matmodel, scalar
 from crossg2.checks import SkipCheck, Workspace, run_checks, select_checks
@@ -342,9 +343,17 @@ def test_maximality_probe(ws):
     assert report.trials == 10 and report.passes == 10
 
 
+def decline_every_candidate(monkeypatch):
+    """Send every candidate past the quotient test to its exact closure."""
+    monkeypatch.setattr(catalog, "quotient_module_test",
+                        lambda t, ambient: lambda x: False)
+
+
 @pytest.mark.parametrize("kind", ["T1", "T2"])
 def test_probe_seed_is_the_span_of_t_and_the_candidate(ws, kind, monkeypatch):
-    # T1 has an irrational basis, T2 a rational one
+    # T1 has an irrational basis, T2 a rational one; only a declined
+    # candidate has a seed, so the quotient test declines them all
+    decline_every_candidate(monkeypatch)
     t, ambient = ws.t_carrier(kind), ws.m4v
     rng = random.Random(5)
     xs = [t.space.rows[0]] + [  # the first is in T: skipped, not probed
@@ -407,6 +416,49 @@ def test_probe_equals_the_ambient_vector_probe(ws, g2, tds):
     assert rng.getstate() == oracle_rng.getstate()
 
 
+def test_quotient_test_declines_candidates_with_a_proper_closure(ws, g2, tds):
+    """T3 is maximal in the odd part, itself an LTS in g2: inside all of g2
+    every odd candidate closes to the 8-dim odd part.  The h2 line and h3
+    close to a plane, inside the odd part and inside h, where the module
+    of h3 mod the line is one dimension short of the quotient."""
+    full = lts.LtsCarrier(g2.lts, Subspace.full(14), "g2")
+    t3, rng = ws.t_carrier("T3"), random.Random(2)
+    xs = [ws.m4v.element([Scalar.of(rng.randint(-3, 3)) for _ in range(8)])
+          for _ in range(4)]
+    report = catalog.maximality_probe(t3, full, 4, random.Random(0), xs)
+    assert report == ambient_vector_probe(t3, full, 4, random.Random(0), xs)
+    assert report.failures == [(x, 8) for x in xs]
+    line = lts.LtsCarrier(g2.lts, Subspace.span([g2.coords(tds.h2)], 14), "line")
+    h3 = g2.coords(tds.h3)
+    for ambient in (ws.m4v, lts.LtsCarrier(g2.lts, tds.space, "h")):
+        report = catalog.maximality_probe(line, ambient, 1, random.Random(0), [h3])
+        assert report.failures == [(h3, 2)]
+
+
+PROBE_PAIRS = [(kind, "m4v") for kind in catalog.FAMILIES] + [
+    (partner, "full") for _, _, partner in catalog.FAMILIES.values()]
+SPARSE_COORDINATE = st.one_of(st.just(ZERO), st.integers(-2, 2).map(Scalar.of),
+                              st.builds(Scalar, *[st.integers(-2, 2)] * 4,
+                                        st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PROBE_PAIRS), st.data())
+def test_quotient_test_passes_only_candidates_that_close_to_the_ambient(
+        ws, pair, data):
+    kind, ambient_name = pair
+    t, ambient = ((ws.t_carrier(kind), ws.m4v) if ambient_name == "m4v" else
+                  (ws.sl3_carrier(kind), ws.sl3_carrier("full")))
+    own = ambient.own_coordinates
+    t_space = Subspace.span([ambient.space.coords(r) for r in t.space.rows],
+                            own.dim)
+    x = data.draw(st.lists(SPARSE_COORDINATE, min_size=own.dim, max_size=own.dim))
+    if lts.quotient_module_test(t_space, own)([c.mod_p() for c in x]):
+        seed = t_space.copy()
+        assert seed.add(x)  # x is not in T
+        assert lts.generated_subtriple(seed, own) == own.space
+
+
 def test_probe_rejects_a_candidate_outside_the_ambient(ws, g2, tds):
     h1 = g2.coords(tds.h1)  # even, so outside the odd part
     with pytest.raises(ValueError, match="not contained in the ambient"):
@@ -435,6 +487,7 @@ def test_probe_finds_non_maximal_witness(ws, tds, g2):
 def test_maximality_failure_names_the_family_and_the_closure_dims(
         monkeypatch, check_id, kind):
     # a closure that returns its seed stops at dim T + 1 = 3
+    decline_every_candidate(monkeypatch)
     monkeypatch.setattr(catalog, "generated_subtriple", lambda seed, ambient: seed)
     [result] = run_checks(select_checks([check_id]), 0, 2)
     assert result.status == "fail"
@@ -453,35 +506,49 @@ def test_probe_needs_a_trial(ws):
 
 
 def probe_run(monkeypatch):
-    """Results and closures of a seeded run of both maximality checks, and
-    how many closures ran the exact loop.  The run builds its own carriers,
-    so their reduced structure constants use the prime set now."""
-    closures, exact = [], []
+    """Results and probe reports of a seeded run of both maximality checks,
+    with how many candidates the quotient test passed, the closures of the
+    declined ones and how many of those ran the exact loop.  The run builds
+    its own carriers, so their reduced structure constants use the prime
+    set now."""
+    reports, passed, closures, exact = [], [], [], []
+    probe, quotient = catalog.maximality_probe, catalog.quotient_module_test
     closure, close = catalog.generated_subtriple, lts._close
+
+    def counted(t, ambient):
+        test = quotient(t, ambient)
+        return lambda x: passed.append(test(x)) or passed[-1]
     with monkeypatch.context() as m:
         m.setattr(lts, "_close", lambda closed, op, dim: exact.append(
             isinstance(closed, Subspace)) or close(closed, op, dim))
         m.setattr(catalog, "generated_subtriple", lambda seed, amb: closures.append(
             closure(seed, amb)) or closures[-1])
+        m.setattr(catalog, "quotient_module_test", counted)
+        m.setattr(catalog, "maximality_probe", lambda *args: reports.append(
+            probe(*args)) or reports[-1])
         results = run_checks(select_checks(["catalog.maximality",
                                             "matmodel.sl3_maximality"]),
                              1, 25, timing=False)
-    return results, closures, sum(exact)
+    return results, reports, sum(passed), closures, sum(exact)
 
 
 @pytest.mark.parametrize("prime, roots", [(3, (0, 1, 0)), (5, (1, 0, 0))])
 def test_probes_agree_at_a_small_prime(monkeypatch, prime, roots):
-    """Mod 3 (r6 -> 0, r10 -> 1) or 5 (r6 -> 1, r10 -> 0) many certificates
-    fail or decline; the exact loop decides those, and every closure and
-    check result equals the one at the real prime, where none falls back."""
-    results, closures, fallbacks = probe_run(monkeypatch)
-    assert fallbacks == 0 and len(closures) == 200
+    """Mod 3 (r6 -> 0, r10 -> 1) or 5 (r6 -> 1, r10 -> 0) many quotient
+    tests and closure certificates fail or decline; the exact loop decides
+    those, and every probe report and check result equals the one at the
+    real prime.  There the quotient test decides all but a few of the 200
+    trials, and each declined candidate's closure is certified full mod p."""
+    results, reports, passed, closures, fallbacks = probe_run(monkeypatch)
+    # 201 candidates: 197 passed, 3 closed and one redrawn, being in T
+    assert (passed, len(closures), fallbacks) == (197, 3, 0)
+    assert all(c.dim == 8 for c in closures)
     for name, value in zip(("PRIME", "PRIME_R6", "PRIME_R10", "PRIME_R15"),
                            (prime,) + roots):
         monkeypatch.setattr(scalar, name, value)
     small = probe_run(monkeypatch)
-    assert small[:2] == (results, closures)
-    assert 0 < small[2] < len(closures)
+    assert small[:2] == (results, reports)
+    assert small[2] < passed and 0 < small[4] < len(small[3])
 
 
 def test_mapping_space_within_h_equals_the_intersection_with_odd(ws, tds, g2):

@@ -48,7 +48,10 @@ def test_closure_probes_leave_numpy_unimported():
             "ids = ['catalog.maximality', 'matmodel.sl3_maximality']\n"
             "results = run_checks(select_checks(ids), 0, 2)\n"
             "assert [r.status for r in results] == ['pass', 'pass'], results\n"
-            "assert 'numpy' not in sys.modules\n")
+            "assert 'numpy' not in sys.modules\n"
+            # nor dataclasses, which imports inspect, dis, tokenize and ast
+            "assert 'dataclasses' not in sys.modules\n"
+            "assert 'inspect' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True,
                           env={**os.environ, "PYTHONPATH": str(PKG.parent)})

@@ -342,6 +342,20 @@ def test_echelon_mod_p_checks_the_vector_length():
         lts._EchelonModP(7, 2, [[1, 0, 0]])
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 7]], [[1, -1]],     # an entry outside [0, p)
+    [[0, 0]], [[2, 1]],      # no first nonzero entry, or one that is not 1
+    [[0, 1], [1, 0]],        # decreasing pivots
+    [[1, 1], [1, 0]],        # a repeated pivot
+    [[1, 1], [0, 1]],        # the first row is not 0 at the second pivot
+], ids=["entry-p", "entry-negative", "zero-row", "leading-2",
+        "decreasing-pivots", "repeated-pivot", "unreduced"])
+def test_echelon_mod_p_rejects_rows_that_are_not_reduced(rows):
+    with pytest.raises(ValueError, match="reduced echelon"):
+        lts._EchelonModP(7, 2, rows)
+    assert lts._EchelonModP(7, 2, [[1, 0], [0, 1]]).dim == 2
+
+
 SEED_COEFFICIENTS = st.one_of(
     st.integers(-3, 3).map(Scalar.of),
     st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
