@@ -23,12 +23,12 @@ them, provably fit (see `contraction_dtype`) and on Python integers
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
-from math import lcm
+from itertools import combinations, product
+from math import isqrt, lcm
 
 import numpy as np
 
-from .linalg import Subspace
+from .linalg import rref
 from .scalar import Scalar
 
 # (u, v) -> (w, coeff): component products on {1, r6, r10, r15}
@@ -64,9 +64,18 @@ def clear_tensor(nested) -> np.ndarray:
     width = 4 if any(s.nb or s.nc or s.nd for s in flat) else 1
     ints = ([c * (den // s.q) for s in flat for c in (s.na, s.nb, s.nc, s.nd)]
             if width == 4 else [s.na * (den // s.q) for s in flat])
-    lo, hi = min(ints, default=0), max(ints, default=0)
-    dtype = np.int64 if -_INT64_LIMIT < lo and hi < _INT64_LIMIT else object
-    return np.array(ints, dtype=dtype).reshape(shape + (width,))
+    return _int_array(ints, shape + (width,))
+
+
+def _int_array(ints: list[int], shape: tuple[int, ...]) -> np.ndarray:
+    """ints, int64 if all are below _INT64_LIMIT in absolute value."""
+    try:
+        out = np.array(ints, dtype=np.int64)
+        if -_INT64_LIMIT < out.min(initial=0) and out.max(initial=0) < _INT64_LIMIT:
+            return out.reshape(shape)
+    except OverflowError:  # past int64
+        pass
+    return np.array(ints, dtype=object).reshape(shape)
 
 
 def clear_integral(nested) -> np.ndarray:
@@ -121,12 +130,13 @@ def contraction_dtype(a: np.ndarray, b: np.ndarray, contract_len: int):
 
 
 def clear_struct(struct) -> np.ndarray:
-    """struct[i][j][k][l] as one cleared tensor [n, n, n, n, w], in the
-    dtype `contraction_dtype` admits for the derivation sweep."""
-    n = len(struct)
-    c = clear_tensor(struct)
-    c = c.reshape((n,) * 4 + c.shape[-1:])
-    return c.astype(contraction_dtype(c, c, n), copy=False)
+    """struct[i][j][k][l], nested or flat as `LtsCarrier.constants` (whose
+    ints are cleared already), as one cleared tensor [n, n, n, n, w], in
+    the dtype `contraction_dtype` admits for the derivation sweep."""
+    c = (_int_array(struct, (-1, 1)) if struct and type(struct[0]) is int
+         else clear_tensor(struct))
+    c = c.reshape((isqrt(isqrt(c.size // c.shape[-1])),) * 4 + c.shape[-1:])
+    return c.astype(contraction_dtype(c, c, len(c)), copy=False)
 
 
 def cyclic_sum_witness(c: np.ndarray) -> tuple[int, int, int] | None:
@@ -138,47 +148,65 @@ def cyclic_sum_witness(c: np.ndarray) -> tuple[int, int, int] | None:
     return tuple(map(int, bad[0])) if len(bad) else None
 
 
-def inner_derivation_basis(struct) -> list[tuple[int, int]]:
-    """Pairs x < y whose operators struct[x][y] form a basis of the span of
-    all of them: each flattened operator is kept when it is not in the span
-    of those kept before it."""
-    span = Subspace.zero(len(struct) ** 2)
-    return [(x, y) for x, y in combinations(range(len(struct)), 2)
-            if span.add([s for vec in struct[x][y] for s in vec])]
+def _antisymmetric(c: np.ndarray) -> bool:
+    """c[i, j] = -c[j, i] for all i, j, one row of pairs at a time."""
+    return not any((c[i] + c[:, i]).any() for i in range(len(c)))
+
+
+def inner_derivation_basis(c) -> list[tuple[int, int]]:
+    """Pairs (x, y) whose operators c[x, y] span them all (c = clear_struct
+    of a struct, which is cleared): x < y when c is antisymmetric in its
+    first two indices, else all n^2 pairs.  The pivot columns of the rref
+    of the operators as columns keep each one not in the span of those
+    before it (over Q on components: never fewer than over the field)."""
+    c = c if isinstance(c, np.ndarray) else clear_struct(c)
+    n = len(c)
+    pairs = np.array(list(combinations(range(n), 2) if _antisymmetric(c)
+                          else product(range(n), repeat=2)), int).reshape(-1, 2)
+    columns = c[pairs[:, 0], pairs[:, 1]].reshape(  # as lists: no array kept
+        len(pairs), n * n * c.shape[-1]).T.tolist()
+    return [tuple(map(int, pairs[k]))
+            for k in rref([r for r in columns if any(r)])[1]]
 
 
 def derivation_axiom_holds(struct: list[list[list[list[Scalar]]]],
                            c: np.ndarray | None = None) -> bool:
     """Exact check of the derivation identity of a triple system.
 
-    struct[i][j][k] is the coordinate vector of [b_i, b_j, b_k], and c, when
-    given, is clear_struct(struct).  The identity
+    struct[i][j][k] is the coordinate vector of [b_i, b_j, b_k] (or struct
+    is flat, as `LtsCarrier.constants`), and c, when given, is
+    clear_struct(struct).  The identity
 
         D[A,B,E] = [DA,B,E] + [A,DB,E] + [A,B,DE]
 
     is linear in D, so it holds for every inner derivation D(X, Y) = [X,Y,.]
     once it holds on a basis of their span (the inner derivation algebra):
     the sweep runs over the pairs of `inner_derivation_basis` and all basis
-    tuples (A, B, E).  This is exhaustive, not a sample.  The pairs with
-    X >= Y are covered by antisymmetry in (X, Y), which check_axioms checks.
-    Each pair runs one first index A at a time: the difference of the two
-    sides on the slice c[A] is the only tensor kept, each term subtracted
-    in place, and the first nonzero slice ends the sweep.
+    tuples (A, B, E).  This is exhaustive, not a sample.  When c is
+    antisymmetric in its first two indices, so are both sides: only B > A
+    runs, and [[X,Y,A],B,E] reads c[B] = -c[:, B].  Each pair runs one
+    first index A at a time: the difference of the two sides on the slice
+    is the only tensor kept, each term subtracted in place, and the first
+    nonzero one ends the sweep.
     """
-    n = len(struct)
     c = clear_struct(struct) if c is None else c
-    rows = c.reshape(n, n ** 3, c.shape[-1])
-    for x, y in inner_derivation_basis(struct):
+    n, w = len(c), c.shape[-1]
+    rows = c.reshape(n, n ** 3, w)
+    halve = _antisymmetric(c)
+    for x, y in inner_derivation_basis(c):
         m = c[x, y]                            # [l, m, w]: operator L_{xy}
-        for a, ca in enumerate(c):             # one [n, n, n, w] slice live
+        for a in range(n - 1 if halve else n):
+            lo = a + 1 if halve else 0         # the B that run
+            ca, cb = c[a], c[a, lo:]           # [b, e, l, w]: one slice live
             # D[A,B,E]: sum_p c[a,b,e,p] m[p,:]
-            diff = _qmul_contract(ca.reshape(n * n, n, -1), m).reshape(ca.shape)
-            # [[X,Y,A],B,E]: sum_p m[a,p] c[p,b,e,:]
-            diff -= _qmul_contract(m[a:a + 1], rows).reshape(ca.shape)
+            diff = _qmul_contract(cb.reshape(-1, n, w), m).reshape(cb.shape)
+            # [[X,Y,A],B,E]: sum_p m[a,p] c[p,b,e,:], halved -sum_p m[a,p] c[b,p,e,:]
+            diff += (_qmul_contract(m[a:a + 1], c[lo:].reshape(-1, n, n * n, w))
+                     if halve else -_qmul_contract(m[a:a + 1], rows)).reshape(cb.shape)
             # [A,[X,Y,B],E]: sum_p m[b,p] c[a,p,e,:]
-            diff -= _qmul_contract(m, ca.reshape(n, n * n, -1)).reshape(ca.shape)
+            diff -= _qmul_contract(m[lo:], ca.reshape(n, n * n, -1)).reshape(cb.shape)
             # [A,B,[X,Y,E]]: sum_p m[e,p] c[a,b,p,:], one product per b
-            diff -= _qmul_contract(m, ca)
+            diff -= _qmul_contract(m, cb)
             if diff.any():
                 return False
     return True

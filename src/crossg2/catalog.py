@@ -292,7 +292,7 @@ def maximal_lts(split: Grading, kind: str,
     if space.dim != dim:
         raise AssertionError(f"{kind} has dimension {space.dim}, expected {dim}")
     carrier = LtsCarrier(g2.lts, space, kind)
-    carrier.struct()  # closure certificate
+    carrier.constants  # closure certificate
     return carrier
 
 
@@ -347,7 +347,7 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
     candidates = [ambient.space.coords(c) for c in extra_candidates]
     if None in candidates:
         raise ValueError("seed is not contained in the ambient carrier")
-    t.struct()  # certifies that T is closed
+    t.constants  # certifies that T is closed
     own, t_space = ambient.own_coordinates, Subspace.span(t_coords, ambient.dim)
     fills = quotient_module_test(t_space, own)
     failures: list[tuple[Vec, int]] = []

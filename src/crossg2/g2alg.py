@@ -19,7 +19,8 @@ from typing import Sequence
 
 from .cross7 import basis_vector, cross
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, cleared,
-                     combine, commutator, dot, kernel, vadd, vscale, vsub)
+                     cleared_basis, combine, dot, flat_commutator, kernel,
+                     vadd, vscale, vsub)
 from .lts import TripleSystem, lie_lts
 from .scalar import ONE, ZERO, Scalar
 
@@ -27,21 +28,22 @@ __all__ = ["G2", "Frame", "derivation_algebra", "leibniz_rows", "d_operator",
            "lambda_operator", "rho_operator"]
 
 
-def leibniz_rows(pairs: Sequence[tuple[Vec, Vec]]) -> list[Vec]:
-    """Rows of d(x cross y) = d(x) cross y + x cross d(y), 7 per pair (x, y).
+def leibniz_rows(pairs: Sequence[tuple[Vec, Vec]], zero=ZERO) -> list[Vec]:
+    """Rows of d(x cross y) = d(x) cross y + x cross d(y), 7 per pair (x, y);
+    on Python ints with zero=0, as `cross`.
 
     The unknown is a 7x7 matrix d; entry (r, c) is flat index 7*r + c.
     """
-    e = [basis_vector(i) for i in range(7)]
+    e = [[zero + int(r == c) for c in range(7)] for r in range(7)]
     rows = []
     for x, y in pairs:
-        target = cross(x, y)
-        ey = [cross(e[r], y) for r in range(7)]   # e_r x y
-        xe = [cross(x, e[r]) for r in range(7)]   # x x e_r
+        target = cross(x, y, zero)
+        ey = [cross(e[r], y, zero) for r in range(7)]   # e_r x y
+        xe = [cross(x, e[r], zero) for r in range(7)]   # x x e_r
         lx, ly = _nonzeros(x, 7), _nonzeros(y, 7)
         for m in range(7):
             # d(x cross y) - d(x) cross y - x cross d(y), component m
-            row = [ZERO] * 49
+            row = [zero] * 49
             row[7 * m:7 * m + 7] = target
             _accumulate(row, _nonzeros([v[m] for v in ey], 1), lx, 7, sub=True)
             _accumulate(row, _nonzeros([w[m] for w in xe], 1), ly, 7, sub=True)
@@ -53,19 +55,18 @@ class G2:
     """The 14-dimensional derivation algebra with cached structure data."""
 
     def __init__(self):
-        e = [basis_vector(i) for i in range(7)]
+        e = [[int(i == j) for j in range(7)] for i in range(7)]
         pairs = [(e[i], e[j]) for i, j in combinations(range(7), 2)]
-        self.space = kernel(leibniz_rows(pairs), 49)
+        self.space = kernel(leibniz_rows(pairs, 0), 49)
         self.dim = self.space.dim
         self.basis = [Matrix.from_flat(row, 7, 7) for row in self.space.rows]
         # the nonzero entries (i, j, b[i][j]) of each basis matrix b, and the
-        # same cleared by one common denominator (None if one is irrational)
+        # same on the basis rows cleared by one common denominator
         self._terms = [[(k // 7, k % 7, x) for k, x in enumerate(row) if x]
                        for row in self.space.rows]
-        flat = cleared([x for row in self.space.rows for x in row])
-        self._int_terms = flat and [[(i, j, flat[49 * b + 7 * i + j])
-                                     for i, j, _ in e]
-                                    for b, e in enumerate(self._terms)]
+        self._cleared = cleared_basis(self.space)  # integer kernel: rational
+        self._int_terms = [[(i, j, self._cleared[0][b][7 * i + j])
+                            for i, j, _ in e] for b, e in enumerate(self._terms)]
 
     # -- membership and coordinates -----------------------------------
 
@@ -96,12 +97,15 @@ class G2:
 
     @cached_property
     def bracket_coords(self) -> list[list[Vec]]:
-        """sc[i][j] = coordinates of [b_i, b_j]."""
-        n, b = self.dim, self.basis
+        """sc[i][j] = coordinates of [b_i, b_j], from m^2 [b_i, b_j] on ints."""
+        n, (rows, m, coords) = self.dim, self._cleared
         sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
         for i, j in combinations(range(n), 2):
-            sc[i][j] = self.coords(commutator(b[i], b[j]))
-            sc[j][i] = [-x for x in sc[i][j]]
+            x = coords(flat_commutator(rows[i], rows[j], 7, 0))
+            if x is None:
+                raise ValueError("a commutator of the basis leaves the algebra")
+            sc[i][j] = [Scalar(t, 0, 0, 0, m * m) if t else ZERO for t in x]
+            sc[j][i] = [-y for y in sc[i][j]]
         return sc
 
     @cached_property

@@ -20,7 +20,7 @@ __all__ = [
     "Matrix", "Subspace", "dot", "vadd", "vsub", "vscale", "combine",
     "is_zero_vec", "rref", "kernel", "rank", "char_poly",
     "solve", "inverse", "projection_matrix",
-    "is_positive_definite", "flat_commutator", "cleared",
+    "is_positive_definite", "flat_commutator", "cleared", "cleared_basis",
 ]
 
 Vec = list[Scalar]
@@ -179,9 +179,10 @@ class Matrix:
 def _nonzeros(a: Sequence[Scalar], m: int) -> tuple:
     """The nonzero (column, value) pairs of each row of a, with m columns,
     as (pairs, int pairs, q): the int pairs are the values times their common
-    denominator q if all are rational, else None."""
+    denominator q if all are rational Scalars, else None (Python ints are
+    multiplied as they are, in `_accumulate`'s generic loop)."""
     rows = [[] for _ in range(0, len(a), m or 1)]
-    q, rational = 1, True
+    q, rational = 1, not (a and type(a[0]) is int)
     for ij, x in enumerate(a):
         if x:
             rows[ij // m].append((ij % m, x))
@@ -227,11 +228,12 @@ def flat_product(out: Vec, a: Sequence[Scalar], b: Sequence[Scalar],
         _accumulate(out, _nonzeros(a, k), _nonzeros(b, m), m)
 
 
-def flat_commutator(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> Vec:
-    """ab - ba on n x n matrices flattened row by row; ba is subtracted."""
+def flat_commutator(a: Sequence[Scalar], b: Sequence[Scalar], n: int,
+                    zero=ZERO) -> Vec:
+    """ab - ba on n x n matrices flattened row by row (on ints with zero=0)."""
     if len(a) != n * n or len(b) != n * n:
         raise ValueError(f"commutator of {len(a)} and {len(b)} entries in gl({n})")
-    out, la, lb = [ZERO] * (n * n), _nonzeros(a, n), _nonzeros(b, n)
+    out, la, lb = [zero] * (n * n), _nonzeros(a, n), _nonzeros(b, n)
     _accumulate(out, la, lb, n)
     _accumulate(out, lb, la, n, sub=True)
     return out
@@ -473,6 +475,24 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, n={self.n})"
+
+
+def cleared_basis(space: Subspace) -> tuple | None:
+    """(rows, m, coords): the canonical rows cleared by one denominator m,
+    or None if one is irrational; coords(v), for v of ints, is v at the
+    pivots if m v = sum_p v[pc_p] rows[p] (v is in the span), else None."""
+    n, pivots = space.n, space.pivots
+    flat = cleared([x for r in space.rows for x in r])
+    if flat is None:
+        return None
+    rows = [flat[p * n:(p + 1) * n] for p in range(len(pivots))]
+    m, listed = rows[0][pivots[0]] if rows else 1, _nonzeros(flat, n)
+
+    def coords(v: list[int]) -> list[int] | None:
+        x, out = [v[pc] for pc in pivots], [m * t for t in v]
+        _accumulate(out, _nonzeros(x, len(x)), listed, n, sub=True)
+        return None if any(out) else x
+    return rows, m, coords
 
 
 def projection_matrix(space: "Subspace") -> Matrix:

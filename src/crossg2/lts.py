@@ -6,9 +6,9 @@ constants carries [[x,y],z] on its own coordinates (`lie_lts`); g2 itself,
 for its axiom check, and the g2 families live in g2's 14 basis coordinates
 this way.  gl(n) flattened row by row (`matrix_lts`, on `linalg`'s listed
 flat product) realizes g2 as matrices, for the lift of the matrix model.
-Closure under the product is certified at construction by expressing
-every basis triple product back in the carrier basis; those coordinates
-are the structure constants used by the axiom checks.
+Closure under the product is certified by expressing every basis triple
+product back in the carrier basis; those coordinates are the structure
+constants used by the axiom checks (`LtsCarrier.constants`).
 
 The four defining axioms:
 
@@ -18,20 +18,21 @@ The four defining axioms:
     (iv)  [X,Y,.] acts as a derivation of the triple product
 
 (ii) and (iii) are verified on all basis tuples.  (iv) is linear in
-D = [X,Y,.], so it is verified for a basis of the span of the D(b_i, b_j),
-i < j (the inner derivations), and all basis tuples; antisymmetry covers
-i >= j.  (iii) and (iv) run on the integer-cleared numpy kernel.
+D = [X,Y,.], so it is verified for a basis of the span of the D(b_i, b_j)
+(the inner derivations; i < j covers i >= j when (ii) holds) and all
+basis tuples.  (iii) and (iv) run on the integer-cleared numpy kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property, partial
+from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
 from . import scalar
-from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
-                     commutator, flat_commutator, rref)
+from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros,
+                     cleared_basis, combine, commutator, flat_commutator, rref)
 from .scalar import ZERO, Scalar
 
 __all__ = [
@@ -45,15 +46,24 @@ FlatBracket = Callable[[Vec, Vec], Vec]
 
 
 class TripleSystem(NamedTuple):
-    """R^dim with the trilinear product operator(x, y)(z) = [x, y, z]."""
+    """R^dim with the trilinear product operator(x, y)(z) = [x, y, z]; if it is
+    rational, cleared = (products, s): products(rows) = s [r_i, r_j, r_k]
+    on ints, flat in (i, j, k) order."""
 
     name: str
     dim: int
     operator: FlatOperator
     bracket: FlatBracket | None = None  # set when the ambient is a Lie algebra
+    cleared: tuple[Callable[[list[list[int]]], list[int]], int] | None = None
 
     def triple(self, x: Vec, y: Vec, z: Vec) -> Vec:
         return self.operator(x, y)(z)
+
+
+def operator_products(operator: FlatOperator, rows: Sequence[Vec]) -> list:
+    """[r_i, r_j, r_k], flat in (i, j, k) order, one operator per (i, j)."""
+    ops = [operator(a, b) for a, b in itertools.product(rows, repeat=2)]
+    return [x for op in ops for c in rows for x in op(c)]
 
 
 def triple_in_lie(x: Matrix, y: Matrix, z: Matrix) -> Matrix:
@@ -67,19 +77,20 @@ def matrix_lts(n: int) -> TripleSystem:
     def bracket(a: Vec, b: Vec) -> Vec:
         return flat_commutator(a, b, n)
 
-    def operator(a: Vec, b: Vec) -> Callable[[Vec], Vec]:
-        ab = _nonzeros(bracket(a, b), n)  # listed once per pair
+    def operator(a: Vec, b: Vec, zero=ZERO) -> Callable[[Vec], Vec]:
+        ab = _nonzeros(flat_commutator(a, b, n, zero), n)  # listed once per pair
 
         def apply(c: Vec) -> Vec:
             if len(c) != n * n:
                 raise ValueError(f"{len(c)} entries in gl({n})")
-            out, lc = [ZERO] * (n * n), _nonzeros(c, n)
+            out, lc = [zero] * (n * n), _nonzeros(c, n)
             _accumulate(out, ab, lc, n)
             _accumulate(out, lc, ab, n, sub=True)
             return out
         return apply
 
-    return TripleSystem(f"gl{n}", n * n, operator, bracket)
+    return TripleSystem(f"gl{n}", n * n, operator, bracket, (partial(
+        operator_products, partial(operator, zero=0)), 1))
 
 
 GL7 = matrix_lts(7)  # g2's ambient as 7x7 matrices, one product for every caller
@@ -89,29 +100,45 @@ def lie_lts(brackets: Sequence[Sequence[Vec]], name: str = "lie") -> TripleSyste
     """[[x,y],z] on R^dim for the Lie algebra with bracket constants
     brackets[i][j] = coordinates of [b_i, b_j]; only nonzero terms are kept."""
     dim = len(brackets)
-    terms = [[[(k, c) for k, c in enumerate(sc) if c] for sc in row]
-             for row in brackets]
+    # the nonzero constants of [b_i, b_j] at i * dim + j, also on ints over q
+    terms, int_terms, q = _nonzeros(
+        [c for row in brackets for sc in row for c in sc], dim)
 
-    def bracket(x: Vec, y: Vec) -> Vec:
-        if len(x) != dim or len(y) != dim:
-            raise ValueError(f"bracket of {len(x)} and {len(y)} coordinates "
-                             f"in a {dim}-dim algebra")
-        out = [ZERO] * dim
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if a:
-                row = terms[i]
-                for j, b in ys:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] = out[k] + ab * c
-        return out
+    def bracket_on(terms: list, zero) -> FlatBracket:
+        def bracket(x: Vec, y: Vec) -> Vec:
+            if len(x) != dim or len(y) != dim:
+                raise ValueError(f"bracket of {len(x)} and {len(y)} coordinates "
+                                 f"in a {dim}-dim algebra")
+            out = [zero] * dim
+            ys = [(j, b) for j, b in enumerate(y) if b]
+            for i, a in enumerate(x):
+                if a:
+                    row = i * dim
+                    for j, b in ys:
+                        ab = a * b
+                        for k, c in terms[row + j]:
+                            out[k] = out[k] + ab * c
+            return out
+        return bracket
+
+    bracket = bracket_on(terms, ZERO)
 
     def operator(a: Vec, b: Vec) -> Callable[[Vec], Vec]:
         ab = bracket(a, b)
         return lambda c: bracket(ab, c)
 
-    return TripleSystem(name, dim, operator, bracket)
+    def products(rows: list[list[int]]) -> list[int]:
+        """q^2 [[r_i, r_j], r_k] = sum_p q[r_i, r_j]_p q[b_p, r_k], one product."""
+        n, int_bracket = len(rows), bracket_on(int_terms, 0)
+        pairs = [x for a in rows for b in rows for x in int_bracket(a, b)]
+        ads = [x for p in range(dim) for c in rows for x in int_bracket(
+            [int(k == p) for k in range(dim)], c)]
+        out = [0] * (n ** 3 * dim)
+        _accumulate(out, _nonzeros(pairs, dim), _nonzeros(ads, n * dim), n * dim)
+        return out
+
+    return TripleSystem(name, dim, operator, bracket,
+                        None if int_terms is None else (products, q * q))
 
 
 def abstract_lts(struct: Sequence[Sequence[Sequence[Sequence[Scalar]]]],
@@ -163,23 +190,48 @@ class LtsCarrier:
             raise ValueError(f"{len(coords)} coordinates on a {self.dim}-dim carrier")
         return combine(coords, self.space.rows) if coords else [ZERO] * self.space.n
 
+    @cached_property
+    def constants(self) -> tuple[list, int | None]:
+        """(flat, den): coordinate l of [b_i, b_j, b_k] at ((i n + j) n + k) n
+        + l, over den.  For rational basis rows and a `cleared` product, ints
+        as `_intops.clear_struct` clears them, certified on ints against the
+        rows cleared by m (`cleared_basis`); else Scalars, over None.
+        Certifies closure: NotClosedError names the first basis triple whose
+        product leaves the carrier."""
+        n, size, cleared = self.dim, self.space.n, self.system.cleared
+        basis = cleared and cleared_basis(self.space)
+        if basis:  # the products of the rows cleared by m are s m^3 times more
+            (products, s), (rows, m, coords) = cleared, basis
+            den = s * m ** 3
+        else:
+            products = partial(operator_products, self.system.operator)
+            rows, coords, den = self.space.rows, self.space.coords, None
+        flat = products(rows)
+        if n < size:  # else the products are their own coordinates
+            out, flat = flat, []
+            for t in range(n ** 3):
+                x = coords(out[t * size:(t + 1) * size])
+                if x is None:
+                    raise NotClosedError(t // (n * n), t // n % n, t % n)
+                flat += x
+        if den and (g := gcd(den, *flat)) > 1:
+            flat, den = [t // g for t in flat], den // g
+        return flat, den
+
     def struct(self) -> list[list[list[Vec]]]:
-        """Structure constants on the carrier basis; certifies closure."""
+        """Structure constants as Scalars, from `constants` when asked for."""
         if self._struct is None:
-            rows, n = self.space.rows, self.dim
-            out: list = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for i, j in itertools.product(range(n), repeat=2):
-                op = self.system.operator(rows[i], rows[j])
-                for k in range(n):
-                    out[i][j][k] = self.space.coords(op(rows[k]))
-                    if out[i][j][k] is None:
-                        raise NotClosedError(i, j, k)
-            self._struct = out
+            flat, den = self.constants
+            if den is not None:
+                flat = [Scalar(t, 0, 0, 0, den) if t else ZERO for t in flat]
+            n, m = self.dim, self.dim ** 2
+            self._struct = [[[flat[k:k + n] for k in range(ij * m, ij * m + m, n)]
+                             for ij in range(i * n, i * n + n)] for i in range(n)]
         return self._struct
 
     def is_closed(self) -> bool:
         try:
-            self.struct()
+            self.constants
             return True
         except NotClosedError:
             return False
@@ -194,6 +246,7 @@ class LtsCarrier:
         own = LtsCarrier(abstract_lts(struct, f"{self.name} coordinates"),
                          Subspace.full(self.dim))
         own._struct = struct
+        own.constants = self.constants
         own.antisymmetry_witness = self.antisymmetry_witness
         own.struct_mod_p = self.struct_mod_p
         return own
@@ -205,10 +258,15 @@ class LtsCarrier:
         pairs), or None when the prime divides a denominator.  The pairs
         i > j follow only for an antisymmetric product
         (`antisymmetry_witness`)."""
-        struct, n = self.struct(), self.dim
+        (flat, den), n, p = self.constants, self.dim, scalar.PRIME
+        if den is not None and den % p == 0:
+            return None
+        inv = den and pow(den, -1, p)  # ints: times the inverse of den
         out = []
         for i, j in itertools.combinations(range(n), 2):
-            table = [x.mod_p() for image in struct[i][j] for x in image]
+            chunk = flat[(i * n + j) * n * n:(i * n + j + 1) * n * n]
+            table = ([x.mod_p() for x in chunk] if den is None
+                     else [t * inv % p for t in chunk])
             if None in table:
                 return None
             if any(table):
@@ -219,15 +277,16 @@ class LtsCarrier:
     def antisymmetry_witness(self) -> str | None:
         """The first basis triple with [x, y, z] != -[y, x, z], or None;
         read off the certified structure constants, diagonal included."""
-        struct = self.struct()
-        n = self.dim
+        flat, n = self.constants[0], self.dim
         for i in range(n):
             for j in range(i, n):
-                for k in range(n):
-                    if any(a + b for a, b in zip(struct[i][j][k], struct[j][i][k])):
-                        if i == j:
-                            return f"[b{i}, b{i}, b{k}] != 0"
-                        return f"[b{i}, b{j}, b{k}] != -[b{j}, b{i}, b{k}]"
+                a, b = (i * n + j) * n * n, (j * n + i) * n * n
+                sums = [x + y for x, y in zip(flat[a:a + n * n], flat[b:b + n * n])]
+                if any(sums):
+                    k = next(t for t, x in enumerate(sums) if x) // n
+                    if i == j:
+                        return f"[b{i}, b{i}, b{k}] != 0"
+                    return f"[b{i}, b{j}, b{k}] != -[b{j}, b{i}, b{k}]"
         return None
 
 
@@ -243,14 +302,13 @@ class AxiomReport(NamedTuple):
 
 def check_axioms(carrier: LtsCarrier) -> AxiomReport:
     """Verify axioms (ii)-(iv) exactly (see the module docstring)."""
-    struct = carrier.struct()
     # Imported here, not at the top: runs that never check axioms (closure
     # probes, for one) never pay for importing numpy.
     from ._intops import clear_struct, cyclic_sum_witness, derivation_axiom_holds
-    c = clear_struct(struct)  # shared by (iii) and (iv)
+    c = clear_struct(carrier.constants[0])  # shared by (iii) and (iv)
     antisym = carrier.antisymmetry_witness  # (ii), [x, x, z] = 0 included
     bad = cyclic_sum_witness(c)  # (iii)
-    derivation = derivation_axiom_holds(struct, c)  # (iv)
+    derivation = derivation_axiom_holds(carrier.constants[0], c)  # (iv)
     witness = antisym or (bad and f"cyclic sum at {bad} != 0") or (
         None if derivation else "derivation identity fails on some basis tuple")
     return AxiomReport(antisym is None, bad is None, derivation, witness)
@@ -372,8 +430,11 @@ def quotient_module_test(t: Subspace, ambient: LtsCarrier) -> Callable[[list], b
     def free(v: list) -> list:  # the entries at the non-pivot columns
         return [x for k, x in enumerate(v) if k not in t_bar.pivots]
 
-    maps = [[free(t_bar.reduce(y)) for y in free(_images_mod_p(tables, n, a, b))]
-            for a, b in itertools.combinations(rows, 2)]
+    span = _EchelonModP(p, m * m)  # invariant under maps = under a basis of them
+    maps = [d for d in ([free(t_bar.reduce(y))
+                         for y in free(_images_mod_p(tables, n, a, b))]
+                        for a, b in itertools.combinations(rows, 2))
+            if span.add([x for r in d for x in r])]
 
     def test(v: list[int | None]) -> bool:
         module = _EchelonModP(p, m)

@@ -1,0 +1,293 @@
+"""Rational triple systems on integers, against the Scalar path.
+
+A carrier with rational basis rows under a product with
+`TripleSystem.cleared` computes its structure constants once, as Python
+ints over one common denominator, and certifies closure on them; every
+other carrier runs the Scalar products.  The Scalar path is the oracle:
+the same product with `cleared` dropped.  g2 itself is built on integer
+Leibniz rows and integer commutators, against the Scalar-built algebra.
+The derivation sweep halves its (A, B) pairs on an antisymmetric tensor,
+against the sweep of every pair.
+"""
+
+import itertools
+import random
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from crossg2 import _intops, matmodel
+from crossg2._intops import _INT64_LIMIT, clear_struct, derivation_axiom_holds
+from crossg2.cross7 import basis_vector
+from crossg2.g2alg import G2, leibniz_rows
+from crossg2.linalg import (Matrix, Subspace, cleared, cleared_basis,
+                            commutator, kernel)
+from crossg2.lts import (GL7, LtsCarrier, NotClosedError, TripleSystem,
+                         abstract_lts, check_axioms, lie_lts, matrix_lts)
+from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
+from test_intops import SL3, copy_struct, so3_plus_center
+
+RATIONAL_KINDS = ["g2-full", "odd-part", "T2", "T3", "T4", "m34-full",
+                  "m34-template", "sl3-full", "sym5", "col4", "refl4", "gotro",
+                  "gl7-tangent"]
+
+
+def carrier_of(ws, kind: str) -> LtsCarrier:
+    if kind == "g2-full":
+        return LtsCarrier(ws.g2.lts, Subspace.full(14))
+    if kind == "odd-part":
+        return ws.m4v
+    if kind in ("T1", "T2", "T3", "T4"):
+        return ws.t_carrier(kind)
+    if kind == "m34-full":
+        return LtsCarrier(matmodel.M34, Subspace.full(12))
+    if kind == "m34-template":
+        return LtsCarrier(matmodel.M34, Subspace.span(
+            [m.flatten() for m in matmodel.m34_template_basis()], 12))
+    if kind == "gl7-tangent":
+        return LtsCarrier(GL7, ws.lift.tangent)
+    return ws.sl3_carrier(kind.removeprefix("sl3-"))
+
+
+def scalar_path(carrier: LtsCarrier) -> LtsCarrier:
+    """The same carrier under the same product with `cleared` dropped."""
+    system = carrier.system._replace(cleared=None)
+    return LtsCarrier(system, carrier.space, carrier.name)
+
+
+@pytest.mark.parametrize("kind", RATIONAL_KINDS)
+def test_the_integer_constants_equal_the_cleared_scalar_struct(ws, kind):
+    carrier = carrier_of(ws, kind)
+    oracle = scalar_path(carrier)
+    flat, den = carrier.constants
+    assert den is not None and all(type(t) is int for t in flat)
+    expected = clear_struct(oracle.struct())
+    c = clear_struct(flat)
+    assert c.dtype == expected.dtype and np.array_equal(c, expected)
+    assert carrier.struct() == oracle.struct()
+    assert carrier.struct_mod_p == oracle.struct_mod_p
+    assert carrier.antisymmetry_witness == oracle.antisymmetry_witness
+    assert check_axioms(carrier) == check_axioms(oracle)
+
+
+@pytest.mark.parametrize("kind", ["T1", "sl3-sphere"])
+def test_irrational_carriers_keep_the_scalar_path(ws, kind):
+    carrier = carrier_of(ws, kind)
+    flat, den = carrier.constants
+    assert den is None and all(isinstance(x, Scalar) for x in flat)
+    assert carrier.struct() == scalar_path(carrier).struct()
+
+
+def test_check_axioms_builds_no_scalar_struct_of_a_rational_carrier(ws):
+    carrier = LtsCarrier(matmodel.M34, Subspace.full(12))
+    with mock.patch.object(LtsCarrier, "struct", side_effect=AssertionError):
+        assert check_axioms(carrier).all_pass()
+    assert carrier._struct is None
+
+
+def random_spans(system: TripleSystem, count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 3)
+        rows = [[Scalar.rational(rng.randint(-2, 2), rng.randint(1, 3))
+                 if rng.random() < 0.3 else ZERO for _ in range(system.dim)]
+                for _ in range(dim)]
+        yield Subspace.span(rows, system.dim)
+
+
+def closure_witness(carrier: LtsCarrier):
+    try:
+        carrier.constants
+    except NotClosedError as exc:
+        return exc.witness
+    return None
+
+
+@pytest.mark.parametrize("system", [matmodel.M34, matmodel.SL3,
+                                    matrix_lts(3), "g2"], ids=lambda s: str(
+                                        getattr(s, "name", s)))
+def test_a_carrier_that_is_not_closed_names_the_same_triple(g2, system):
+    system = g2.lts if system == "g2" else system
+    witnesses = []
+    for space in random_spans(system, 25, 3):
+        carrier = LtsCarrier(system, space)
+        witness = closure_witness(carrier)
+        assert witness == closure_witness(scalar_path(carrier))
+        assert carrier.is_closed() is (witness is None)
+        if witness is not None:
+            with pytest.raises(NotClosedError):
+                carrier.struct()
+        witnesses.append(witness)
+    assert any(witnesses) and None in witnesses
+
+
+def test_gl3_open_carrier_witness_on_both_paths():
+    gl3 = matrix_lts(3)
+    x = Matrix.unit(3, 3, 0, 1).flatten()
+    y = (Matrix.unit(3, 3, 1, 2) + Matrix.unit(3, 3, 2, 0)).flatten()
+    carrier = LtsCarrier(gl3, Subspace.span([x, y], 9))
+    assert closure_witness(carrier) == closure_witness(scalar_path(carrier))
+    assert closure_witness(carrier) is not None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_non_pivot_residual_is_checked(seed):
+    # a unit vector at a non-pivot column has zero coordinates, so only that
+    # column's residual shows it is outside the span
+    rng = random.Random(seed)
+    n = 7
+    rows = [[Scalar.rational(rng.randint(-3, 3), rng.randint(1, 4))
+             if k or seed % 2 else ZERO for k in range(n)] for _ in range(3)]
+    space = Subspace.span(rows, n)  # even seeds: no pivot at column 0
+    ints, m, coords = cleared_basis(space)
+    assert [r[pc] for r, pc in zip(ints, space.pivots)] == [m] * space.dim
+    assert len(space.pivots) < n and (0 in space.pivots) is bool(seed % 2)
+    for c in set(range(n)) - set(space.pivots):
+        assert coords([int(k == c) for k in range(n)]) is None
+    for r in ints:
+        assert coords(r) == [r[pc] for pc in space.pivots]
+    assert cleared_basis(Subspace.span([[SQRT6, ONE]], 2)) is None
+
+
+# ------------------------------------------------------------- g2 on ints
+
+def test_g2_on_integer_rows_equals_the_scalar_built_algebra(g2):
+    e = [basis_vector(i) for i in range(7)]
+    pairs = [(e[i], e[j]) for i, j in itertools.combinations(range(7), 2)]
+    space = kernel(leibniz_rows(pairs), 49)
+    assert g2.space == space
+    int_rows = [[int(i == j) for j in range(7)] for i in range(7)]
+    int_pairs = [(int_rows[i], int_rows[j])
+                 for i, j in itertools.combinations(range(7), 2)]
+    assert [[Scalar.of(t) for t in r] for r in leibniz_rows(int_pairs, 0)] == (
+        leibniz_rows(pairs))
+    flat = cleared([x for row in space.rows for x in row])
+    assert g2._int_terms == [[(i, j, flat[49 * b + 7 * i + j])
+                              for i, j, _ in terms]
+                             for b, terms in enumerate(g2._terms)]
+    basis = [Matrix.from_flat(r, 7, 7) for r in space.rows]
+    n = len(basis)
+    expected = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        expected[i][j] = space.coords(commutator(basis[i], basis[j]).flatten())
+        expected[j][i] = [-x for x in expected[i][j]]
+    assert g2.bracket_coords == expected
+
+
+def test_bracket_constants_outside_the_algebra_are_refused():
+    # E12 and E21 span no Lie algebra: [E12, E21] = E11 - E22
+    fake = G2.__new__(G2)
+    fake.dim = 2
+    fake._cleared = cleared_basis(Subspace.span(
+        [Matrix.unit(7, 7, 0, 1).flatten(), Matrix.unit(7, 7, 1, 0).flatten()],
+        49))
+    with pytest.raises(ValueError, match="leaves the algebra"):
+        fake.bracket_coords
+
+
+def halved_so3():
+    """so(3) on the basis b_i / 2: [b_i, b_j] = b_k / 2, cyclically."""
+    half = Scalar.rational(1, 2)
+    brackets = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        brackets[i][j][k], brackets[j][i][k] = half, -half
+    return lie_lts(brackets, "so3/2")
+
+
+@pytest.mark.parametrize("name", ["g2", "so3/2"])
+def test_lie_products_equal_the_bracket_operator(g2, name):
+    # the one contraction of the cleared constants, on rows of a proper
+    # subspace: s [[r_i, r_j], r_k], s = q^2 (4 for so(3) halved)
+    system = g2.lts if name == "g2" else halved_so3()
+    products, s = system.cleared
+    rng = random.Random(7)
+    rows = [[rng.randint(-2, 2) for _ in range(system.dim)] for _ in range(2)]
+    expected = [x for a, b, c in itertools.product(rows, repeat=3)
+                for x in system.triple(*[[Scalar.of(t) for t in r]
+                                         for r in (a, b, c)])]
+    assert [Scalar.rational(t, s) for t in products(rows)] == expected
+    assert s == (1 if name == "g2" else 4)
+
+
+# ------------------------------------------------------- the halved sweep
+
+def full_sweep(c: np.ndarray) -> bool:
+    """The sweep of every (A, B) pair and every pair of operators."""
+    with mock.patch.object(_intops, "_antisymmetric", lambda _: False):
+        return derivation_axiom_holds(None, c)
+
+
+def antisymmetric(c: np.ndarray) -> bool:
+    return np.array_equal(c, -c.swapaxes(0, 1))
+
+
+def test_a_system_that_is_not_antisymmetric_runs_the_diagonal_operators():
+    # [b0, b0, b0] = b0: D(b0, b0) maps [b0, b0, b0] = b0 to b0, not 3 b0
+    carrier = LtsCarrier(abstract_lts([[[[ONE]]]]), Subspace.full(1))
+    report = check_axioms(carrier)
+    assert not report.antisymmetry and not report.cyclic
+    assert not report.derivation
+    assert report.witness == "[b0, b0, b0] != 0"
+    assert _intops.inner_derivation_basis([[[[ONE]]]]) == [(0, 0)]
+
+
+VALID = {"sl3": lambda: SL3, "so3+center": so3_plus_center,
+         "m34": lambda: LtsCarrier(matmodel.M34, Subspace.full(12)).struct()}
+
+
+@pytest.mark.parametrize("name", list(VALID))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_the_halved_sweep_agrees_with_the_full_sweep(name, data):
+    struct = copy_struct(VALID[name]())
+    n = len(struct)
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j, k, l = data.draw(st.tuples(*[st.integers(0, n - 1)] * 4))
+        value = data.draw(st.sampled_from([ONE, -ONE, SQRT6]))
+        struct[i][j][k][l] = struct[i][j][k][l] + value
+        if data.draw(st.booleans()):  # keep the tensor antisymmetric
+            struct[j][i][k][l] = struct[j][i][k][l] - value
+    c = clear_struct(struct)
+    assert derivation_axiom_holds(None, c) == full_sweep(c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 4), width=st.sampled_from([1, 4]), data=st.data())
+def test_the_halved_sweep_agrees_on_random_antisymmetric_tensors(n, width, data):
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=n ** 4 * width,
+                                max_size=n ** 4 * width))
+    c = np.array(values, dtype=np.int64).reshape((n,) * 4 + (width,))
+    c = c - c.swapaxes(0, 1)  # antisymmetric in the first two indices
+    assert antisymmetric(c)
+    assert derivation_axiom_holds(None, c) == full_sweep(c)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_the_halved_sweep_agrees_near_two_to_the_62(corrupt):
+    # so(3) + a center scaled past the int64 guard: dtype object
+    struct = so3_plus_center()
+    scale = Scalar.of(2 ** 61 + 1)
+    struct = [[[[x * scale for x in vec] for vec in line] for line in plane]
+              for plane in struct]
+    if corrupt:
+        struct[1][2][3][3] = struct[1][2][3][3] + ONE
+        struct[2][1][3][3] = struct[2][1][3][3] - ONE
+    c = clear_struct(struct)
+    assert c.dtype == object and np.abs(c).max() >= _INT64_LIMIT // 4
+    assert antisymmetric(c)
+    assert derivation_axiom_holds(None, c) is full_sweep(c) is (not corrupt)
+
+
+def test_one_entry_corruptions_of_g2_fail_on_both_sweeps(g2):
+    good = clear_struct(LtsCarrier(g2.lts, Subspace.full(14)).struct())
+    assert derivation_axiom_holds(None, good) and full_sweep(good)
+    rng = random.Random(5)
+    for _ in range(6):
+        i, j = sorted(rng.sample(range(14), 2))
+        k, l = rng.randrange(14), rng.randrange(14)
+        c = good.copy()
+        c[i, j, k, l] += 1
+        c[j, i, k, l] -= 1
+        assert derivation_axiom_holds(None, c) == full_sweep(c)

@@ -32,10 +32,10 @@ from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
 
 def derivation_axiom_pure(struct, n: int, antisymmetric: bool = True) -> bool:
     """The derivation axiom as a Python loop, the oracle of the kernel."""
-    # both sides are antisymmetric in (x, y), and in (a, b) when the struct
-    # is; otherwise every (a, b) runs, as in the kernel
+    # both sides are antisymmetric in (x, y), and in (a, b), when the struct
+    # is; otherwise every (x, y), diagonal included, and every (a, b) runs
     for x in range(n):
-        for y in range(x + 1, n):
+        for y in range(x + 1 if antisymmetric else 0, n):
             op = struct[x][y]  # op[l] = coords of [b_x, b_y, b_l]
             for a in range(n):
                 for b in range(a + 1 if antisymmetric else 0, n):
@@ -266,8 +266,8 @@ def test_corruption_in_an_otherwise_zero_component_is_detected():
 # ---------------------------------------------- basis of the inner derivations
 
 def derivation_all_pairs(struct) -> bool:
-    """The kernel's sweep over every pair x < y instead of a basis."""
-    pairs = list(itertools.combinations(range(len(struct)), 2))
+    """The kernel's sweep over every pair (x, y) instead of a basis."""
+    pairs = list(itertools.product(range(len(struct)), repeat=2))
     with mock.patch.object(_intops, "inner_derivation_basis",
                            lambda _: pairs):
         return derivation_axiom_holds(struct)
