@@ -18,11 +18,11 @@ from typing import NamedTuple, Sequence
 
 from .cross7 import cross
 from .g2alg import G2, Frame, d_operator
-from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, combine,
-                     commutator, dot, kernel, poly_from_roots_squared,
-                     projection_matrix)
+from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, cleared_basis,
+                     combine, commutator, dot, flat_product, kernel,
+                     poly_from_roots_squared, projection_matrix)
 from .lts import LtsCarrier, generated_subtriple, quotient_module_test
-from .scalar import ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
     "AssocSubalg", "FAMILIES", "Grading", "PrincipalTds", "ProbeReport",
@@ -33,19 +33,21 @@ __all__ = [
 ]
 
 def is_associative(v: Subspace) -> bool:
-    """dim 3 and the cross product of basis pairs stays inside."""
+    """dim 3 and the cross product of basis pairs stays inside (on ints if rational)."""
     if v.n != 7:
         raise ValueError("expected a subspace of R^7")
     if v.dim != 3:
         return False
-    for a, b in combinations(v.rows, 2):
-        if not v.contains(cross(a, b)):
-            return False
-    return True
+    basis = cleared_basis(v)
+    if basis is None:
+        return all(v.contains(cross(a, b)) for a, b in combinations(v.rows, 2))
+    rows, _, coords = basis
+    return all(coords(cross(a, b, 0)) is not None for a, b in combinations(rows, 2))
 
 
 class AssocSubalg:
-    """A 3-dimensional subspace closed under the cross product."""
+    """A 3-dimensional subspace closed under the cross product.  For rational
+    V, associativity and the split are tested on the rows cleared to ints."""
 
     __slots__ = ("space", "_complement")
 
@@ -227,15 +229,25 @@ def is_adapted(h: PrincipalTds, v: AssocSubalg, g2: G2) -> bool:
     from the odd part's membership conditions (`mapping_space` with
     within=h.space), not from theta, so the two routes are independent.  They must
     agree; a disagreement is an internal consistency failure, not a result.
+
+    For rational V, h1 is tested on ints: c^2 H - T H T (T = c theta_V, H = e h1
+    cleared) is 2 c^2 e times its odd projection, on g2's cleared basis.
     """
     if not isinstance(h, PrincipalTds):
         raise TypeError("adaptedness is defined for a PrincipalTds")
     th = v.theta()
-    half = Scalar.rational(1, 2)
+    t = cleared(th.flatten() + [ONE])  # c theta_V, then c; None if irrational
     homogeneous = True
     for m in h.matrices():  # h1 first: it is rational
-        p = (m - th @ m @ th).scale(half)
-        if not h.space.contains(g2.coords(p)):
+        ints = t and cleared(m.flatten())
+        if ints:
+            tm, tmt = [0] * 49, [0] * 49
+            flat_product(tm, t[:-1], ints, 7, 7)
+            flat_product(tmt, tm, t[:-1], 7, 7)
+            x = g2._cleared[2]([t[-1] ** 2 * a - b for a, b in zip(ints, tmt)])
+        else:
+            x = g2.coords((m - th @ m @ th).scale(Scalar.rational(1, 2)))
+        if x is None or not h.space.contains(x):  # None: outside g2, so outside h
             homogeneous = False
             break
     comp = v.complement()

@@ -261,6 +261,14 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vec], list[int]]:
             else cleared([Scalar.of(x) for x in r]) for r in rows]
     if None in ints:
         return _insertion_rref([[Scalar.of(x) for x in r] for r in rows])
+    done, pivots = _int_rref(ints)
+    # only now divide by the pivots, for the canonical Scalar rows
+    return [[Scalar(x, 0, 0, 0, r[c]) if x else ZERO for x in r]
+            for r, c in zip(done, pivots)], pivots
+
+
+def _int_rref(ints: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan: each row is a canonical row times its pivot."""
     pending = [r for r in ints if any(r)]
     done, pivots = [], []
     for c in range(len(ints[0]) if ints else 0):
@@ -270,9 +278,7 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vec], list[int]]:
             done = [_eliminate(r, top, c) for r in done] + [top]
             pending = [r for r in pending if any(_eliminate(r, top, c))]
             pivots.append(c)
-    # only now divide by the pivots, for the canonical Scalar rows
-    return [[Scalar(x, 0, 0, 0, r[c]) if x else ZERO for x in r]
-            for r, c in zip(done, pivots)], pivots
+    return done, pivots
 
 
 def _eliminate(r: list[int], top: list[int], c: int) -> list[int]:
@@ -496,12 +502,19 @@ def cleared_basis(space: Subspace) -> tuple | None:
 
 
 def projection_matrix(space: "Subspace") -> Matrix:
-    """Orthogonal projection B^t (B B^t)^-1 B onto the row space of B.
-
-    Exact: no normalisation of the basis is needed.
-    """
-    b = Matrix(space.rows)
-    return b.transpose() @ inverse(b @ b.transpose()) @ b
+    """Orthogonal projection B^t (B B^t)^-1 B onto the row space of B, exact;
+    the zero matrix for the zero space.  Rational rows, each cleared, run on
+    ints, (B B^t | B) reduced to rows d_r (e_r | X_r) for X = (B B^t)^-1 B,
+    and one Scalar is built per entry."""
+    n, b = space.n, [cleared(r) for r in space.rows]
+    if None in b:
+        b = Matrix(space.rows)
+        return b.transpose() @ inverse(b @ b.transpose()) @ b
+    done, _ = _int_rref([[sum(x * y for x, y in zip(r, t)) for t in b] + r for r in b])
+    q = lcm(*(r[p] for p, r in enumerate(done)))  # X = y / q on ints
+    y = [[q // r[p] * z for z in r[len(b):]] for p, r in enumerate(done)]
+    return Matrix._computed([[Scalar(sum(r[i] * t[j] for r, t in zip(b, y)), 0, 0, 0, q)
+                              for j in range(n)] for i in range(n)])
 
 
 def char_poly(m: Matrix) -> list[Scalar]:

@@ -1,0 +1,180 @@
+"""Rational associative subalgebras on integers, against the Scalar path.
+
+A rational subspace's projection B^t (B B^t)^-1 B runs on cleared ints;
+associativity is tested on V's cleared basis; the homogeneity half of
+`is_adapted` forms c^2 h1 - (c theta) h1 (c theta) on ints; g2.jacobi
+sweeps g2's cleared basis rows.  Each is checked against the Scalar
+computation it replaces, which is the oracle.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+
+from crossg2 import catalog, checks, linalg
+from crossg2.checks import run_checks, select_checks
+from crossg2.cross7 import basis_vector
+from crossg2.linalg import (Matrix, Subspace, cleared, flat_commutator,
+                            inverse, projection_matrix, rank)
+from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
+
+E = [basis_vector(i) for i in range(7)]
+BIG = 2 ** 63
+
+
+def scalar_projection(space):
+    """The Scalar formula B^t (B B^t)^-1 B, the oracle."""
+    b = Matrix(space.rows)
+    return b.transpose() @ inverse(b @ b.transpose()) @ b
+
+
+def random_space(rng, k, big=False):
+    """A rational k-space of R^7; with big, one row has entries near +-2^63."""
+    while True:
+        rows = [[Scalar.rational(rng.randint(-6, 6), rng.randint(1, 5))
+                 for _ in range(7)] for _ in range(k)]
+        if big:
+            rows[0] = [Scalar.of(rng.choice((1, -1)) * (BIG - rng.randint(0, 50)))
+                       if rng.random() < 0.6 else x for x in rows[0]]
+        if rank(rows) == k:
+            return Subspace.span(rows, 7)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_integer_projection_equals_the_scalar_formula(k):
+    rng = random.Random(100 + k)
+    for big in (False, False, False, True, True):
+        space = random_space(rng, k, big)
+        assert projection_matrix(space) == scalar_projection(space)
+
+
+def test_the_zero_space_projects_to_zero_and_the_full_space_to_one():
+    for n in (1, 3, 7):
+        assert projection_matrix(Subspace.zero(n)) == Matrix.zeros(n, n)
+        assert projection_matrix(Subspace.full(n)) == Matrix.identity(n)
+
+
+def test_an_irrational_space_takes_the_scalar_path(monkeypatch):
+    calls = []
+
+    def spy(m):
+        calls.append(m.shape)
+        return inverse(m)
+
+    monkeypatch.setattr(linalg, "inverse", spy)
+    rational = Subspace.span([E[0], E[1], E[3]], 7)
+    assert projection_matrix(rational) == scalar_projection(rational)
+    assert calls == []
+    space = Subspace.span([[ONE, SQRT6, ZERO, ZERO, ZERO, ZERO, ZERO],
+                           [ZERO, ZERO, ONE, ZERO, Scalar.of(2), ZERO, ZERO]], 7)
+    p = projection_matrix(space)
+    assert calls == [(2, 2)]
+    assert p == p.transpose() and p @ p == p and p.trace() == Scalar.of(2)
+    assert all(p.apply(r) == r for r in space.rows)
+
+
+def random_three_spaces(rng, count):
+    """Random rational 3-spaces, most not associative, and drawn subalgebras."""
+    spaces = [random_space(rng, 3) for _ in range(count)]
+    spaces += [catalog.random_assoc(rng).space for _ in range(count)]
+    spaces += [Subspace.span([E[a], E[b], E[c]], 7)
+               for a, b, c in combinations(range(7), 3)]
+    return spaces
+
+
+def test_integer_associativity_equals_the_scalar_test(monkeypatch):
+    spaces = random_three_spaces(random.Random(21), 40)
+    on_ints = [catalog.is_associative(s) for s in spaces]
+    assert on_ints.count(True) >= 40 + 7  # the drawn ones and the 7 lines
+    monkeypatch.setattr(catalog, "cleared_basis", lambda space: None)
+    assert [catalog.is_associative(s) for s in spaces] == on_ints
+
+
+def test_a_rational_space_that_is_not_associative_raises_value_error():
+    rng = random.Random(22)
+    for _ in range(20):
+        space = random_space(rng, 3)
+        assert not catalog.is_associative(space)
+        with pytest.raises(ValueError, match="not a 3-dimensional associative"):
+            catalog.AssocSubalg(space)
+    with pytest.raises(ValueError):
+        catalog.AssocSubalg(Subspace.span([E[0], E[1], E[2]], 7))
+
+
+def rotation_by_h1(h1):
+    """exp(t h1) for cos t = 3/5, sin t = 4/5, exactly: h1 acts as k J on the
+    plane where h1^2 = -k^2, so exp(t h1) = sum_k cos kt P_k + sin kt / k h1 P_k
+    with P_k the spectral projections of h1^2, eigenvalues 0, -1, -4, -9."""
+    sq, one = h1 @ h1, Matrix.identity(7)
+    eigen = [0, -1, -4, -9]
+    out, z = Matrix.zeros(7, 7), (Fraction(1), Fraction(0))
+    for k, lam in enumerate(eigen):
+        p = one
+        for mu in eigen:
+            if mu != lam:
+                p = (p @ (sq - one.scale(mu))).scale(Fraction(1, lam - mu))
+        out = out + p.scale(z[0]) + (h1 @ p).scale(z[1] / (k or 1))
+        z = (z[0] * 3 / 5 - z[1] * 4 / 5, z[0] * 4 / 5 + z[1] * 3 / 5)
+    return out
+
+
+def test_integer_homogeneity_equals_the_scalar_route(monkeypatch, g2, tds, v_std):
+    rng = random.Random(23)
+    # exp(t h1) lies in h's group, so it moves subalgebras adapted to h to
+    # adapted ones, here with denominators 5^6 in theta
+    g = rotation_by_h1(tds.h1)
+    assert g @ g.transpose() == Matrix.identity(7)
+    moved = [catalog.AssocSubalg(Subspace.span([g.apply(r) for r in
+                                                [E[a], E[b], E[c]]], 7))
+             for a, b, c in ((1, 5, 6), (1, 2, 4))]
+    assert all(cleared(v.theta().flatten() + [ONE])[-1] == 5 ** 6 for v in moved)
+    subalgs = [v_std] + moved + [catalog.random_assoc(rng) for _ in range(200)]
+    rows, m, coords = g2._cleared
+    calls = []
+
+    def spy(v):
+        calls.append(v)
+        return coords(v)
+
+    monkeypatch.setattr(g2, "_cleared", (rows, m, spy))
+    on_ints = [catalog.is_adapted(tds, v, g2) for v in subalgs]
+    assert all(on_ints[:3]) and not all(on_ints)
+    assert len(calls) == len(subalgs)  # h1 of each V ran on ints
+    monkeypatch.setattr(catalog, "cleared", lambda u: None)
+    assert [catalog.is_adapted(tds, v, g2) for v in subalgs] == on_ints
+    assert len(calls) == len(subalgs)
+
+
+def scalar_jacobi_fails(basis, bracket):
+    """The Scalar commutator sweep g2.jacobi ran before, the oracle."""
+    inner = {(i, j): bracket(basis[i], basis[j])
+             for i, j in permutations(range(len(basis)), 2)}
+    return any(not (bracket(inner[i, j], basis[k]) + bracket(inner[j, k], basis[i])
+                    + bracket(inner[k, i], basis[j])).is_zero()
+               for i, j, k in combinations(range(len(basis)), 3))
+
+
+def off_at(p):
+    """flat_commutator with entry p of every bracket one unit off."""
+    def bracket(a, b, n, zero=ZERO):
+        out = flat_commutator(a, b, n, zero)
+        out[p] = out[p] + 1
+        return out
+    return bracket
+
+
+@pytest.mark.parametrize("p", [None, 1, 30])
+def test_integer_jacobi_sweep_agrees_with_the_scalar_sweep(monkeypatch, g2, p):
+    flat = flat_commutator if p is None else off_at(p)
+
+    def scalar_bracket(a, b):
+        return Matrix._computed_flat(flat(a.flatten(), b.flatten(), 7), 7, 7)
+
+    expected = scalar_jacobi_fails(g2.basis, scalar_bracket)
+    assert expected == (p is not None)
+    if p is not None:
+        monkeypatch.setattr(checks, "flat_commutator", flat)
+    [result] = run_checks(select_checks(["g2.jacobi"]), 0, 1)
+    assert result.status == ("fail" if expected else "pass")
