@@ -18,11 +18,11 @@ from typing import NamedTuple, Sequence
 
 from .cross7 import cross
 from .g2alg import G2, Frame, d_operator
-from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, cleared_basis,
-                     combine, commutator, dot, flat_product, kernel,
+from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, combine,
+                     commutator, dot, flat_product, kernel,
                      poly_from_roots_squared, projection_matrix)
 from .lts import LtsCarrier, generated_subtriple, quotient_module_test
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, Scalar
 
 __all__ = [
     "AssocSubalg", "FAMILIES", "Grading", "PrincipalTds", "ProbeReport",
@@ -33,21 +33,21 @@ __all__ = [
 ]
 
 def is_associative(v: Subspace) -> bool:
-    """dim 3 and the cross product of basis pairs stays inside (on ints if rational)."""
+    """dim 3 and a x b in V for the first two basis rows a, b.
+
+    One pair suffices: for independent a and b, a x b is nonzero and
+    orthogonal to both, so a x b in V makes V = span{a, b, a x b}, which
+    is always closed under the cross product."""
     if v.n != 7:
         raise ValueError("expected a subspace of R^7")
     if v.dim != 3:
         return False
-    basis = cleared_basis(v)
-    if basis is None:
-        return all(v.contains(cross(a, b)) for a, b in combinations(v.rows, 2))
-    rows, _, coords = basis
-    return all(coords(cross(a, b, 0)) is not None for a, b in combinations(rows, 2))
+    a, b, _ = v.basis
+    return v.contains(cross(a, b))
 
 
 class AssocSubalg:
-    """A 3-dimensional subspace closed under the cross product.  For rational
-    V, associativity and the split are tested on the rows cleared to ints."""
+    """A 3-dimensional subspace closed under the cross product."""
 
     __slots__ = ("space", "_complement")
 
@@ -85,17 +85,14 @@ class AssocSubalg:
 
 def _split_failure(space: Subspace, comp: Subspace) -> str | None:
     """Which half of the split V x V-perp <= V-perp, V-perp x V-perp <= V
-    fails, or None.  x is in V-perp iff <x, v> = 0 for the rows v of V, and
-    in V iff <x, t> = 0 for the rows t of V-perp; on ints for rational V."""
-    ints = [cleared(r) for r in space.rows + comp.rows]
-    rows, zero = (ints, 0) if None not in ints else (space.rows + comp.rows, ZERO)
-    vs, ts = rows[:space.dim], rows[space.dim:]
-    for sources, orth, failure in ((vs, vs, "V x V-perp leaves the complement"),
-                                   (ts, ts, "V-perp x V-perp leaves V")):
-        for a, b in product(sources, ts):
-            ab = cross(a, b, zero)
-            if any(sum(x * y for x, y in zip(ab, t)) for t in orth):
-                return failure
+    fails, or None; on the integer bases for rational V.  Since a x a = 0
+    and b x a = -(a x b), V-perp x V-perp is formed on the 6 unordered
+    pairs of V-perp's basis rows."""
+    vs, ts = space.basis, comp.basis
+    if not all(comp.contains(cross(a, b)) for a, b in product(vs, ts)):
+        return "V x V-perp leaves the complement"
+    if not all(space.contains(cross(a, b)) for a, b in combinations(ts, 2)):
+        return "V-perp x V-perp leaves V"
     return None
 
 
@@ -149,7 +146,7 @@ def mapping_space(systems: Sequence[tuple[Subspace, Subspace]], g2: G2,
     basis and added in turn, and once every coordinate of within has a
     pivot the answer is 0 and the remaining rows are not formed."""
     rows = (g2.pairing_row(s, t) for source, orth in systems
-            for s in source.rows for t in orth.rows)
+            for s in source.basis for t in orth.basis)
     if within is None:
         return kernel(list(rows), g2.dim)
     red = Subspace.zero(within.dim)
@@ -231,12 +228,12 @@ def is_adapted(h: PrincipalTds, v: AssocSubalg, g2: G2) -> bool:
     agree; a disagreement is an internal consistency failure, not a result.
 
     For rational V, h1 is tested on ints: c^2 H - T H T (T = c theta_V, H = e h1
-    cleared) is 2 c^2 e times its odd projection, on g2's cleared basis.
+    cleared) is 2 c^2 e times its odd projection, in g2's integer coordinates.
     """
     if not isinstance(h, PrincipalTds):
         raise TypeError("adaptedness is defined for a PrincipalTds")
     th = v.theta()
-    t = cleared(th.flatten() + [ONE])  # c theta_V, then c; None if irrational
+    t = v.space.denominator and cleared(th.flatten() + [ONE])  # c theta_V, then c
     homogeneous = True
     for m in h.matrices():  # h1 first: it is rational
         ints = t and cleared(m.flatten())
@@ -244,7 +241,7 @@ def is_adapted(h: PrincipalTds, v: AssocSubalg, g2: G2) -> bool:
             tm, tmt = [0] * 49, [0] * 49
             flat_product(tm, t[:-1], ints, 7, 7)
             flat_product(tmt, tm, t[:-1], 7, 7)
-            x = g2._cleared[2]([t[-1] ** 2 * a - b for a, b in zip(ints, tmt)])
+            x = g2.space.coords([t[-1] ** 2 * a - b for a, b in zip(ints, tmt)])
         else:
             x = g2.coords((m - th @ m @ th).scale(Scalar.rational(1, 2)))
         if x is None or not h.space.contains(x):  # None: outside g2, so outside h

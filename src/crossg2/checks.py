@@ -418,8 +418,8 @@ def _g2_leibniz(ws, rng, trials):
 
 @check("g2.jacobi", "Jacobi identity on all basis triples")
 def _g2_jacobi(ws, rng, trials):
-    # on the basis rows cleared by one denominator: the identity is homogeneous
-    b, br = ws.g2._cleared[0], lambda x, y: flat_commutator(x, y, 7, 0)
+    # on g2's integer basis rows (`Subspace.basis`): the identity is homogeneous
+    b, br = ws.g2.space.basis, lambda x, y: flat_commutator(x, y, 7)
     inner = {(i, j): br(b[i], b[j]) for i, j in combinations(range(len(b)), 2)}
     for i, j, k in combinations(range(len(b)), 3):
         s = zip(br(inner[i, j], b[k]), br(inner[j, k], b[i]), br(inner[i, k], b[j]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Callable, Sequence
 
-from .linalg import Matrix, Vec, dot, is_zero_vec, vadd, vscale
+from .linalg import Matrix, Vec, dot, is_zero_vec, vadd, vscale, zero_of
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
@@ -45,9 +45,9 @@ def basis_vector(i: int) -> Vec:
     return v
 
 
-def cross(x: Sequence[Scalar], y: Sequence[Scalar], zero=ZERO) -> Vec:
-    """Bilinear extension of the table; on ints with zero=0."""
-    out = [zero] * 7
+def cross(x: Sequence[Scalar], y: Sequence[Scalar]) -> Vec:
+    """Bilinear extension of the table, in the operands' ring (`zero_of`)."""
+    out = [zero_of(x, y)] * 7
     for i in range(7):
         xi = x[i]
         if not xi:

@@ -18,9 +18,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .cross7 import basis_vector, cross
-from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, cleared,
-                     cleared_basis, combine, dot, flat_commutator, kernel,
-                     vadd, vscale, vsub)
+from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
+                     dot, flat_commutator, kernel, vadd, vscale, vsub, zero_of)
 from .lts import TripleSystem, lie_lts
 from .scalar import ONE, ZERO, Scalar
 
@@ -28,22 +27,22 @@ __all__ = ["G2", "Frame", "derivation_algebra", "leibniz_rows", "d_operator",
            "lambda_operator", "rho_operator"]
 
 
-def leibniz_rows(pairs: Sequence[tuple[Vec, Vec]], zero=ZERO) -> list[Vec]:
-    """Rows of d(x cross y) = d(x) cross y + x cross d(y), 7 per pair (x, y);
-    on Python ints with zero=0, as `cross`.
+def leibniz_rows(pairs: Sequence[tuple[Vec, Vec]]) -> list[Vec]:
+    """Rows of d(x cross y) = d(x) cross y + x cross d(y), 7 per pair (x, y),
+    in the pairs' ring, as `cross`.
 
     The unknown is a 7x7 matrix d; entry (r, c) is flat index 7*r + c.
     """
-    e = [[zero + int(r == c) for c in range(7)] for r in range(7)]
+    e = [[int(r == c) for c in range(7)] for r in range(7)]
     rows = []
     for x, y in pairs:
-        target = cross(x, y, zero)
-        ey = [cross(e[r], y, zero) for r in range(7)]   # e_r x y
-        xe = [cross(x, e[r], zero) for r in range(7)]   # x x e_r
+        target = cross(x, y)
+        ey = [cross(e[r], y) for r in range(7)]   # e_r x y
+        xe = [cross(x, e[r]) for r in range(7)]   # x x e_r
         lx, ly = _nonzeros(x, 7), _nonzeros(y, 7)
         for m in range(7):
             # d(x cross y) - d(x) cross y - x cross d(y), component m
-            row = [zero] * 49
+            row = [zero_of(x, y)] * 49
             row[7 * m:7 * m + 7] = target
             _accumulate(row, _nonzeros([v[m] for v in ey], 1), lx, 7, sub=True)
             _accumulate(row, _nonzeros([w[m] for w in xe], 1), ly, 7, sub=True)
@@ -57,16 +56,12 @@ class G2:
     def __init__(self):
         e = [[int(i == j) for j in range(7)] for i in range(7)]
         pairs = [(e[i], e[j]) for i, j in combinations(range(7), 2)]
-        self.space = kernel(leibniz_rows(pairs, 0), 49)
+        self.space = kernel(leibniz_rows(pairs), 49)
         self.dim = self.space.dim
         self.basis = [Matrix.from_flat(row, 7, 7) for row in self.space.rows]
-        # the nonzero entries (i, j, b[i][j]) of each basis matrix b, and the
-        # same on the basis rows cleared by one common denominator
+        # the nonzero entries (i, j, b[i][j]) of each integer basis row b
         self._terms = [[(k // 7, k % 7, x) for k, x in enumerate(row) if x]
-                       for row in self.space.rows]
-        self._cleared = cleared_basis(self.space)  # integer kernel: rational
-        self._int_terms = [[(i, j, self._cleared[0][b][7 * i + j])
-                            for i, j, _ in e] for b, e in enumerate(self._terms)]
+                       for row in self.space.basis]
 
     # -- membership and coordinates -----------------------------------
 
@@ -84,10 +79,8 @@ class G2:
 
     def pairing_row(self, s: Sequence[Scalar], t: Sequence[Scalar]) -> list:
         """[<b s, t> for each basis matrix b], the condition <d s, t> = 0 on d's
-        coordinates; on ints, times a positive factor, if all are rational."""
-        ints = (self._int_terms, cleared(s), cleared(t))
-        terms, s, t = ints if None not in ints else (self._terms, s, t)
-        return [sum(c * t[i] * s[j] for i, j, c in e) for e in terms]
+        coordinates, times the positive m of `Subspace.basis`; ints for ints."""
+        return [sum(c * t[i] * s[j] for i, j, c in e) for e in self._terms]
 
     def subspace_from_matrices(self, mats: Sequence[Matrix]) -> Subspace:
         """Span of the given members, in basis coordinates."""
@@ -98,10 +91,10 @@ class G2:
     @cached_property
     def bracket_coords(self) -> list[list[Vec]]:
         """sc[i][j] = coordinates of [b_i, b_j], from m^2 [b_i, b_j] on ints."""
-        n, (rows, m, coords) = self.dim, self._cleared
+        n, rows, m = self.dim, self.space.basis, self.space.denominator
         sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
         for i, j in combinations(range(n), 2):
-            x = coords(flat_commutator(rows[i], rows[j], 7, 0))
+            x = self.space.coords(flat_commutator(rows[i], rows[j], 7))
             if x is None:
                 raise ValueError("a commutator of the basis leaves the algebra")
             sc[i][j] = [Scalar(t, 0, 0, 0, m * m) if t else ZERO for t in x]
@@ -199,8 +192,8 @@ def _d_basis() -> tuple:
         x, y, z = e[a], e[b], e[c]
         return [4 * s + 3 * (t - u - (a == c) * yk + (b == c) * xk)
                 for s, t, u, xk, yk in zip(
-                    cross(cross(x, y, 0), z, 0), cross(cross(x, z, 0), y, 0),
-                    cross(x, cross(z, y, 0), 0), x, y)]
+                    cross(cross(x, y), z), cross(cross(x, z), y),
+                    cross(x, cross(z, y)), x, y)]
     flat = []
     for a in range(7):
         for b in range(7):

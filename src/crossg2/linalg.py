@@ -20,7 +20,7 @@ __all__ = [
     "Matrix", "Subspace", "dot", "vadd", "vsub", "vscale", "combine",
     "is_zero_vec", "rref", "kernel", "rank", "char_poly",
     "solve", "inverse", "projection_matrix",
-    "is_positive_definite", "flat_commutator", "cleared", "cleared_basis",
+    "is_positive_definite", "flat_commutator", "cleared", "zero_of",
 ]
 
 Vec = list[Scalar]
@@ -61,11 +61,20 @@ def is_zero_vec(u: Sequence[Scalar]) -> bool:
 
 
 def cleared(u: Sequence[Scalar]) -> list[int] | None:
-    """u times the lcm of its denominators, as ints; None if u is irrational."""
+    """u times the lcm of its denominators, as ints (a copy if all are Python
+    ints; entries coerced as Matrix does); None if u is irrational."""
+    if all(type(x) is int for x in u):
+        return list(u)
+    u = [x if type(x) is Scalar else Scalar.of(x) for x in u]
     if any(x.nb or x.nc or x.nd for x in u):
         return None
     m = lcm(*[x.q for x in u])
     return [x.na * (m // x.q) for x in u]
+
+
+def zero_of(*vectors: Sequence) -> Scalar | int:
+    """The zero of the operands' ring: 0 if each starts with a Python int."""
+    return ZERO if [v for v in vectors if not v or type(v[0]) is not int] else 0
 
 
 class Matrix:
@@ -228,12 +237,11 @@ def flat_product(out: Vec, a: Sequence[Scalar], b: Sequence[Scalar],
         _accumulate(out, _nonzeros(a, k), _nonzeros(b, m), m)
 
 
-def flat_commutator(a: Sequence[Scalar], b: Sequence[Scalar], n: int,
-                    zero=ZERO) -> Vec:
-    """ab - ba on n x n matrices flattened row by row (on ints with zero=0)."""
+def flat_commutator(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> Vec:
+    """ab - ba on n x n matrices flattened row by row, in the operands' ring."""
     if len(a) != n * n or len(b) != n * n:
         raise ValueError(f"commutator of {len(a)} and {len(b)} entries in gl({n})")
-    out, la, lb = [zero] * (n * n), _nonzeros(a, n), _nonzeros(b, n)
+    out, la, lb = [zero_of(a, b)] * (n * n), _nonzeros(a, n), _nonzeros(b, n)
     _accumulate(out, la, lb, n)
     _accumulate(out, lb, la, n, sub=True)
     return out
@@ -257,8 +265,7 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Vec], list[int]]:
     """
     if len({len(r) for r in rows}) > 1:
         raise ValueError("ragged rows")
-    ints = [list(r) if all(type(x) is int for x in r)
-            else cleared([Scalar.of(x) for x in r]) for r in rows]
+    ints = [cleared(r) for r in rows]
     if None in ints:
         return _insertion_rref([[Scalar.of(x) for x in r] for r in rows])
     done, pivots = _int_rref(ints)
@@ -363,12 +370,13 @@ class Subspace:
     canonical form; `span` and `add` are what reduce.
     """
 
-    __slots__ = ("n", "rows", "pivots")
+    __slots__ = ("n", "rows", "pivots", "_basis", "_listed")
 
     def __init__(self, n: int, rows: list[Vec], pivots: list[int]):
         self.n = n
         self.rows = rows
         self.pivots = pivots
+        self._basis = self._listed = None
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence[Scalar]], n: int) -> "Subspace":
@@ -390,6 +398,24 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def basis(self) -> list:
+        """The canonical rows times one common denominator m, as ints (m at
+        every pivot, listed once for `contains`), or the rows themselves if an
+        entry is irrational; kept until `add` grows the space."""
+        if self._basis is None:
+            flat, n = cleared([x for r in self.rows for x in r]), self.n
+            self._basis = self.rows if flat is None else [
+                flat[p * n:(p + 1) * n] for p in range(self.dim)]
+            self._listed = None if flat is None else _nonzeros(flat, n)
+        return self._basis
+
+    @property
+    def denominator(self) -> int | None:
+        """The m of `basis`, or None if the basis is irrational."""
+        b = self.basis
+        return (b[0][self.pivots[0]] if type(b[0][0]) is int else None) if b else 1
 
     def copy(self) -> "Subspace":
         """The same space on its own row and pivot lists, for `add`."""
@@ -424,23 +450,29 @@ class Subspace:
         pos = bisect_left(self.pivots, pc)
         self.rows.insert(pos, new)
         self.pivots.insert(pos, pc)
+        self._basis = None
         return True
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return is_zero_vec(self.reduce(v))
+        """Whether v is in the space; if both are rational, v cleared to ints
+        u is in it iff m u = sum_p u[pc_p] basis[p], one pass on ints."""
+        if len(v) != self.n:
+            raise ValueError("ambient dimension mismatch")
+        u = (m := self.denominator) and cleared(v)
+        if u is None:
+            return is_zero_vec(self.reduce(v))
+        x, out = [u[pc] for pc in self.pivots], [m * t for t in u]
+        _accumulate(out, _nonzeros(x, len(x)), self._listed, self.n, sub=True)
+        return not any(out)
 
     def coords(self, v: Sequence[Scalar]) -> Vec | None:
         """Coefficients of v on the canonical basis, or None if outside.
 
         No basis row changes another row's pivot entry, so the coefficient
-        of row r is v at r's pivot column.  The canonical basis of the full
-        space is the identity: there v is its own coordinates, copied.
+        of row r is v at r's pivot column: Scalars for Scalar input, ints
+        for ints.  Every v of the right length is in the full space.
         """
-        if self.dim == self.n:
-            if len(v) != self.n:
-                raise ValueError("ambient dimension mismatch")
-            return list(v)
-        if not is_zero_vec(self.reduce(v)):
+        if (self.dim < self.n or len(v) != self.n) and not self.contains(v):
             return None
         return [v[pc] for pc in self.pivots]
 
@@ -483,31 +515,14 @@ class Subspace:
         return f"Subspace(dim={self.dim}, n={self.n})"
 
 
-def cleared_basis(space: Subspace) -> tuple | None:
-    """(rows, m, coords): the canonical rows cleared by one denominator m,
-    or None if one is irrational; coords(v), for v of ints, is v at the
-    pivots if m v = sum_p v[pc_p] rows[p] (v is in the span), else None."""
-    n, pivots = space.n, space.pivots
-    flat = cleared([x for r in space.rows for x in r])
-    if flat is None:
-        return None
-    rows = [flat[p * n:(p + 1) * n] for p in range(len(pivots))]
-    m, listed = rows[0][pivots[0]] if rows else 1, _nonzeros(flat, n)
-
-    def coords(v: list[int]) -> list[int] | None:
-        x, out = [v[pc] for pc in pivots], [m * t for t in v]
-        _accumulate(out, _nonzeros(x, len(x)), listed, n, sub=True)
-        return None if any(out) else x
-    return rows, m, coords
-
-
 def projection_matrix(space: "Subspace") -> Matrix:
     """Orthogonal projection B^t (B B^t)^-1 B onto the row space of B, exact;
-    the zero matrix for the zero space.  Rational rows, each cleared, run on
-    ints, (B B^t | B) reduced to rows d_r (e_r | X_r) for X = (B B^t)^-1 B,
+    the zero matrix for the zero space.  A rational space runs on its integer
+    `basis` (B times one denominator leaves the projection as it is),
+    (B B^t | B) reduced to rows d_r (e_r | X_r) for X = (B B^t)^-1 B,
     and one Scalar is built per entry."""
-    n, b = space.n, [cleared(r) for r in space.rows]
-    if None in b:
+    n, b = space.n, space.basis
+    if space.denominator is None:
         b = Matrix(space.rows)
         return b.transpose() @ inverse(b @ b.transpose()) @ b
     done, _ = _int_rref([[sum(x * y for x, y in zip(r, t)) for t in b] + r for r in b])

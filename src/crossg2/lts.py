@@ -31,8 +31,8 @@ from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
 from . import scalar
-from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros,
-                     cleared_basis, combine, commutator, flat_commutator, rref)
+from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
+                     commutator, flat_commutator, rref, zero_of)
 from .scalar import ZERO, Scalar
 
 __all__ = [
@@ -47,8 +47,8 @@ FlatBracket = Callable[[Vec, Vec], Vec]
 
 class TripleSystem(NamedTuple):
     """R^dim with the trilinear product operator(x, y)(z) = [x, y, z]; if it is
-    rational, cleared = (products, s): products(rows) = s [r_i, r_j, r_k]
-    on ints, flat in (i, j, k) order."""
+    rational, cleared = (products, s): products(rows) = s [r_i, r_j, r_k] on
+    ints, flat in (i, j, k) order; products None runs the operator on ints."""
 
     name: str
     dim: int
@@ -77,20 +77,20 @@ def matrix_lts(n: int) -> TripleSystem:
     def bracket(a: Vec, b: Vec) -> Vec:
         return flat_commutator(a, b, n)
 
-    def operator(a: Vec, b: Vec, zero=ZERO) -> Callable[[Vec], Vec]:
-        ab = _nonzeros(flat_commutator(a, b, n, zero), n)  # listed once per pair
+    def operator(a: Vec, b: Vec) -> Callable[[Vec], Vec]:
+        # listed once per pair; the output's ring is also c's
+        ab, zero = _nonzeros(flat_commutator(a, b, n), n), zero_of(a, b)
 
         def apply(c: Vec) -> Vec:
             if len(c) != n * n:
                 raise ValueError(f"{len(c)} entries in gl({n})")
-            out, lc = [zero] * (n * n), _nonzeros(c, n)
+            out, lc = [zero if type(c[0]) is int else ZERO] * (n * n), _nonzeros(c, n)
             _accumulate(out, ab, lc, n)
             _accumulate(out, lc, ab, n, sub=True)
             return out
         return apply
 
-    return TripleSystem(f"gl{n}", n * n, operator, bracket, (partial(
-        operator_products, partial(operator, zero=0)), 1))
+    return TripleSystem(f"gl{n}", n * n, operator, bracket, (None, 1))
 
 
 GL7 = matrix_lts(7)  # g2's ambient as 7x7 matrices, one product for every caller
@@ -193,24 +193,20 @@ class LtsCarrier:
     @cached_property
     def constants(self) -> tuple[list, int | None]:
         """(flat, den): coordinate l of [b_i, b_j, b_k] at ((i n + j) n + k) n
-        + l, over den.  For rational basis rows and a `cleared` product, ints
-        as `_intops.clear_struct` clears them, certified on ints against the
-        rows cleared by m (`cleared_basis`); else Scalars, over None.
+        + l, over den: for a rational `Subspace.basis` and a `cleared` product,
+        ints as `_intops.clear_struct` clears them, else Scalars over None.
         Certifies closure: NotClosedError names the first basis triple whose
         product leaves the carrier."""
         n, size, cleared = self.dim, self.space.n, self.system.cleared
-        basis = cleared and cleared_basis(self.space)
-        if basis:  # the products of the rows cleared by m are s m^3 times more
-            (products, s), (rows, m, coords) = cleared, basis
-            den = s * m ** 3
-        else:
-            products = partial(operator_products, self.system.operator)
-            rows, coords, den = self.space.rows, self.space.coords, None
-        flat = products(rows)
+        m = cleared and self.space.denominator
+        # the products of the rows cleared by m are s m^3 times more
+        products = m and cleared[0] or partial(operator_products, self.system.operator)
+        flat = products(self.space.basis if m else self.space.rows)
+        den = m and cleared[1] * m ** 3
         if n < size:  # else the products are their own coordinates
             out, flat = flat, []
             for t in range(n ** 3):
-                x = coords(out[t * size:(t + 1) * size])
+                x = self.space.coords(out[t * size:(t + 1) * size])
                 if x is None:
                     raise NotClosedError(t // (n * n), t // n % n, t % n)
                 flat += x

@@ -21,8 +21,8 @@ from .cross7 import basis_vector, cross
 from .g2alg import G2, Frame, leibniz_rows
 from .linalg import (Matrix, Subspace, Vec, _accumulate, _nonzeros, combine,
                      dot, flat_product, is_positive_definite, kernel,
-                     projection_matrix, solve)
-from .lts import GL7, FlatOperator, LtsCarrier, TripleSystem, operator_products
+                     projection_matrix, solve, zero_of)
+from .lts import GL7, FlatOperator, LtsCarrier, TripleSystem
 from .scalar import ONE, ZERO, Scalar
 
 __all__ = [
@@ -163,9 +163,9 @@ def matches_template(rm: Matrix) -> bool:
     return rm.rows[2] == expected
 
 
-def _operator(x: Vec, y: Vec, n: int, m: int, twisted: bool = False,
-              zero=ZERO) -> Callable[[Vec], Vec]:
-    """z -> [x, y, z] on n x m matrices flattened row by row (ints: zero=0).
+def _operator(x: Vec, y: Vec, n: int, m: int,
+              twisted: bool = False) -> Callable[[Vec], Vec]:
+    """z -> [x, y, z] on n x m matrices flattened row by row, in their ring.
 
     The skew triple x y^t z - y x^t z + z y^t x - z x^t y is L z + z R, with
     L = x y^t - y x^t and R = y^t x - x^t y.  The twisted 3x3 product adds
@@ -177,7 +177,7 @@ def _operator(x: Vec, y: Vec, n: int, m: int, twisted: bool = False,
         raise ValueError(f"arguments must be {n} x {m} matrices, flattened")
     if twisted and (n, m) != (3, 3):
         raise ValueError("the twisted product is on 3x3 matrices")
-    yt = [y[i * m + j] for j in range(m) for i in range(n)]
+    yt, zero = [y[i * m + j] for j in range(m) for i in range(n)], zero_of(x, y)
     left, right, w = [zero] * (n * n), [zero] * (m * m), [zero] * 3
     flat_product(left, x, yt, m, n)              # x y^t
     flat_product(right, yt, x, n, m)             # y^t x
@@ -196,7 +196,7 @@ def _operator(x: Vec, y: Vec, n: int, m: int, twisted: bool = False,
     def apply(z: Vec) -> Vec:
         if len(z) != n * m:
             raise ValueError(f"argument must be a {n} x {m} matrix, flattened")
-        out, lz = [zero] * (n * m), _nonzeros(z, m)
+        out, lz = [zero if type(z[0]) is int else ZERO] * (n * m), _nonzeros(z, m)
         _accumulate(out, left, lz, m)
         _accumulate(out, lz, right, m)
         if twisted:
@@ -225,9 +225,7 @@ def m34_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     return skew_triple(a, b, c)
 
 
-M34 = TripleSystem("m34", 12, lambda x, y: _operator(x, y, 3, 4),
-                  cleared=(partial(operator_products, lambda x, y: _operator(
-                      x, y, 3, 4, zero=0)), 1))
+M34 = TripleSystem("m34", 12, lambda x, y: _operator(x, y, 3, 4), cleared=(None, 1))
 
 
 def m34_template_basis() -> list[Matrix]:
@@ -368,10 +366,8 @@ def d_st(s: Scalar | int, t: Scalar | int) -> Matrix:
     ])
 
 
-SL3 = TripleSystem("sl3-twisted", 9,
-                  lambda x, y: _operator(x, y, 3, 3, twisted=True),
-                  cleared=(partial(operator_products, lambda x, y: _operator(
-                      x, y, 3, 3, twisted=True, zero=0)), 1))
+SL3 = TripleSystem("sl3-twisted", 9, lambda x, y: _operator(x, y, 3, 3, twisted=True),
+                  cleared=(None, 1))
 
 
 def sl3_catalog(kind: str) -> LtsCarrier:

@@ -1,6 +1,7 @@
 import pytest
 
 from crossg2.checks import Workspace
+from crossg2.linalg import Subspace
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +34,15 @@ def tds(ws):
 @pytest.fixture(scope="session")
 def grading_std(ws):
     return ws.grading_std
+
+
+@pytest.fixture
+def scalar_route(monkeypatch):
+    """The switch of linalg's one integer dispatch: once called, every
+    Subspace's `basis` is its Scalar rows and its `denominator` None, and
+    membership, coordinates and every caller reading the basis take the
+    Scalar route, the oracle of the integer one."""
+    def switch():
+        monkeypatch.setattr(Subspace, "basis", property(lambda space: space.rows))
+        monkeypatch.setattr(Subspace, "denominator", None)
+    return switch

@@ -1,10 +1,11 @@
 """Rational associative subalgebras on integers, against the Scalar path.
 
-A rational subspace's projection B^t (B B^t)^-1 B runs on cleared ints;
-associativity is tested on V's cleared basis; the homogeneity half of
-`is_adapted` forms c^2 h1 - (c theta) h1 (c theta) on ints; g2.jacobi
-sweeps g2's cleared basis rows.  Each is checked against the Scalar
-computation it replaces, which is the oracle.
+A rational subspace's projection B^t (B B^t)^-1 B runs on its integer
+`Subspace.basis`; associativity and the split are tested on V's integer
+basis; the homogeneity half of `is_adapted` forms c^2 h1 - (c theta) h1
+(c theta) on ints; g2.jacobi sweeps g2's integer basis rows.  Each is
+checked against the Scalar computation it replaces, which is the oracle
+(the `scalar_route` switch, or the formula itself).
 """
 
 import random
@@ -19,6 +20,9 @@ from crossg2.cross7 import basis_vector
 from crossg2.linalg import (Matrix, Subspace, cleared, flat_commutator,
                             inverse, projection_matrix, rank)
 from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
+
+R6_PAIR = ([ONE, SQRT6, ZERO, ZERO, ZERO, ZERO, ZERO],
+           [ZERO, ZERO, ONE, ZERO, Scalar.of(2), ZERO, ZERO])
 
 E = [basis_vector(i) for i in range(7)]
 BIG = 2 ** 63
@@ -76,19 +80,27 @@ def test_an_irrational_space_takes_the_scalar_path(monkeypatch):
 
 
 def random_three_spaces(rng, count):
-    """Random rational 3-spaces, most not associative, and drawn subalgebras."""
+    """Random rational 3-spaces, most not associative, drawn subalgebras, and
+    two irrational spaces: span{u, w, u x w} for u with a r6 entry, and the
+    same with u x w moved off V."""
     spaces = [random_space(rng, 3) for _ in range(count)]
     spaces += [catalog.random_assoc(rng).space for _ in range(count)]
     spaces += [Subspace.span([E[a], E[b], E[c]], 7)
                for a, b, c in combinations(range(7), 3)]
+    u, w = R6_PAIR
+    spaces.append(catalog.AssocSubalg.from_pair(u, w).space)
+    spaces.append(Subspace.span([u, w, E[6]], 7))
     return spaces
 
 
-def test_integer_associativity_equals_the_scalar_test(monkeypatch):
+def test_integer_associativity_equals_the_scalar_test(scalar_route):
     spaces = random_three_spaces(random.Random(21), 40)
+    assert [s.denominator is None for s in spaces].count(True) == 2
     on_ints = [catalog.is_associative(s) for s in spaces]
-    assert on_ints.count(True) >= 40 + 7  # the drawn ones and the 7 lines
-    monkeypatch.setattr(catalog, "cleared_basis", lambda space: None)
+    assert on_ints.count(True) >= 40 + 7 + 1  # drawn, the 7 lines, r6's V
+    assert on_ints[-2:] == [True, False]
+    scalar_route()
+    assert all(s.denominator is None for s in spaces)
     assert [catalog.is_associative(s) for s in spaces] == on_ints
 
 
@@ -120,7 +132,8 @@ def rotation_by_h1(h1):
     return out
 
 
-def test_integer_homogeneity_equals_the_scalar_route(monkeypatch, g2, tds, v_std):
+def test_integer_homogeneity_equals_the_scalar_route(monkeypatch, scalar_route,
+                                                     g2, tds, v_std):
     rng = random.Random(23)
     # exp(t h1) lies in h's group, so it moves subalgebras adapted to h to
     # adapted ones, here with denominators 5^6 in theta
@@ -131,20 +144,21 @@ def test_integer_homogeneity_equals_the_scalar_route(monkeypatch, g2, tds, v_std
              for a, b, c in ((1, 5, 6), (1, 2, 4))]
     assert all(cleared(v.theta().flatten() + [ONE])[-1] == 5 ** 6 for v in moved)
     subalgs = [v_std] + moved + [catalog.random_assoc(rng) for _ in range(200)]
-    rows, m, coords = g2._cleared
-    calls = []
+    subalgs.append(catalog.AssocSubalg.from_pair(*R6_PAIR))
+    calls, coords = [], Subspace.coords
 
-    def spy(v):
-        calls.append(v)
-        return coords(v)
+    def spy(space, v):
+        if space is g2.space and type(v[0]) is int:
+            calls.append(v)
+        return coords(space, v)
 
-    monkeypatch.setattr(g2, "_cleared", (rows, m, spy))
+    monkeypatch.setattr(Subspace, "coords", spy)
     on_ints = [catalog.is_adapted(tds, v, g2) for v in subalgs]
     assert all(on_ints[:3]) and not all(on_ints)
-    assert len(calls) == len(subalgs)  # h1 of each V ran on ints
-    monkeypatch.setattr(catalog, "cleared", lambda u: None)
+    assert len(calls) == len(subalgs) - 1  # h1 of each rational V ran on ints
+    scalar_route()
     assert [catalog.is_adapted(tds, v, g2) for v in subalgs] == on_ints
-    assert len(calls) == len(subalgs)
+    assert len(calls) == len(subalgs) - 1
 
 
 def scalar_jacobi_fails(basis, bracket):
@@ -158,8 +172,8 @@ def scalar_jacobi_fails(basis, bracket):
 
 def off_at(p):
     """flat_commutator with entry p of every bracket one unit off."""
-    def bracket(a, b, n, zero=ZERO):
-        out = flat_commutator(a, b, n, zero)
+    def bracket(a, b, n):
+        out = flat_commutator(a, b, n)
         out[p] = out[p] + 1
         return out
     return bracket

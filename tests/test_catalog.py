@@ -1,6 +1,7 @@
 import gc
 import inspect
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ def test_assoc_from_pair():
         catalog.AssocSubalg.from_pair(E[0], E[0])
 
 
-def test_split_check_decides_alike_on_ints_and_scalars(monkeypatch):
+def test_split_check_decides_alike_on_ints_and_scalars(monkeypatch, scalar_route):
     rng = random.Random(7)
     subalgs = [catalog.random_assoc(rng) for _ in range(4)]
     r6 = Scalar(0, 1, 0, 0)
@@ -39,39 +40,47 @@ def test_split_check_decides_alike_on_ints_and_scalars(monkeypatch):
         [ONE, r6, ZERO, ZERO, ZERO, ZERO, ZERO],
         [ZERO, ZERO, ONE, ZERO, Scalar.of(2), ZERO, ZERO]))
     splits = [(v.space, v.complement()) for v in subalgs]
-    zeros = []
+    products = []
     cross = catalog.cross
 
-    def spy(x, y, zero=ZERO):
-        zeros.append(zero)
-        return cross(x, y, zero)
+    def spy(x, y):
+        products.append(cross(x, y))
+        return products[-1]
 
     monkeypatch.setattr(catalog, "cross", spy)
     paths = []
     for space, comp in splits:
-        zeros.clear()
+        products.clear()
         assert catalog._split_failure(space, comp) is None
-        paths.append({type(z) for z in zeros})
+        assert len(products) == 3 * 4 + 6  # V x V-perp, and 6 pairs in V-perp
+        paths.append({type(x) for p in products for x in p})
     assert paths == [{int}] * 4 + [{Scalar}]  # rational V runs on ints
 
     def failures():
-        return [catalog._split_failure(space, comp) for space, comp in splits]
+        """The split's verdicts under each sign pair e_i x e_j = -(e_j x e_i)
+        of the table flipped in turn: the split forms V-perp x V-perp on
+        unordered pairs, so each corruption keeps the product antisymmetric."""
+        out = []
+        for i, j in combinations(range(7), 2):
+            table = [list(row) for row in clean]
+            (k, sign), (_, back) = table[i][j], table[j][i]
+            table[i][j], table[j][i] = (k, -sign), (k, -back)
+            monkeypatch.setattr(cross7, "CROSS_TABLE", table)
+            out.append([catalog._split_failure(space, comp) for space, comp in splits])
+        return out
 
-    def forced_scalars(u):
-        return None
-
-    # one sign of the table flipped, with the associativity test passed over
-    table = [list(row) for row in cross7.CROSS_TABLE]
-    k, sign = table[0][1]
-    table[0][1] = (k, -sign)
-    monkeypatch.setattr(cross7, "CROSS_TABLE", table)
+    clean = cross7.CROSS_TABLE
     monkeypatch.setattr(catalog, "is_associative", lambda v: True)
     on_ints = failures()
-    assert all(on_ints)
-    for space, _ in splits[:4]:
+    assert all(all(verdicts[:4]) for verdicts in on_ints)  # every rational V
+    # r6's V keeps its split only under the flip of e1 x e2; under two flips
+    # only its V-perp x V-perp half fails
+    assert [bool(verdicts[4]) for verdicts in on_ints].count(False) == 1
+    assert [verdicts[4] for verdicts in on_ints].count("V-perp x V-perp leaves V") == 2
+    for space, _ in splits:  # the last flip, e6 x e7, fails every split
         with pytest.raises(AssertionError, match="leaves"):
             catalog.AssocSubalg(space)
-    monkeypatch.setattr(catalog, "cleared", forced_scalars)
+    scalar_route()
     assert failures() == on_ints
     for space, _ in splits:
         with pytest.raises(AssertionError, match="leaves"):
@@ -129,6 +138,35 @@ def test_grading_equals_the_conjugation_eigenspaces(g2):
         g = catalog.grading(v, g2)
         assert (g.even.dim, g.odd.dim) == (6, 8)
         assert (g.even, g.odd) == conjugation_eigenspaces(v, g2)
+
+
+def test_mapping_space_decides_alike_on_the_scalar_route(g2, tds, scalar_route):
+    # membership rows on the integer bases of rational V, V-perp and <u>,
+    # against the same rows on Scalar bases
+    rng = random.Random(31)
+    r6 = Scalar(0, 1, 0, 0)
+    subalgs = [catalog.random_assoc(rng) for _ in range(6)]
+    subalgs.append(catalog.AssocSubalg.from_pair(
+        [ONE, r6, ZERO, ZERO, ZERO, ZERO, ZERO],
+        [ZERO, ZERO, ONE, ZERO, Scalar.of(2), ZERO, ZERO]))
+    us = [[Scalar.rational(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(7)]
+          for _ in range(4)] + [[r6, ONE, ZERO, ZERO, ZERO, ZERO, ONE]]
+
+    def spaces():
+        out = []
+        for v in subalgs:
+            space, comp = v.space, v.complement()
+            out.append(catalog.mapping_space([(comp, space)], g2))
+            out.append(catalog.mapping_space([(space, space), (comp, comp)], g2))
+            out.append(catalog.mapping_space([(space, space), (comp, comp)], g2,
+                                             within=tds.space))
+        return out + [catalog.annihilator_subalg(u, g2) for u in us if any(u)]
+
+    on_ints = spaces()
+    assert [s.dim for s in on_ints[:21:3]] == [6] * 7
+    assert [s.dim for s in on_ints[21:]] == [8] * (len(on_ints) - 21)
+    scalar_route()
+    assert spaces() == on_ints
 
 
 def test_grading_of_an_irrational_subalgebra(g2):

@@ -5,7 +5,8 @@ A carrier with rational basis rows under a product with
 ints over one common denominator, and certifies closure on them; every
 other carrier runs the Scalar products.  The Scalar path is the oracle:
 the same product with `cleared` dropped.  g2 itself is built on integer
-Leibniz rows and integer commutators, against the Scalar-built algebra.
+Leibniz rows and integer commutators of its integer `Subspace.basis`,
+against the Scalar-built algebra.
 The derivation sweep halves its (A, B) pairs on an antisymmetric tensor,
 against the sweep of every pair.
 """
@@ -22,8 +23,7 @@ from crossg2 import _intops, matmodel
 from crossg2._intops import _INT64_LIMIT, clear_struct, derivation_axiom_holds
 from crossg2.cross7 import basis_vector
 from crossg2.g2alg import G2, leibniz_rows
-from crossg2.linalg import (Matrix, Subspace, cleared, cleared_basis,
-                            commutator, kernel)
+from crossg2.linalg import Matrix, Subspace, cleared, commutator, dot, kernel
 from crossg2.lts import (GL7, LtsCarrier, NotClosedError, TripleSystem,
                          abstract_lts, check_axioms, lie_lts, matrix_lts)
 from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
@@ -72,6 +72,21 @@ def test_the_integer_constants_equal_the_cleared_scalar_struct(ws, kind):
     assert check_axioms(carrier) == check_axioms(oracle)
 
 
+@pytest.mark.parametrize("kind", ["odd-part", "T2", "T4", "m34-template", "sym5",
+                                  "gl7-tangent"])
+def test_the_scalar_route_certifies_the_same_constants(ws, scalar_route, kind):
+    # the switch at linalg's one dispatch: the basis stays Scalar, so the
+    # carrier takes the Scalar products and reduces them over the field
+    carrier = carrier_of(ws, kind)
+    assert carrier.constants[1] is not None
+    scalar_route()
+    fresh = LtsCarrier(carrier.system, carrier.space, carrier.name)
+    flat, den = fresh.constants
+    assert den is None and all(isinstance(x, Scalar) for x in flat)
+    assert fresh.struct() == carrier.struct()
+    assert check_axioms(fresh) == check_axioms(carrier)
+
+
 @pytest.mark.parametrize("kind", ["T1", "sl3-sphere"])
 def test_irrational_carriers_keep_the_scalar_path(ws, kind):
     carrier = carrier_of(ws, kind)
@@ -108,10 +123,10 @@ def closure_witness(carrier: LtsCarrier):
 @pytest.mark.parametrize("system", [matmodel.M34, matmodel.SL3,
                                     matrix_lts(3), "g2"], ids=lambda s: str(
                                         getattr(s, "name", s)))
-def test_a_carrier_that_is_not_closed_names_the_same_triple(g2, system):
+def test_a_carrier_that_is_not_closed_names_the_same_triple(g2, scalar_route, system):
     system = g2.lts if system == "g2" else system
-    witnesses = []
-    for space in random_spans(system, 25, 3):
+    witnesses, spaces = [], list(random_spans(system, 25, 3))
+    for space in spaces:
         carrier = LtsCarrier(system, space)
         witness = closure_witness(carrier)
         assert witness == closure_witness(scalar_path(carrier))
@@ -121,6 +136,8 @@ def test_a_carrier_that_is_not_closed_names_the_same_triple(g2, system):
                 carrier.struct()
         witnesses.append(witness)
     assert any(witnesses) and None in witnesses
+    scalar_route()  # and with membership decided over the field
+    assert [closure_witness(LtsCarrier(system, s)) for s in spaces] == witnesses
 
 
 def test_gl3_open_carrier_witness_on_both_paths():
@@ -141,14 +158,14 @@ def test_every_non_pivot_residual_is_checked(seed):
     rows = [[Scalar.rational(rng.randint(-3, 3), rng.randint(1, 4))
              if k or seed % 2 else ZERO for k in range(n)] for _ in range(3)]
     space = Subspace.span(rows, n)  # even seeds: no pivot at column 0
-    ints, m, coords = cleared_basis(space)
+    ints, m = space.basis, space.denominator
     assert [r[pc] for r, pc in zip(ints, space.pivots)] == [m] * space.dim
     assert len(space.pivots) < n and (0 in space.pivots) is bool(seed % 2)
     for c in set(range(n)) - set(space.pivots):
-        assert coords([int(k == c) for k in range(n)]) is None
+        assert space.coords([int(k == c) for k in range(n)]) is None
     for r in ints:
-        assert coords(r) == [r[pc] for pc in space.pivots]
-    assert cleared_basis(Subspace.span([[SQRT6, ONE]], 2)) is None
+        assert space.coords(r) == [r[pc] for pc in space.pivots]
+    assert Subspace.span([[SQRT6, ONE]], 2).denominator is None
 
 
 # ------------------------------------------------------------- g2 on ints
@@ -161,12 +178,18 @@ def test_g2_on_integer_rows_equals_the_scalar_built_algebra(g2):
     int_rows = [[int(i == j) for j in range(7)] for i in range(7)]
     int_pairs = [(int_rows[i], int_rows[j])
                  for i, j in itertools.combinations(range(7), 2)]
-    assert [[Scalar.of(t) for t in r] for r in leibniz_rows(int_pairs, 0)] == (
-        leibniz_rows(pairs))
-    flat = cleared([x for row in space.rows for x in row])
-    assert g2._int_terms == [[(i, j, flat[49 * b + 7 * i + j])
-                              for i, j, _ in terms]
-                             for b, terms in enumerate(g2._terms)]
+    int_rows = leibniz_rows(int_pairs)
+    assert all(type(x) is int for r in int_rows for x in r)
+    assert [[Scalar.of(t) for t in r] for r in int_rows] == leibniz_rows(pairs)
+    flat, m = cleared([x for row in space.rows for x in row]), space.denominator
+    assert g2.space.basis == [flat[49 * b:49 * b + 49] for b in range(14)]
+    # the pairing rows <b s, t>, on ints, are m times those of the Scalar basis
+    rng = random.Random(3)
+    for _ in range(5):
+        s, t = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(2)]
+        row = g2.pairing_row(s, t)
+        assert all(type(x) is int for x in row)
+        assert row == [m * dot(b.apply([Scalar.of(x) for x in s]), t) for b in g2.basis]
     basis = [Matrix.from_flat(r, 7, 7) for r in space.rows]
     n = len(basis)
     expected = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
@@ -180,9 +203,8 @@ def test_bracket_constants_outside_the_algebra_are_refused():
     # E12 and E21 span no Lie algebra: [E12, E21] = E11 - E22
     fake = G2.__new__(G2)
     fake.dim = 2
-    fake._cleared = cleared_basis(Subspace.span(
-        [Matrix.unit(7, 7, 0, 1).flatten(), Matrix.unit(7, 7, 1, 0).flatten()],
-        49))
+    fake.space = Subspace.span(
+        [Matrix.unit(7, 7, 0, 1).flatten(), Matrix.unit(7, 7, 1, 0).flatten()], 49)
     with pytest.raises(ValueError, match="leaves the algebra"):
         fake.bracket_coords
 

@@ -3,26 +3,29 @@
 A control patches the smallest thing its check's anchor claims something
 about and asserts that the check reports `fail` (not `skipped`, and
 run_checks returns) with a witness naming what broke.  A check that no
-control can fail would pass for the wrong reason too.
+control can fail would pass for the wrong reason too.  A control with a
+family runs the family's checks too: the corruption fails only its check,
+and the others pass or skip on a failed prerequisite.
 """
 
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
 
-from crossg2 import catalog, checks, g2alg
+from crossg2 import catalog, checks, g2alg, lts
 from crossg2.checks import run_checks, select_checks
-from crossg2.cross7 import basis_vector
+from crossg2.cross7 import basis_vector, cross
 from crossg2.g2alg import Frame
-from crossg2.linalg import Subspace, cleared_basis, flat_commutator, projection_matrix
+from crossg2.linalg import Subspace, flat_commutator, projection_matrix
 
 E = [basis_vector(i) for i in range(7)]
 V_STD = Subspace.span([E[0], E[1], E[3]], 7)  # V of the standard frame
 
 
 def commutator_one_entry_off(monkeypatch):
-    def off(a, b, n, zero=0):
-        out = flat_commutator(a, b, n, zero)
+    def off(a, b, n):
+        out = flat_commutator(a, b, n)
         out[1] += 1
         return out
     monkeypatch.setattr(checks, "flat_commutator", off)
@@ -53,39 +56,88 @@ def draws_swap_w_and_its_complement(monkeypatch):
     monkeypatch.setattr(catalog, "random_assoc", swapped)
 
 
-# (check id, corruption, witness prefix)
+def associativity_tests_a_cross_a(monkeypatch):
+    # a x a = 0 lies in every space, so every 3-space passes
+    monkeypatch.setattr(catalog, "is_associative", lambda v: v.dim == 3 and v.contains(
+        cross(v.basis[0], v.basis[0])))
+
+
+def annihilator_leaves_e7_free(monkeypatch):
+    # d(u) is asked to be orthogonal to e1..e6 only: the membership rows of e7
+    # are dropped, so d(u) = e7 passes too
+    monkeypatch.setattr(catalog, "annihilator_subalg", lambda u, g2: (
+        catalog.mapping_space([(Subspace.span([list(u)], 7),
+                                Subspace.span(E[:6], 7))], g2)))
+
+
+def t_constants_one_entry_off(monkeypatch):
+    # the certified structure constants of T1-T4, each with its first
+    # nonzero coordinate one unit off
+    constants = lts.LtsCarrier.constants
+
+    def off(carrier):
+        flat, den = constants.func(carrier)
+        if carrier.name in catalog.FAMILIES:
+            flat = list(flat)
+            flat[next(k for k, x in enumerate(flat) if x)] += 1
+        return flat, den
+    corrupted = cached_property(off)
+    corrupted.__set_name__(lts.LtsCarrier, "constants")
+    monkeypatch.setattr(lts.LtsCarrier, "constants", corrupted)
+
+
+# (check id, corruption, witness prefix, family of checks run alongside)
 CONTROLS = [
-    ("g2.jacobi", commutator_one_entry_off, "Jacobi fails on a basis triple"),
+    ("g2.jacobi", commutator_one_entry_off, "Jacobi fails on a basis triple", None),
     ("catalog.adapted", theta_of_another_subalgebra,
-     "AdaptednessError: homogeneity says False, intersection dimension says True"),
+     "AdaptednessError: homogeneity says False, intersection dimension says True",
+     None),
     ("catalog.adapted", draws_all_standard,
-     "no non-adapted subalgebra found in 100 draws"),
+     "no non-adapted subalgebra found in 100 draws", None),
     ("catalog.pasapa", theta_v_is_identity,
-     "commutation and invariance criteria disagree"),
+     "commutation and invariance criteria disagree", None),
     ("catalog.profile", draws_swap_w_and_its_complement,
-     "unexpected intersection profile (0, 0, 1, 0)"),
+     "unexpected intersection profile (0, 0, 1, 0)", None),
+    ("catalog.associative", associativity_tests_a_cross_a,
+     "<e1,e2,e3> should not be associative", "catalog.*"),
+    ("catalog.annihilator", annihilator_leaves_e7_free,
+     "annihilator dim 9 != 8", "catalog.*"),
+    ("catalog.t_dims", t_constants_one_entry_off, "T1: [b0, b", "catalog.*"),
 ]
 
 
-@pytest.mark.parametrize("check_id, corrupt, witness", CONTROLS,
+@pytest.mark.parametrize("check_id, corrupt, witness, family", CONTROLS,
                          ids=[f"{c[0]}-{c[1].__name__}" for c in CONTROLS])
-def test_the_check_fails_under_its_control(monkeypatch, check_id, corrupt, witness):
+def test_the_check_fails_under_its_control(monkeypatch, check_id, corrupt, witness,
+                                           family):
     corrupt(monkeypatch)
-    [result] = run_checks(select_checks([check_id]), 0, 1)
+    results = run_checks(select_checks([check_id, family or check_id]), 0, 1)
+    [result] = [r for r in results if r.id == check_id]
     assert result.status == "fail"
     assert result.witness.startswith(witness)
+    others = {r.id: r.status for r in results if r is not result}
+    assert set(others) == {c.id for c in select_checks([family])} - {check_id} if (
+        family) else not others
+    assert set(others.values()) <= {"pass", "skipped"}, others
 
 
 def test_a_basis_entry_off_does_not_fail_g2_jacobi(monkeypatch):
     # [[a, b], c] + [[b, c], a] + [[c, a], b] = 0 for any matrices, so only
     # a wrong bracket, not a wrong basis, can fail the check
-    corrupted = []
+    corrupted, swept, init = [], [], g2alg.G2.__init__
 
-    def off(space):
-        rows, m, coords = cleared_basis(space)
+    def built_then_off(g2):
+        init(g2)  # the integer basis rows cached on g2's space, one entry off
+        rows = [list(r) for r in g2.space.basis]
         rows[0][next(k for k, x in enumerate(rows[0]) if not x)] += 1
+        g2.space._basis = rows
         corrupted.append(rows)
-        return rows, m, coords
-    monkeypatch.setattr(g2alg, "cleared_basis", off)
+
+    def spy(a, b, n):
+        swept.append(a)
+        return flat_commutator(a, b, n)
+    monkeypatch.setattr(g2alg.G2, "__init__", built_then_off)
+    monkeypatch.setattr(checks, "flat_commutator", spy)
     [result] = run_checks(select_checks(["g2.jacobi"]), 0, 1)
-    assert len(corrupted) == 1 and result.status == "pass"
+    [rows] = corrupted
+    assert any(a is rows[0] for a in swept) and result.status == "pass"

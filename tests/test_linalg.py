@@ -635,3 +635,71 @@ def symmetric_matrices(draw):
 def test_positive_definite_pivots_agree_with_the_leading_minors(m):
     assert is_positive_definite(m) == sylvester_by_minors(m)
     assert is_positive_definite(-m) == sylvester_by_minors(-m)
+
+
+# ------------------------------------------- membership on the integer basis
+
+def reduce_route(space, v):
+    """Subspace.coords by reduction over the field, the oracle."""
+    return [v[pc] for pc in space.pivots] if not any(space.reduce(v)) else None
+
+
+NEAR_INT64 = st.builds(lambda sign, d, q: Scalar.rational(sign * (2 ** 63 - d), q),
+                       st.sampled_from([1, -1]), st.integers(0, 2), st.integers(1, 3))
+membership_entries = st.one_of(
+    st.just(ZERO), st.just(ZERO), st.integers(-3, 3).map(Scalar.of),
+    st.builds(Scalar.rational, st.integers(-9, 9), st.integers(1, 9)), NEAR_INT64)
+irrational_entries = st.one_of(
+    membership_entries, st.sampled_from([SQRT6, Scalar(1, 0, -2, 0, 3)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_coords_equal_the_reduce_route(data):
+    """coords and contains on a rational space decide on the cached integer
+    basis, for vectors in and out of the span (unit vectors at every
+    non-pivot column included), as Scalars and as ints; an irrational space
+    or vector falls back to reduction; a space grown by `add` after its
+    basis was read decides on its new basis."""
+    n = data.draw(st.integers(1, 6), "n")
+    irrational = data.draw(st.sampled_from([False, False, True]), "irrational space")
+    rows = data.draw(st.lists(st.lists(irrational_entries if irrational
+                                       else membership_entries, min_size=n, max_size=n),
+                              max_size=n), "rows")
+    space = Subspace.span(rows, n)
+    irrational_basis = any(x.nb or x.nc or x.nd for r in space.rows for x in r)
+    assert (space.denominator is None) is irrational_basis
+
+    def vectors(draws):
+        found = [[ONE if k == c else ZERO for k in range(n)]
+                 for c in range(n) if c not in space.pivots]
+        for _ in range(draws):
+            coeffs = data.draw(st.lists(irrational_entries, min_size=space.dim,
+                                        max_size=space.dim))
+            found.append(combine(coeffs, space.rows) if space.dim else [ZERO] * n)
+            found.append(data.draw(st.lists(irrational_entries, min_size=n, max_size=n)))
+        found += [ints for ints in map(cleared, found) if ints is not None]
+        return found
+
+    def assert_agrees(space):
+        for v in vectors(3):
+            expected = reduce_route(space, v)
+            got = space.coords(v)
+            assert got == expected and space.contains(v) is (expected is not None)
+            if got is not None:
+                assert [type(x) for x in got] == [type(x) for x in expected]
+
+    assert_agrees(space)
+    space.basis  # read, then grown: the cached basis must not be used again
+    extra = data.draw(st.lists(membership_entries, min_size=n, max_size=n), "extra")
+    if space.add(extra):
+        assert space.coords(extra) is not None
+        assert_agrees(space)
+
+
+def test_a_stale_basis_would_reject_the_added_row():
+    space = Subspace.span([[ONE, ZERO, ZERO]], 3)
+    assert space.basis == [[1, 0, 0]] and not space.contains([0, 1, 0])
+    assert space.add([Scalar.rational(1, 2), Scalar.rational(1, 3), ZERO])
+    assert space.basis == [[1, 0, 0], [0, 1, 0]]
+    assert space.contains([0, 1, 0]) and space.coords([5, 7, 0]) == [5, 7]
