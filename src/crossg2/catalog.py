@@ -331,18 +331,11 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
 
     T must be closed and carry the ambient's product.  Random candidates
     have integer coordinates in [-3, 3] in the ambient basis, redrawn in T;
-    extra candidates, ambient vectors, come first.  Trials run in the
-    ambient's n own coordinates; a failure records an ambient vector.
-
-    A trial is first decided mod p (`lts.quotient_module_test`).  The
-    closure S of T + x is triple-closed and contains T, so D(a, b) =
-    [a, b, .], a, b in T, maps S into S, and the image mod p of S's
-    spanning products (`lts.generated_subtriple`) contains T-bar, T reduced,
-    and the D-module of x's residual in F_p^n / T-bar.  If that module
-    fills the quotient, the image is F_p^n and the minor argument there
-    gives S = the ambient; a nonzero residual also shows x is not in T.
-    A declined candidate's seed, the span of T and x, closes by
-    `lts.generated_subtriple`, which alone reports a proper closure.
+    extra candidates, ambient vectors, come first.  A trial is first decided
+    mod p by `lts.quotient_module_test`, whose docstring proves it sound.
+    A declined candidate x gets the seed span(T, x) in the ambient's own
+    basis, closed exactly by `lts.generated_subtriple`, which alone reports
+    a proper closure; a failure records x as an ambient vector.
     """
     if t.system is not ambient.system:
         raise ValueError("probe needs T and the ambient under one product")
@@ -357,8 +350,8 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
     if None in candidates:
         raise ValueError("seed is not contained in the ambient carrier")
     t.constants  # certifies that T is closed
-    own, t_space = ambient.own_coordinates, Subspace.span(t_coords, ambient.dim)
-    fills = quotient_module_test(t_space, own)
+    t_space = Subspace.span(t_coords, ambient.dim)
+    fills = quotient_module_test(t_space, ambient)
     failures: list[tuple[Vec, int]] = []
     produced = 0
     while produced < trials:
@@ -368,12 +361,12 @@ def maximality_probe(t: LtsCarrier, ambient: LtsCarrier, trials: int,
         else:
             x = v = [rng.randint(-3, 3) for _ in range(ambient.dim)]
         if not fills(v):
-            x = [Scalar.of(c) for c in x]
-            seed = t_space.copy()  # grows to the RREF of T + x
+            x = ambient.element([Scalar.of(c) for c in x])
+            seed = t.space.copy()  # grows to the RREF of T + x
             if not seed.add(x):
                 continue  # x is in T
-            closed = generated_subtriple(seed, own)
+            closed = generated_subtriple(seed, ambient)
             if closed.dim < ambient.dim:
-                failures.append((ambient.element(x), closed.dim))
+                failures.append((x, closed.dim))
         produced += 1
     return ProbeReport(trials, trials - len(failures), failures)

@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple
 
 from . import catalog, cross7, g2alg, lts, matmodel
 from .linalg import (Matrix, Subspace, char_poly, commutator, dot,
-                     flat_commutator, is_positive_definite, is_zero_vec,
-                     kernel, poly_from_roots_squared, rank)
+                     is_positive_definite, is_zero_vec, kernel,
+                     poly_from_roots_squared, rank)
 from .scalar import ONE, SQRT6, SQRT10, SQRT15, ZERO, Scalar
 
 __all__ = ["CheckResult", "CheckFailure", "SkipCheck", "Workspace",
@@ -418,10 +418,12 @@ def _g2_leibniz(ws, rng, trials):
 
 @check("g2.jacobi", "Jacobi identity on all basis triples")
 def _g2_jacobi(ws, rng, trials):
-    # on g2's integer basis rows (`Subspace.basis`): the identity is homogeneous
-    b, br = ws.g2.space.basis, lambda x, y: flat_commutator(x, y, 7)
-    inner = {(i, j): br(b[i], b[j]) for i, j in combinations(range(len(b)), 2)}
-    for i, j, k in combinations(range(len(b)), 3):
+    # on g2's bracket constants (`G2.bracket_coords`), which the triple
+    # systems use; on matrices it would only restate that [x, y] = xy - yx
+    n, br = ws.g2.dim, ws.g2.lts.bracket
+    b = [[ONE if k == i else ZERO for k in range(n)] for i in range(n)]
+    inner = {(i, j): br(b[i], b[j]) for i, j in combinations(range(n), 2)}
+    for i, j, k in combinations(range(n), 3):
         s = zip(br(inner[i, j], b[k]), br(inner[j, k], b[i]), br(inner[i, k], b[j]))
         require(not any(x + y - z for x, y, z in s), "Jacobi fails on a basis triple")
 
@@ -772,13 +774,19 @@ def _catalog_profile(ws, rng, trials):
 def _catalog_pasapa(ws, rng, trials):
     v = ws.v_std
     thv = v.theta()
+
+    def sides(w):  # (theta_V theta_W = theta_W theta_V, theta_W(V) <= V)
+        thw = w.theta()
+        return (thv @ thw == thw @ thv,
+                all(v.space.contains(thw.apply(r)) for r in v.space.rows))
+    # the crossing pair, profile (1,2,2,2), is on the commuting side
+    require(sides(ws.w_std) == (True, True),
+            "the crossing pair is not on the commuting side")
     for _ in range(40):
         w = catalog.random_assoc(rng)
         if w.space == v.space:
             continue
-        thw = w.theta()
-        commute = (thv @ thw == thw @ thv)
-        invariant = all(v.space.contains(thw.apply(r)) for r in v.space.rows)
+        commute, invariant = sides(w)
         require(commute == invariant,
                 "commutation and invariance criteria disagree")
 

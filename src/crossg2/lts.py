@@ -233,21 +233,6 @@ class LtsCarrier:
             return False
 
     @cached_property
-    def own_coordinates(self) -> "LtsCarrier":
-        """The same triple system on R^dim, the carrier's own coordinates: the
-        full space under the structure constants.  On the identity basis its
-        structure constants are these same numbers, so it shares them, the
-        antisymmetry witness and the tables mod p."""
-        struct = self.struct()
-        own = LtsCarrier(abstract_lts(struct, f"{self.name} coordinates"),
-                         Subspace.full(self.dim))
-        own._struct = struct
-        own.constants = self.constants
-        own.antisymmetry_witness = self.antisymmetry_witness
-        own.struct_mod_p = self.struct_mod_p
-        return own
-
-    @cached_property
     def struct_mod_p(self) -> list[tuple[int, int, list[tuple[int, int]]]] | None:
         """The nonzero tables [b_i, b_j, b_k] mod scalar.PRIME for i < j, as
         (i, j, the nonzero (k * dim + m, [b_i, b_j, b_k]'s coordinate m)
@@ -313,48 +298,27 @@ def check_axioms(carrier: LtsCarrier) -> AxiomReport:
 def generated_subtriple(seed: Subspace, ambient: LtsCarrier) -> Subspace:
     """Least triple-closed subspace of the ambient carrier containing seed.
 
-    Iterates S <- S + span [S, S, S] to a fixpoint (`_close`): a pass runs
-    over the pairs a before b of the basis it starts from, forms the
-    operator [a, b, .] once per pair and applies it to every basis row c.
-    Once S fills the ambient carrier the fixpoint is the carrier itself
-    (closed by certification).  Only pairs with a before b are formed, so
-    the product must be antisymmetric in its first two slots; the ambient
-    carrier is checked.
-
-    The loop first runs over F_p, p = scalar.PRIME, on the seed's
-    coordinates in the ambient basis and the structure constants reduced
-    mod p (`LtsCarrier.struct_mod_p`); on an ambient's `own_coordinates`
-    the seed rows are those coordinates.  If it fills F_p^n, n = dim of
-    the ambient, the closure over K = Q(r6, r10) is the ambient carrier:
-
-    - Let V be the span, over the ring R of the values whose denominator
-      p does not divide (`Scalar.mod_p` is a ring map R -> F_p), of every
-      iterated product of the seed vectors.  Its image mod p contains the
-      reduced seed and is closed under the reduced product, so the F_p
-      closure lies inside it.
-    - If the F_p closure has dimension n, some n of those products have a
-      nonzero n x n minor mod p.  That minor is then nonzero in K, so the
-      n products are independent and the K-closure is the ambient.
-
-    When p divides a denominator or the F_p closure stops short, the same
-    loop runs over K on Subspace rows; only it reports a proper closure.
-    `catalog.maximality_probe` skips most closures by a module argument mod p.
+    Iterates S <- S + span [S, S, S] to a fixpoint (`_close`), exactly, in
+    the ambient's coordinate space.  Once S fills the ambient carrier the
+    fixpoint is the carrier itself (closed by certification).  Only pairs
+    a before b are formed, so the product must be antisymmetric in its
+    first two slots; the ambient carrier is checked.
+    `catalog.maximality_probe` skips most closures by `quotient_module_test`.
     """
-    coords = [ambient.space.coords(r) for r in seed.rows]
-    if None in coords:
+    if not ambient.space.contains_subspace(seed):
         raise ValueError("seed is not contained in the ambient carrier")
     witness = ambient.antisymmetry_witness  # also certifies ambient closure
     if witness is not None:
         raise ValueError(f"closure needs an antisymmetric product: {witness}")
-    if _full_mod_p(coords, ambient):
-        return ambient.space
     closed = _close(seed.copy(), ambient.system.operator, ambient.dim)
     return ambient.space if closed.dim == ambient.dim else closed
 
 
-def _close(closed, operator, dim: int):
-    """Grow closed (a Subspace or an `_EchelonModP`) in place to its
-    closure under operator, stopping once it has dimension dim."""
+def _close(closed: Subspace, operator: FlatOperator, dim: int) -> Subspace:
+    """Grow closed in place to its closure under operator, stopping once it
+    has dimension dim: a pass runs over the pairs a before b of the basis it
+    starts from, forms [a, b, .] once per pair and applies it to every
+    basis row."""
     while closed.dim < dim:
         grown = False
         basis_now = list(closed.rows)
@@ -368,26 +332,6 @@ def _close(closed, operator, dim: int):
         if not grown:
             break
     return closed
-
-
-def _full_mod_p(coords: list[Vec], ambient: LtsCarrier) -> bool:
-    """Whether the closure of the seed with these ambient coordinates fills
-    F_p^n; False also when p divides a denominator.
-
-    The coordinates, reduced mod p, are the F_p echelon as they stand, with
-    no elimination.  Seed and ambient rows are canonical (RREF), and a seed
-    row s's coordinate on an ambient row is s at that row's pivot
-    (`Subspace.coords`).  Let c be s's pivot column.  s is 0 before c, so
-    its coordinates on the ambient rows with earlier pivots are 0; the
-    other ambient rows are 0 at c but one, a, with pivot c, since
-    s[c] = 1.  So s's first nonzero coordinate is 1, on a, and every other
-    seed row, 0 at c, has coordinate 0 on a.  Reduction mod p keeps 1 and 0."""
-    tables, n = ambient.struct_mod_p, ambient.dim
-    rows = [[x.mod_p() for x in r] for r in coords]
-    if tables is None or any(None in r for r in rows):
-        return False
-    return _close(_EchelonModP(scalar.PRIME, n, rows), lambda a, b: partial(
-        _apply_mod_p, _images_mod_p(tables, n, a, b)), n).dim == n
 
 
 def _images_mod_p(tables, n: int, a: list[int], b: list[int]) -> list[list[int]]:
@@ -412,14 +356,32 @@ def _apply_mod_p(images: list[list[int]], c: list[int]) -> list[int]:
 
 
 def quotient_module_test(t: Subspace, ambient: LtsCarrier) -> Callable[[list], bool]:
-    """For closed T with canonical rows t in the ambient's coordinates, a test
-    of candidate coordinates mod p (None, p dividing a denominator, fails):
-    whether the residual mod T-bar = t mod p is nonzero and generates
-    F_p^n / T-bar under the m x m maps, on the non-pivot columns, induced by
-    D(a, b) = [a, b, .], a < b rows of T-bar.  Sound: `catalog.maximality_probe`."""
+    """For closed T with canonical rows t in the ambient's n coordinates, a
+    test of candidate coordinates x mod p, p = scalar.PRIME (None, p dividing
+    a denominator, fails): whether the residual of x mod T-bar = t mod p is
+    nonzero and generates F_p^n / T-bar under the m x m maps, on the
+    non-pivot columns, induced by D(a, b) = [a, b, .], a < b rows of T-bar.
+    It declines every x when p divides a denominator of t or of the
+    structure constants, or when the product is not antisymmetric: the maps
+    are read off the tables i < j (`_images_mod_p`).
+
+    Passing shows that x is not in T and that the closure S of T + x is the
+    ambient.  Let R be the ring of the values of K = Q(r6, r10) whose
+    denominators p does not divide; `Scalar.mod_p` is a ring map R -> F_p.
+    T's rows, x and the structure constants lie in R, so the R-span V of
+    the iterated products of T's rows and x lies in S and in R^n, and its
+    image mod p is closed under the reduced product.  That image contains
+    T-bar, which each D(a, b), a, b in T-bar, maps into itself, and x
+    reduced; so it contains the D-module of x's residual.  If the module
+    fills F_p^n / T-bar, the image is F_p^n: some n of the products have a
+    nonzero n x n minor mod p.  That minor is the reduction of their minor
+    in R, so it is nonzero in K; the n products are independent over K and
+    S is the ambient.  If x were in T, x = sum x[pc] t_pc with x[pc] in R,
+    and its residual would be zero.
+    """
     tables, p, n = ambient.struct_mod_p, scalar.PRIME, ambient.dim
     rows = [[x.mod_p() for x in r] for r in t.rows]
-    if tables is None or any(None in r for r in rows):
+    if tables is None or ambient.antisymmetry_witness or any(None in r for r in rows):
         return lambda x: False
     t_bar, m = _EchelonModP(p, n, rows), n - len(rows)
 

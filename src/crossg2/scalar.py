@@ -14,7 +14,7 @@ while staying exact.
 `Scalar.mod_p` reduces a value modulo the fixed prime PRIME, at which 6
 and 10 are squares: the ring map r6 -> PRIME_R6, r10 -> PRIME_R10,
 r15 -> PRIME_R15 on the values whose denominator PRIME does not divide.
-Closure certificates (`lts.generated_subtriple`) compute ranks there.
+The maximality certificate (`lts.quotient_module_test`) computes ranks there.
 """
 
 from __future__ import annotations

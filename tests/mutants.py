@@ -7,8 +7,11 @@ temporary directory, replaces the mutant's snippet in its file there, and
 runs pytest on the tests the mutant names.  The mutant is killed if a named
 test fails.  It survives if they all pass; it is stale if its snippet does
 not occur exactly once; and a pytest run that is not a plain pass or fail
-(a named test that does not exist, say) is an error.  The exit code is 1
-unless every mutant is killed.  Needs Python 3.11 or later (tomllib).
+(a named test that does not exist, say) is an error.  A mutant marked
+`equivalent = "<reason>"` changes no behaviour on valid input: it is
+reported as equivalent when its tests pass, and as wrongly marked when one
+fails.  The exit code is 1 unless every mutant is killed or equivalent.
+Needs Python 3.11 or later (tomllib).
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(mutant: dict) -> str:
-    """'killed', 'survived', 'stale: ...' or 'error: ...' for one mutant."""
+    """'killed', 'survived', 'equivalent', 'wrongly marked equivalent',
+    'stale: ...' or 'error: ...' for one mutant."""
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp) / part,
@@ -39,9 +43,11 @@ def run(mutant: dict) -> str:
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              *mutant["tests"]], cwd=tmp, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(Path(tmp) / "src")})
-    if proc.returncode in (0, 1):
-        return "killed" if proc.returncode else "survived"
-    return f"error: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}"
+    if proc.returncode not in (0, 1):
+        return f"error: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}"
+    if "equivalent" in mutant:
+        return "wrongly marked equivalent" if proc.returncode else "equivalent"
+    return "killed" if proc.returncode else "survived"
 
 
 def main() -> int:
@@ -49,9 +55,11 @@ def main() -> int:
     failed = 0
     for mutant in mutants:
         verdict = run(mutant)
-        failed += verdict != "killed"
+        failed += verdict not in ("killed", "equivalent")
         print(f"{verdict.split(chr(10))[0]:>10}  {mutant['name']}")
-        if verdict != "killed" and "\n" in verdict:
+        if verdict == "equivalent":
+            print(f"{'':>10}  ({mutant['equivalent']})")
+        elif verdict != "killed" and "\n" in verdict:
             print(verdict.split("\n", 1)[1])
     return 1 if failed else 0
 

@@ -3,23 +3,25 @@
 A rational subspace's projection B^t (B B^t)^-1 B runs on its integer
 `Subspace.basis`; associativity and the split are tested on V's integer
 basis; the homogeneity half of `is_adapted` forms c^2 h1 - (c theta) h1
-(c theta) on ints; g2.jacobi sweeps g2's integer basis rows.  Each is
-checked against the Scalar computation it replaces, which is the oracle
-(the `scalar_route` switch, or the formula itself).
+(c theta) on ints.  Each is checked against the Scalar computation it
+replaces, which is the oracle (the `scalar_route` switch, or the formula
+itself).  g2.jacobi sweeps g2's Scalar bracket constants; a sweep of the
+same constants cleared to ints is its oracle.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
-from crossg2 import catalog, checks, linalg
+from crossg2 import catalog, linalg
 from crossg2.checks import run_checks, select_checks
 from crossg2.cross7 import basis_vector
-from crossg2.linalg import (Matrix, Subspace, cleared, flat_commutator,
-                            inverse, projection_matrix, rank)
+from crossg2.linalg import (Matrix, Subspace, cleared, inverse, projection_matrix,
+                            rank)
 from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
+from test_controls import bracket_constants_off
 
 R6_PAIR = ([ONE, SQRT6, ZERO, ZERO, ZERO, ZERO, ZERO],
            [ZERO, ZERO, ONE, ZERO, Scalar.of(2), ZERO, ZERO])
@@ -161,34 +163,27 @@ def test_integer_homogeneity_equals_the_scalar_route(monkeypatch, scalar_route,
     assert len(calls) == len(subalgs) - 1
 
 
-def scalar_jacobi_fails(basis, bracket):
-    """The Scalar commutator sweep g2.jacobi ran before, the oracle."""
-    inner = {(i, j): bracket(basis[i], basis[j])
-             for i, j in permutations(range(len(basis)), 2)}
-    return any(not (bracket(inner[i, j], basis[k]) + bracket(inner[j, k], basis[i])
-                    + bracket(inner[k, i], basis[j])).is_zero()
-               for i, j, k in combinations(range(len(basis)), 3))
+def integer_jacobi_fails(sc):
+    """Oracle: whether [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]
+    is nonzero for some i < j < k, summed on the constants cleared to ints
+    (the sums are quadratic in the constants, so clearing keeps their zeros)."""
+    n = len(sc)
+    c = cleared([x for row in sc for image in row for x in image])
+
+    def term(i, j, k):  # [[b_i, b_j], b_k] times the square of the scale
+        ij = (i * n + j) * n
+        return [sum(c[ij + m] * c[(m * n + k) * n + r] for m in range(n) if c[ij + m])
+                for r in range(n)]
+    return any(any(x + y + z for x, y, z in zip(term(i, j, k), term(j, k, i),
+                                                term(k, i, j)))
+               for i, j, k in combinations(range(n), 3))
 
 
-def off_at(p):
-    """flat_commutator with entry p of every bracket one unit off."""
-    def bracket(a, b, n):
-        out = flat_commutator(a, b, n)
-        out[p] = out[p] + 1
-        return out
-    return bracket
-
-
-@pytest.mark.parametrize("p", [None, 1, 30])
-def test_integer_jacobi_sweep_agrees_with_the_scalar_sweep(monkeypatch, g2, p):
-    flat = flat_commutator if p is None else off_at(p)
-
-    def scalar_bracket(a, b):
-        return Matrix._computed_flat(flat(a.flatten(), b.flatten(), 7), 7, 7)
-
-    expected = scalar_jacobi_fails(g2.basis, scalar_bracket)
-    assert expected == (p is not None)
-    if p is not None:
-        monkeypatch.setattr(checks, "flat_commutator", flat)
+@pytest.mark.parametrize("pair", [None, 1, 30])
+def test_integer_jacobi_sweep_agrees_with_the_scalar_sweep(monkeypatch, pair):
+    # the constants as built, or the pair-th [b_i, b_j] (and [b_j, b_i]) off
+    built = bracket_constants_off(monkeypatch, pair)
     [result] = run_checks(select_checks(["g2.jacobi"]), 0, 1)
-    assert result.status == ("fail" if expected else "pass")
+    [sc] = built
+    assert integer_jacobi_fails(sc) == (pair is not None)
+    assert result.status == ("fail" if pair is not None else "pass")

@@ -9,26 +9,46 @@ and the others pass or skip on a failed prerequisite.
 """
 
 from functools import cached_property
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
-from crossg2 import catalog, checks, g2alg, lts
+from crossg2 import catalog, g2alg, lts
 from crossg2.checks import run_checks, select_checks
 from crossg2.cross7 import basis_vector, cross
 from crossg2.g2alg import Frame
-from crossg2.linalg import Subspace, flat_commutator, projection_matrix
+from crossg2.linalg import Subspace, projection_matrix
 
 E = [basis_vector(i) for i in range(7)]
 V_STD = Subspace.span([E[0], E[1], E[3]], 7)  # V of the standard frame
 
 
+def bracket_constants_off(monkeypatch, pair):
+    """G2.bracket_coords with [b_i, b_j], the pair-th i < j (none for None),
+    one unit off along its first nonzero coordinate, and [b_j, b_i] with
+    it, so the constants stay antisymmetric; returns the list the built
+    constants go in."""
+    bracket_coords, built = g2alg.G2.bracket_coords, []
+
+    def off(g2):
+        sc = bracket_coords.func(g2)
+        if pair is not None:
+            i, j = list(combinations(range(g2.dim), 2))[pair]
+            k = next((k for k, x in enumerate(sc[i][j]) if x), 0)
+            sc[i][j][k] += 1
+            sc[j][i][k] -= 1
+        built.append(sc)
+        return sc
+    corrupted = cached_property(off)
+    corrupted.__set_name__(g2alg.G2, "bracket_coords")
+    monkeypatch.setattr(g2alg.G2, "bracket_coords", corrupted)
+    return built
+
+
 def commutator_one_entry_off(monkeypatch):
-    def off(a, b, n):
-        out = flat_commutator(a, b, n)
-        out[1] += 1
-        return out
-    monkeypatch.setattr(checks, "flat_commutator", off)
+    # the constants of [b_0, b_1] one entry off, and [b_1, b_0] with them
+    bracket_constants_off(monkeypatch, 0)
 
 
 def theta_of_another_subalgebra(monkeypatch):
@@ -86,6 +106,18 @@ def t_constants_one_entry_off(monkeypatch):
     monkeypatch.setattr(lts.LtsCarrier, "constants", corrupted)
 
 
+def closure_reports_the_full_ambient(monkeypatch):
+    monkeypatch.setattr(catalog, "generated_subtriple", lambda seed, ambient: ambient.space)
+
+
+def declined_closure_stays_proper(monkeypatch):
+    # every candidate is declined by the quotient test, and its closure
+    # stops at its seed, the span of T and the candidate
+    monkeypatch.setattr(catalog, "quotient_module_test",
+                        lambda t, ambient: lambda x: False)
+    monkeypatch.setattr(catalog, "generated_subtriple", lambda seed, ambient: seed)
+
+
 # (check id, corruption, witness prefix, family of checks run alongside)
 CONTROLS = [
     ("g2.jacobi", commutator_one_entry_off, "Jacobi fails on a basis triple", None),
@@ -103,6 +135,9 @@ CONTROLS = [
     ("catalog.annihilator", annihilator_leaves_e7_free,
      "annihilator dim 9 != 8", "catalog.*"),
     ("catalog.t_dims", t_constants_one_entry_off, "T1: [b0, b", "catalog.*"),
+    ("catalog.non_maximal_witness", closure_reports_the_full_ambient,
+     "crafted extension closed to the full space", "catalog.*"),
+    ("catalog.maximality", declined_closure_stays_proper, "T1: ", "catalog.*"),
 ]
 
 
@@ -121,23 +156,18 @@ def test_the_check_fails_under_its_control(monkeypatch, check_id, corrupt, witne
     assert set(others.values()) <= {"pass", "skipped"}, others
 
 
-def test_a_basis_entry_off_does_not_fail_g2_jacobi(monkeypatch):
-    # [[a, b], c] + [[b, c], a] + [[c, a], b] = 0 for any matrices, so only
-    # a wrong bracket, not a wrong basis, can fail the check
-    corrupted, swept, init = [], [], g2alg.G2.__init__
+def test_a_basis_entry_off_fails_g2_jacobi(monkeypatch):
+    # g2's integer basis rows with one entry off span no Lie algebra: the
+    # bracket constants the sweep reads cannot be built on them
+    corrupted, init = [], g2alg.G2.__init__
 
     def built_then_off(g2):
-        init(g2)  # the integer basis rows cached on g2's space, one entry off
+        init(g2)
         rows = [list(r) for r in g2.space.basis]
         rows[0][next(k for k, x in enumerate(rows[0]) if not x)] += 1
         g2.space._basis = rows
         corrupted.append(rows)
-
-    def spy(a, b, n):
-        swept.append(a)
-        return flat_commutator(a, b, n)
     monkeypatch.setattr(g2alg.G2, "__init__", built_then_off)
-    monkeypatch.setattr(checks, "flat_commutator", spy)
     [result] = run_checks(select_checks(["g2.jacobi"]), 0, 1)
-    [rows] = corrupted
-    assert any(a is rows[0] for a in swept) and result.status == "pass"
+    assert len(corrupted) == 1 and result.status == "fail"
+    assert result.witness == "ValueError: a commutator of the basis leaves the algebra"

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crossg2 import catalog, lts, matmodel, scalar
 from crossg2._intops import derivation_axiom_holds
@@ -238,16 +238,18 @@ def test_generated_subtriple_equals_the_c_major_closure(ws, ambient_name):
     assert max(dims) == ambient.dim and min(dims) < ambient.dim
 
 
-def ambient_coords(seed, ambient):
-    return [ambient.space.coords(r) for r in seed.rows]
+def ambient_coords(space, ambient):
+    """The space in the ambient's own coordinates."""
+    return Subspace.span([ambient.space.coords(r) for r in space.rows], ambient.dim)
 
 
 @pytest.mark.parametrize("ambient_name", ["m4v", "sl3"])
 def test_certified_closures_equal_the_reference_closure(ws, ambient_name):
     """Seeds T + x (full closures) and pairs of elements of T (proper
     closures that grow) for each family T, with small integer or irrational
-    coordinates: the certificate holds exactly for the seeds the reference
-    loop closes to the ambient, and every result equals the reference's."""
+    coordinates: the quotient test passes exactly the x whose T + x the
+    reference loop closes to the ambient, and no element of T, and every
+    closure equals the reference's."""
     if ambient_name == "sl3":
         ambient = matmodel.sl3_catalog("full")
         parts = [matmodel.sl3_catalog(kind)
@@ -255,6 +257,8 @@ def test_certified_closures_equal_the_reference_closure(ws, ambient_name):
     else:
         ambient = ws.m4v
         parts = [ws.t_carrier(kind) for kind in catalog.FAMILIES]
+    tests = [lts.quotient_module_test(ambient_coords(t.space, ambient), ambient)
+             for t in parts]
     rng = random.Random(19)
     irrational = [Scalar(0, 1, 0, 0), Scalar(0, 0, 1, 0, 3), Scalar(0, 0, 0, 2)]
     kinds = set()
@@ -272,15 +276,16 @@ def test_certified_closures_equal_the_reference_closure(ws, ambient_name):
                              ambient.system.dim)
         reference = c_major_closure(seed, ambient)
         full = reference == ambient.space
-        assert lts._full_mod_p(ambient_coords(seed, ambient), ambient) == full
+        passed = [tests[trial % 4]([c.mod_p() for c in ambient.space.coords(x)])
+                  for x in elements]
+        assert passed == ([full] if extend else [False, False])
         assert generated_subtriple(seed, ambient) == reference
         kinds.add((extend, full, reference.dim > seed.dim))
     assert {(True, True, True), (False, False, True)} <= kinds
 
 
 def test_proper_closures_keep_their_exact_dimensions(ws, g2, tds):
-    """The certificate cannot call a proper closure full; the exact loop
-    then reports it and its dimension."""
+    """The exact loop reports a proper closure with its dimension."""
     m4v, sl3 = ws.m4v, matmodel.sl3_catalog("full")
     h2, h3 = g2.coords(tds.h2), g2.coords(tds.h3)
     cases = [(m4v, Subspace.span([h2], 14), 1), (m4v, Subspace.span([h2, h3], 14), 2),
@@ -290,15 +295,15 @@ def test_proper_closures_keep_their_exact_dimensions(ws, g2, tds):
     cases += [(sl3, matmodel.sl3_catalog(kind).space, dim)
               for dim, _, kind in catalog.FAMILIES.values()]
     for ambient, seed, dim in cases:
-        assert not lts._full_mod_p(ambient_coords(seed, ambient), ambient)
         closed = generated_subtriple(seed, ambient)
         assert closed.dim == dim and closed == c_major_closure(seed, ambient)
 
 
-def test_certificate_declines_when_the_prime_divides_a_denominator(monkeypatch):
+def test_certificate_declines_when_the_prime_divides_a_denominator():
     """On the basis b_i / p of the traceless 3 x 3 matrices the structure
-    constants are those of b_i over p^2, and a seed may have p in a
-    coordinate's denominator: the exact loop decides, with the same result."""
+    constants are those of b_i over p^2, and a candidate may have p in a
+    coordinate's denominator: the quotient test declines them, and the
+    exact loop closes each seed as on the plain basis."""
     p, sl3 = scalar.PRIME, matmodel.sl3_catalog("full")
     over_p2 = Scalar(1, 0, 0, 0, p * p)
     plain = LtsCarrier(abstract_lts(sl3.struct()), Subspace.full(8), "plain")
@@ -306,29 +311,23 @@ def test_certificate_declines_when_the_prime_divides_a_denominator(monkeypatch):
         [[[[x * over_p2 for x in image] for image in plane] for plane in row]
          for row in sl3.struct()]), Subspace.full(8), "scaled")
     assert plain.struct_mod_p is not None and scaled.struct_mod_p is None
-    exact = []
-    close = lts._close
-    monkeypatch.setattr(lts, "_close", lambda closed, op, dim: exact.append(
-        isinstance(closed, Subspace)) or close(closed, op, dim))
     rng = random.Random(4)
     dims = set()
     for kind in ("sphere", "sym5", "col4", "refl4"):
-        t = [sl3.space.coords(r) for r in matmodel.sl3_catalog(kind).space.rows]
+        t = ambient_coords(matmodel.sl3_catalog(kind).space, sl3)
         x = [Scalar.of(rng.randint(-3, 3)) for _ in range(8)]
-        for rows in (t, t + [x]):
-            seed = Subspace.span(rows, 8)
-            del exact[:]
+        v = [c.mod_p() for c in x]
+        assert lts.quotient_module_test(t, plain)(v)
+        assert not lts.quotient_module_test(t, scaled)(v)
+        for seed in (t, Subspace.span(t.rows + [x], 8)):
             closed = generated_subtriple(seed, scaled)
-            assert exact == [True]  # no certificate was tried
             assert closed == generated_subtriple(seed, plain)
             dims.add(closed.dim)
     assert dims == {2, 4, 5, 8}
-    # a seed coordinate over p: no certificate either
-    seed = Subspace.span([[ONE, Scalar(1, 0, 0, 0, p)] + [ZERO] * 6,
-                          [ZERO, ZERO, ONE] + [ZERO] * 5], 8)
-    del exact[:]
-    assert generated_subtriple(seed, plain) == c_major_closure(seed, plain)
-    assert exact == [True]
+    # a candidate coordinate over p
+    x = [ONE, Scalar(1, 0, 0, 0, p)] + [ZERO] * 6
+    assert not lts.quotient_module_test(t, plain)([c.mod_p() for c in x])
+    assert generated_subtriple(Subspace.span(t.rows + [x], 8), plain).dim == 8
 
 
 def test_echelon_mod_p_checks_the_vector_length():
@@ -356,55 +355,16 @@ def test_echelon_mod_p_rejects_rows_that_are_not_reduced(rows):
     assert lts._EchelonModP(7, 2, [[1, 0], [0, 1]]).dim == 2
 
 
-SEED_COEFFICIENTS = st.one_of(
-    st.integers(-3, 3).map(Scalar.of),
-    st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
-              st.integers(-3, 3), st.integers(1, 6)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["m4v", "sl3", "m4v own", "sl3 own"]), st.data())
-def test_seed_coordinates_are_an_echelon_mod_p(ws, name, data):
-    """The coordinates of a canonical seed in a canonical ambient, reduced
-    mod p, are an F_p echelon as they stand (`_full_mod_p`'s argument): the
-    first nonzero entry of each row is 1, the other rows are 0 there, and
-    they span what row-by-row insertion spans."""
-    ambient = ws.m4v if name.startswith("m4v") else ws.sl3_carrier("full")
-    if name.endswith("own"):
-        ambient = ambient.own_coordinates
-    p, n = scalar.PRIME, ambient.dim
-    coefficients = st.lists(SEED_COEFFICIENTS, min_size=n, max_size=n)
-    elements = [ambient.element(c)
-                for c in data.draw(st.lists(coefficients, min_size=1, max_size=n))]
-    seed = Subspace.span(elements, ambient.system.dim)
-    rows = [[x.mod_p() for x in ambient.space.coords(r)] for r in seed.rows]
-    assume(not any(None in r for r in rows))  # p divides no denominator
-    direct = lts._EchelonModP(p, n, rows)
-    for r, pc in zip(direct.rows, direct.pivots):
-        assert r[pc] == 1 and not any(r[:pc])
-        assert all(other[pc] == 0 for other in direct.rows if other is not r)
-    added = lts._EchelonModP(p, n)
-    for r in rows:
-        added.add(r)
-    assert added.dim == direct.dim == seed.dim
-    assert not any(direct.add(r) for r in added.rows)
-
-
 @pytest.mark.parametrize("name, nonzero", [("m4v", 232), ("sl3", 236), ("T1", None)])
-def test_own_coordinates_share_the_certified_structure_constants(ws, name, nonzero):
+def test_struct_mod_p_lists_the_nonzero_constants_mod_p(ws, name, nonzero):
     carrier = {"m4v": ws.m4v, "sl3": ws.sl3_carrier("full"),
                "T1": ws.t_carrier("T1")}[name]
-    own, n = carrier.own_coordinates, carrier.dim
-    assert own is carrier.own_coordinates and own.space == Subspace.full(n)
-    assert own.struct() is carrier.struct()
-    assert own.struct_mod_p is carrier.struct_mod_p
-    assert own.antisymmetry_witness is carrier.antisymmetry_witness is None
+    n = carrier.dim
     # the same numbers built from scratch on the identity basis
     scratch = LtsCarrier(abstract_lts(carrier.struct()), Subspace.full(n))
-    assert own.struct() == scratch.struct()
-    assert own.struct_mod_p == scratch.struct_mod_p
+    assert carrier.struct_mod_p == scratch.struct_mod_p
     # the tables list exactly the nonzero entries mod p of each pair i < j
-    tables = {(i, j): dict(table) for i, j, table in own.struct_mod_p}
+    tables = {(i, j): dict(table) for i, j, table in carrier.struct_mod_p}
     assert all(tables.values())
     for i in range(n):
         for j in range(i + 1, n):
@@ -464,12 +424,28 @@ def test_closure_rejects_a_product_that_is_not_antisymmetric():
     struct[0][0][0] = [ZERO, ONE]
     carrier = LtsCarrier(abstract_lts(struct), Subspace.full(2))
     assert carrier.antisymmetry_witness == "[b0, b0, b0] != 0"
-    assert carrier.own_coordinates.antisymmetry_witness == "[b0, b0, b0] != 0"
     report = check_axioms(carrier)
     assert not report.antisymmetry
     assert report.witness == "[b0, b0, b0] != 0"
     with pytest.raises(ValueError, match=r"\[b0, b0, b0\] != 0"):
         generated_subtriple(Subspace.span([[ONE, ZERO]], 2), carrier)
+
+
+def test_quotient_test_declines_a_product_that_is_not_antisymmetric():
+    # sl3's constants with [b0, b0, b0] = b1 added: the tables mod p, pairs
+    # i < j only, are sl3's, but the maps read off them are not [a, b, .]
+    sl3 = matmodel.sl3_catalog("full")
+    struct = [[[list(image) for image in plane] for plane in row]
+              for row in sl3.struct()]
+    struct[0][0][0][1] += ONE
+    plain = LtsCarrier(abstract_lts(sl3.struct()), Subspace.full(8))
+    bad = LtsCarrier(abstract_lts(struct), Subspace.full(8))
+    assert bad.struct_mod_p == plain.struct_mod_p
+    assert bad.antisymmetry_witness == "[b0, b0, b0] != 0"
+    t = ambient_coords(matmodel.sl3_catalog("sym5").space, sl3)
+    x = [1, 2, 0, -1, 3, 0, 1, 1]
+    assert lts.quotient_module_test(t, plain)(x)
+    assert not lts.quotient_module_test(t, bad)(x)
 
 
 def test_zero_dimensional_carrier_passes_the_axioms():
