@@ -20,9 +20,9 @@ from .cross7 import cross
 from .g2alg import G2, Frame, d_operator
 from .linalg import (Matrix, Subspace, Vec, char_poly, cleared, combine,
                      commutator, dot, flat_product, kernel,
-                     poly_from_roots_squared, projection_matrix)
+                     poly_from_roots_squared, projection_matrix, zero_of)
 from .lts import LtsCarrier, generated_subtriple, quotient_module_test
-from .scalar import ONE, Scalar
+from .scalar import Scalar
 
 __all__ = [
     "AssocSubalg", "FAMILIES", "Grading", "PrincipalTds", "ProbeReport",
@@ -220,30 +220,28 @@ def is_adapted(h: PrincipalTds, v: AssocSubalg, g2: G2) -> bool:
     """Whether the principal subalgebra h, as validated by `principal_tds`,
     splits along V's grading.
 
-    Both characterisations are computed: homogeneity (the odd projection
-    (d - theta d theta)/2 stays inside h) and the intersection dimension
+    Both characterisations are computed: homogeneity (h is theta_V-stable:
+    theta d theta lies in h for each basis matrix d of h, which for d in h
+    is (d - theta d theta)/2 in h) and the intersection dimension
     dim(h cap odd) = 2.  The intersection is solved on h's own coordinates
     from the odd part's membership conditions (`mapping_space` with
     within=h.space), not from theta, so the two routes are independent.  They must
     agree; a disagreement is an internal consistency failure, not a result.
-
-    For rational V, h1 is tested on ints: c^2 H - T H T (T = c theta_V, H = e h1
-    cleared) is 2 c^2 e times its odd projection, in g2's integer coordinates.
+    theta and d are cleared to ints where rational; scaling leaves membership
+    as it is.
     """
     if not isinstance(h, PrincipalTds):
         raise TypeError("adaptedness is defined for a PrincipalTds")
-    th = v.theta()
-    t = v.space.denominator and cleared(th.flatten() + [ONE])  # c theta_V, then c
+    th = v.theta().flatten()
+    t = cleared(th) or th
     homogeneous = True
     for m in h.matrices():  # h1 first: it is rational
-        ints = t and cleared(m.flatten())
-        if ints:
-            tm, tmt = [0] * 49, [0] * 49
-            flat_product(tm, t[:-1], ints, 7, 7)
-            flat_product(tmt, tm, t[:-1], 7, 7)
-            x = g2.space.coords([t[-1] ** 2 * a - b for a, b in zip(ints, tmt)])
-        else:
-            x = g2.coords((m - th @ m @ th).scale(Scalar.rational(1, 2)))
+        d = cleared(m.flatten()) or m.flatten()
+        zero = zero_of(t, d)
+        td, tdt = [zero] * 49, [zero] * 49
+        flat_product(td, t, d, 7, 7)
+        flat_product(tdt, td, t, 7, 7)
+        x = g2.space.coords(tdt)
         if x is None or not h.space.contains(x):  # None: outside g2, so outside h
             homogeneous = False
             break

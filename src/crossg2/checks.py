@@ -691,6 +691,11 @@ def _catalog_adapted(ws, rng, trials):
             "standard pair is not adapted")
     require(tds.space.intersect(ws.grading_std.odd).dim == 2,
             "dim(h cap odd) != 2")
+    e = [cross7.basis_vector(i) for i in range(7)]
+    for a, b, c in ((1, 5, 6), (1, 2, 4)):  # adapted, off the standard frame
+        v = catalog.AssocSubalg(Subspace.span([e[a], e[b], e[c]], 7))
+        require(catalog.is_adapted(tds, v, ws.g2),
+                f"<e{a+1},e{b+1},e{c+1}> is not adapted")
     non_adapted = 0
     for _ in range(100):
         v = catalog.random_assoc(rng)
@@ -777,6 +782,7 @@ def _catalog_pasapa(ws, rng, trials):
 
     def sides(w):  # (theta_V theta_W = theta_W theta_V, theta_W(V) <= V)
         thw = w.theta()
+        require(thw @ thw == Matrix.identity(7), "theta_W is not an involution")
         return (thv @ thw == thw @ thv,
                 all(v.space.contains(thw.apply(r)) for r in v.space.rows))
     # the crossing pair, profile (1,2,2,2), is on the commuting side

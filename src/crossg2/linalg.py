@@ -517,19 +517,15 @@ class Subspace:
 
 def projection_matrix(space: "Subspace") -> Matrix:
     """Orthogonal projection B^t (B B^t)^-1 B onto the row space of B, exact;
-    the zero matrix for the zero space.  A rational space runs on its integer
-    `basis` (B times one denominator leaves the projection as it is),
-    (B B^t | B) reduced to rows d_r (e_r | X_r) for X = (B B^t)^-1 B,
-    and one Scalar is built per entry."""
+    the zero matrix for the zero space.  (B B^t | B) reduces to (I | X), X =
+    (B B^t)^-1 B, and P = B^t X.  B is the `basis`, so `rref` runs on ints
+    for a rational space (B times one denominator leaves P as it is)."""
     n, b = space.n, space.basis
-    if space.denominator is None:
-        b = Matrix(space.rows)
-        return b.transpose() @ inverse(b @ b.transpose()) @ b
-    done, _ = _int_rref([[sum(x * y for x, y in zip(r, t)) for t in b] + r for r in b])
-    q = lcm(*(r[p] for p, r in enumerate(done)))  # X = y / q on ints
-    y = [[q // r[p] * z for z in r[len(b):]] for p, r in enumerate(done)]
-    return Matrix._computed([[Scalar(sum(r[i] * t[j] for r, t in zip(b, y)), 0, 0, 0, q)
-                              for j in range(n)] for i in range(n)])
+    red, _ = rref([[sum(x * y for x, y in zip(r, t)) for t in b] + r for r in b])
+    out = [ZERO] * (n * n)  # B^t as Scalars: by a rational X, on ints
+    flat_product(out, [Scalar.of(x) for column in zip(*b) for x in column],
+                 [x for r in red for x in r[len(b):]], len(b), n)
+    return Matrix._computed_flat(out, n, n)
 
 
 def char_poly(m: Matrix) -> list[Scalar]:

@@ -26,7 +26,7 @@ basis tuples.  (iii) and (iv) run on the integer-cleared numpy kernel.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
@@ -46,15 +46,14 @@ FlatBracket = Callable[[Vec, Vec], Vec]
 
 
 class TripleSystem(NamedTuple):
-    """R^dim with the trilinear product operator(x, y)(z) = [x, y, z]; if it is
-    rational, cleared = (products, s): products(rows) = s [r_i, r_j, r_k] on
-    ints, flat in (i, j, k) order; products None runs the operator on ints."""
+    """R^dim with the trilinear product operator(x, y)(z) = [x, y, z]; with
+    on_ints, the operator on int rows returns their exact product as ints."""
 
     name: str
     dim: int
     operator: FlatOperator
     bracket: FlatBracket | None = None  # set when the ambient is a Lie algebra
-    cleared: tuple[Callable[[list[list[int]]], list[int]], int] | None = None
+    on_ints: bool = False
 
     def triple(self, x: Vec, y: Vec, z: Vec) -> Vec:
         return self.operator(x, y)(z)
@@ -90,7 +89,7 @@ def matrix_lts(n: int) -> TripleSystem:
             return out
         return apply
 
-    return TripleSystem(f"gl{n}", n * n, operator, bracket, (None, 1))
+    return TripleSystem(f"gl{n}", n * n, operator, bracket, on_ints=True)
 
 
 GL7 = matrix_lts(7)  # g2's ambient as 7x7 matrices, one product for every caller
@@ -98,47 +97,37 @@ GL7 = matrix_lts(7)  # g2's ambient as 7x7 matrices, one product for every calle
 
 def lie_lts(brackets: Sequence[Sequence[Vec]], name: str = "lie") -> TripleSystem:
     """[[x,y],z] on R^dim for the Lie algebra with bracket constants
-    brackets[i][j] = coordinates of [b_i, b_j]; only nonzero terms are kept."""
+    brackets[i][j] = coordinates of [b_i, b_j]; only nonzero terms are kept.
+    Int operands run on the constants as ints if they are integers (q = 1),
+    anything else on the Scalar constants."""
     dim = len(brackets)
     # the nonzero constants of [b_i, b_j] at i * dim + j, also on ints over q
     terms, int_terms, q = _nonzeros(
         [c for row in brackets for sc in row for c in sc], dim)
+    on_ints = int_terms is not None and q == 1
 
-    def bracket_on(terms: list, zero) -> FlatBracket:
-        def bracket(x: Vec, y: Vec) -> Vec:
-            if len(x) != dim or len(y) != dim:
-                raise ValueError(f"bracket of {len(x)} and {len(y)} coordinates "
-                                 f"in a {dim}-dim algebra")
-            out = [zero] * dim
-            ys = [(j, b) for j, b in enumerate(y) if b]
-            for i, a in enumerate(x):
-                if a:
-                    row = i * dim
-                    for j, b in ys:
-                        ab = a * b
-                        for k, c in terms[row + j]:
-                            out[k] = out[k] + ab * c
-            return out
-        return bracket
-
-    bracket = bracket_on(terms, ZERO)
+    def bracket(x: Vec, y: Vec) -> Vec:
+        if len(x) != dim or len(y) != dim:
+            raise ValueError(f"bracket of {len(x)} and {len(y)} coordinates "
+                             f"in a {dim}-dim algebra")
+        zero = zero_of(x, y) if on_ints else ZERO
+        table = terms if zero is ZERO else int_terms
+        out = [zero] * dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                row = i * dim
+                for j, b in ys:
+                    ab = a * b
+                    for k, c in table[row + j]:
+                        out[k] = out[k] + ab * c
+        return out
 
     def operator(a: Vec, b: Vec) -> Callable[[Vec], Vec]:
         ab = bracket(a, b)
         return lambda c: bracket(ab, c)
 
-    def products(rows: list[list[int]]) -> list[int]:
-        """q^2 [[r_i, r_j], r_k] = sum_p q[r_i, r_j]_p q[b_p, r_k], one product."""
-        n, int_bracket = len(rows), bracket_on(int_terms, 0)
-        pairs = [x for a in rows for b in rows for x in int_bracket(a, b)]
-        ads = [x for p in range(dim) for c in rows for x in int_bracket(
-            [int(k == p) for k in range(dim)], c)]
-        out = [0] * (n ** 3 * dim)
-        _accumulate(out, _nonzeros(pairs, dim), _nonzeros(ads, n * dim), n * dim)
-        return out
-
-    return TripleSystem(name, dim, operator, bracket,
-                        None if int_terms is None else (products, q * q))
+    return TripleSystem(name, dim, operator, bracket, on_ints)
 
 
 def abstract_lts(struct: Sequence[Sequence[Sequence[Sequence[Scalar]]]],
@@ -193,16 +182,16 @@ class LtsCarrier:
     @cached_property
     def constants(self) -> tuple[list, int | None]:
         """(flat, den): coordinate l of [b_i, b_j, b_k] at ((i n + j) n + k) n
-        + l, over den: for a rational `Subspace.basis` and a `cleared` product,
+        + l, over den: for a rational `Subspace.basis` and a product `on_ints`,
         ints as `_intops.clear_struct` clears them, else Scalars over None.
         Certifies closure: NotClosedError names the first basis triple whose
         product leaves the carrier."""
-        n, size, cleared = self.dim, self.space.n, self.system.cleared
-        m = cleared and self.space.denominator
-        # the products of the rows cleared by m are s m^3 times more
-        products = m and cleared[0] or partial(operator_products, self.system.operator)
-        flat = products(self.space.basis if m else self.space.rows)
-        den = m and cleared[1] * m ** 3
+        n, size = self.dim, self.space.n
+        m = self.space.denominator if self.system.on_ints else None
+        # the products of the rows cleared by m are m^3 times more
+        flat = operator_products(self.system.operator,
+                                 self.space.basis if m else self.space.rows)
+        den = m and m ** 3
         if n < size:  # else the products are their own coordinates
             out, flat = flat, []
             for t in range(n ** 3):
@@ -383,7 +372,10 @@ def quotient_module_test(t: Subspace, ambient: LtsCarrier) -> Callable[[list], b
     rows = [[x.mod_p() for x in r] for r in t.rows]
     if tables is None or ambient.antisymmetry_witness or any(None in r for r in rows):
         return lambda x: False
-    t_bar, m = _EchelonModP(p, n, rows), n - len(rows)
+    t_bar = _EchelonModP(p, n)
+    for r in rows:  # reduced already: each goes in as it is
+        t_bar.add(r)
+    m = n - t_bar.dim
 
     def free(v: list) -> list:  # the entries at the non-pivot columns
         return [x for k, x in enumerate(v) if k not in t_bar.pivots]
@@ -408,21 +400,12 @@ def quotient_module_test(t: Subspace, ambient: LtsCarrier) -> Callable[[list], b
 
 class _EchelonModP:
     """A subspace of F_p^n on echelon rows: each row's first nonzero entry
-    is 1, at its pivot, and every later row is zero there.  It starts from
-    reduced rows as given: entries in [0, p), pivots rising, others 0 there."""
+    is 1, at its pivot, and every later row is zero there."""
 
-    def __init__(self, p: int, n: int, rows: Sequence[list[int]] = ()):
+    def __init__(self, p: int, n: int):
         self.p, self.n = p, n
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-        for r in rows:
-            self._check_length(r)
-            pc = next((i for i, x in enumerate(r) if x), n)
-            if (pc == n or r[pc] != 1 or pc <= max(self.pivots, default=-1)
-                    or any(not 0 <= x < p for x in r) or any(o[pc] for o in self.rows)):
-                raise ValueError(f"rows are not a reduced echelon mod {p}")
-            self.rows.append(r)
-            self.pivots.append(pc)
 
     @property
     def dim(self) -> int:

@@ -225,7 +225,7 @@ def m34_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     return skew_triple(a, b, c)
 
 
-M34 = TripleSystem("m34", 12, lambda x, y: _operator(x, y, 3, 4), cleared=(None, 1))
+M34 = TripleSystem("m34", 12, lambda x, y: _operator(x, y, 3, 4), on_ints=True)
 
 
 def m34_template_basis() -> list[Matrix]:
@@ -367,7 +367,7 @@ def d_st(s: Scalar | int, t: Scalar | int) -> Matrix:
 
 
 SL3 = TripleSystem("sl3-twisted", 9, lambda x, y: _operator(x, y, 3, 3, twisted=True),
-                  cleared=(None, 1))
+                  on_ints=True)
 
 
 def sl3_catalog(kind: str) -> LtsCarrier:

@@ -1,12 +1,13 @@
 """Rational associative subalgebras on integers, against the Scalar path.
 
-A rational subspace's projection B^t (B B^t)^-1 B runs on its integer
-`Subspace.basis`; associativity and the split are tested on V's integer
-basis; the homogeneity half of `is_adapted` forms c^2 h1 - (c theta) h1
-(c theta) on ints.  Each is checked against the Scalar computation it
-replaces, which is the oracle (the `scalar_route` switch, or the formula
-itself).  g2.jacobi sweeps g2's Scalar bracket constants; a sweep of the
-same constants cleared to ints is its oracle.
+`projection_matrix` reduces (B B^t | B) on the `Subspace.basis` B, so a
+rational space's projection runs on ints; associativity and the split are
+tested on V's integer basis; the homogeneity half of `is_adapted` forms
+theta d theta with theta and d cleared to ints where rational.  Each is
+checked against the Scalar computation it replaces, which is the oracle
+(the `scalar_route` switch, or the formula itself).  g2.jacobi sweeps
+g2's Scalar bracket constants; a sweep of the same constants cleared to
+ints is its oracle.
 """
 
 import random
@@ -63,22 +64,32 @@ def test_the_zero_space_projects_to_zero_and_the_full_space_to_one():
 
 
 def test_an_irrational_space_takes_the_scalar_path(monkeypatch):
-    calls = []
+    # rref alone chooses: ints for a rational space, row insertion over the
+    # field for an irrational one, and the formula is the same
+    calls, insertion = [], linalg._insertion_rref
 
-    def spy(m):
-        calls.append(m.shape)
-        return inverse(m)
+    def spy(rows):
+        calls.append(len(rows))
+        return insertion(rows)
 
-    monkeypatch.setattr(linalg, "inverse", spy)
     rational = Subspace.span([E[0], E[1], E[3]], 7)
-    assert projection_matrix(rational) == scalar_projection(rational)
+    space = Subspace.span(list(R6_PAIR), 7)
+    monkeypatch.setattr(linalg, "_insertion_rref", spy)
+    p = projection_matrix(rational)
     assert calls == []
-    space = Subspace.span([[ONE, SQRT6, ZERO, ZERO, ZERO, ZERO, ZERO],
-                           [ZERO, ZERO, ONE, ZERO, Scalar.of(2), ZERO, ZERO]], 7)
+    assert p == scalar_projection(rational)
     p = projection_matrix(space)
-    assert calls == [(2, 2)]
+    assert calls == [2]
+    assert p == scalar_projection(space)
     assert p == p.transpose() and p @ p == p and p.trace() == Scalar.of(2)
     assert all(p.apply(r) == r for r in space.rows)
+    rng = random.Random(24)
+    for k in (1, 3, 5):
+        rows = [[Scalar(rng.randint(-3, 3), rng.randint(-1, 1), rng.randint(-1, 1),
+                        0, rng.randint(1, 3)) for _ in range(7)] for _ in range(k)]
+        space = Subspace.span(rows, 7)
+        assert space.denominator is None
+        assert projection_matrix(space) == scalar_projection(space)
 
 
 def random_three_spaces(rng, count):
@@ -134,8 +145,17 @@ def rotation_by_h1(h1):
     return out
 
 
-def test_integer_homogeneity_equals_the_scalar_route(monkeypatch, scalar_route,
-                                                     g2, tds, v_std):
+def scalar_stable(h, v, g2):
+    """Oracle: theta d theta in h for each basis matrix d of h, on Scalars."""
+    th = v.theta()
+    for m in h.matrices():
+        x = g2.space.coords((th @ m @ th).flatten())
+        if x is None or not h.space.contains(x):
+            return False
+    return True
+
+
+def test_integer_homogeneity_equals_the_scalar_route(monkeypatch, g2, tds, v_std):
     rng = random.Random(23)
     # exp(t h1) lies in h's group, so it moves subalgebras adapted to h to
     # adapted ones, here with denominators 5^6 in theta
@@ -147,6 +167,7 @@ def test_integer_homogeneity_equals_the_scalar_route(monkeypatch, scalar_route,
     assert all(cleared(v.theta().flatten() + [ONE])[-1] == 5 ** 6 for v in moved)
     subalgs = [v_std] + moved + [catalog.random_assoc(rng) for _ in range(200)]
     subalgs.append(catalog.AssocSubalg.from_pair(*R6_PAIR))
+    expected = [scalar_stable(tds, v, g2) for v in subalgs]
     calls, coords = [], Subspace.coords
 
     def spy(space, v):
@@ -158,9 +179,7 @@ def test_integer_homogeneity_equals_the_scalar_route(monkeypatch, scalar_route,
     on_ints = [catalog.is_adapted(tds, v, g2) for v in subalgs]
     assert all(on_ints[:3]) and not all(on_ints)
     assert len(calls) == len(subalgs) - 1  # h1 of each rational V ran on ints
-    scalar_route()
-    assert [catalog.is_adapted(tds, v, g2) for v in subalgs] == on_ints
-    assert len(calls) == len(subalgs) - 1
+    assert on_ints == expected
 
 
 def integer_jacobi_fails(sc):

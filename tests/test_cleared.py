@@ -1,12 +1,15 @@
 """Rational triple systems on integers, against the Scalar path.
 
-A carrier with rational basis rows under a product with
-`TripleSystem.cleared` computes its structure constants once, as Python
-ints over one common denominator, and certifies closure on them; every
-other carrier runs the Scalar products.  The Scalar path is the oracle:
-the same product with `cleared` dropped.  g2 itself is built on integer
-Leibniz rows and integer commutators of its integer `Subspace.basis`,
-against the Scalar-built algebra.
+A system with `TripleSystem.on_ints` (gl(n), `matmodel.M34`,
+`matmodel.SL3`, and a Lie algebra with integer bracket constants such as
+g2) forms the products of int rows as ints.  A carrier with rational
+basis rows under such a product forms its structure constants once,
+through `operator_products` on its integer `Subspace.basis`, as Python
+ints over m^3, and certifies closure on them; every other carrier runs
+the Scalar products.  The Scalar path is the oracle: the same product
+with `on_ints` off, or the operator on the same rows as Scalars.  g2
+itself is built on integer Leibniz rows and integer commutators of its
+integer `Subspace.basis`, against the Scalar-built algebra.
 The derivation sweep halves its (A, B) pairs on an antisymmetric tensor,
 against the sweep of every pair.
 """
@@ -25,7 +28,8 @@ from crossg2.cross7 import basis_vector
 from crossg2.g2alg import G2, leibniz_rows
 from crossg2.linalg import Matrix, Subspace, cleared, commutator, dot, kernel
 from crossg2.lts import (GL7, LtsCarrier, NotClosedError, TripleSystem,
-                         abstract_lts, check_axioms, lie_lts, matrix_lts)
+                         abstract_lts, check_axioms, lie_lts, matrix_lts,
+                         operator_products)
 from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
 from test_intops import SL3, copy_struct, so3_plus_center
 
@@ -52,8 +56,8 @@ def carrier_of(ws, kind: str) -> LtsCarrier:
 
 
 def scalar_path(carrier: LtsCarrier) -> LtsCarrier:
-    """The same carrier under the same product with `cleared` dropped."""
-    system = carrier.system._replace(cleared=None)
+    """The same carrier under the same product with `on_ints` off."""
+    system = carrier.system._replace(on_ints=False)
     return LtsCarrier(system, carrier.space, carrier.name)
 
 
@@ -220,17 +224,53 @@ def halved_so3():
 
 @pytest.mark.parametrize("name", ["g2", "so3/2"])
 def test_lie_products_equal_the_bracket_operator(g2, name):
-    # the one contraction of the cleared constants, on rows of a proper
-    # subspace: s [[r_i, r_j], r_k], s = q^2 (4 for so(3) halved)
+    # products of int rows: g2's integer constants keep them ints, so(3)
+    # halved (q = 2) has the flag off and forms them on its Scalar constants
     system = g2.lts if name == "g2" else halved_so3()
-    products, s = system.cleared
+    assert system.on_ints is (name == "g2")
     rng = random.Random(7)
-    rows = [[rng.randint(-2, 2) for _ in range(system.dim)] for _ in range(2)]
+    rows = [[rng.randint(-2, 2) for _ in range(system.dim)] for _ in range(3)]
+    products = operator_products(system.operator, rows)
     expected = [x for a, b, c in itertools.product(rows, repeat=3)
                 for x in system.triple(*[[Scalar.of(t) for t in r]
                                          for r in (a, b, c)])]
-    assert [Scalar.rational(t, s) for t in products(rows)] == expected
-    assert s == (1 if name == "g2" else 4)
+    assert {type(t) for t in products} == {int if name == "g2" else Scalar}
+    assert [Scalar.of(t) for t in products] == expected
+
+
+INT_SYSTEMS = {"gl7": lambda g2: GL7, "gl3": lambda g2: matrix_lts(3),
+               "m34": lambda g2: matmodel.M34, "sl3": lambda g2: matmodel.SL3,
+               "g2": lambda g2: g2.lts}
+
+
+@pytest.mark.parametrize("name", list(INT_SYSTEMS))
+def test_the_operator_on_int_rows_equals_the_scalar_operator(g2, name):
+    system = INT_SYSTEMS[name](g2)
+    assert system.on_ints
+    rng = random.Random(11)
+    for _ in range(4):
+        a, b, c = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0
+                    for _ in range(system.dim)] for _ in range(3)]
+        out = system.operator(a, b)(c)
+        assert all(type(t) is int for t in out)
+        assert out == system.triple(*[[Scalar.of(t) for t in r] for r in (a, b, c)])
+
+
+def test_halved_so3_certifies_the_same_constants_on_scalars():
+    # [[b_i, b_j], b_k] = sum_p c_ij^p [b_p, b_k], from the constants
+    system = halved_so3()
+    carrier = LtsCarrier(system, Subspace.full(3))
+    flat, den = carrier.constants
+    assert not system.on_ints and den is None
+    assert all(isinstance(x, Scalar) for x in flat)
+    half = Scalar.rational(1, 2)
+    c = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i][j][k], c[j][i][k] = half, -half
+    expected = [sum((c[i][j][p] * c[p][k][l] for p in range(3)), ZERO)
+                for i, j, k, l in itertools.product(range(3), repeat=4)]
+    assert flat == expected
+    assert check_axioms(carrier).all_pass()
 
 
 # ------------------------------------------------------- the halved sweep

@@ -67,6 +67,19 @@ def theta_v_is_identity(monkeypatch):
         Subspace.full(7) if space == V_STD else space))
 
 
+def theta_from_the_complement(monkeypatch):
+    # theta_V = 2 pi - 1 with pi the projection onto V-perp: -1 on V
+    monkeypatch.setattr(catalog, "projection_matrix",
+                        lambda space: projection_matrix(space.complement()))
+
+
+def projection_scaled_by_the_denominator(monkeypatch):
+    # m P for a basis with denominator m: theta = 2 m P - 1 squares to 1
+    # only for m = 1, as for the standard V
+    monkeypatch.setattr(catalog, "projection_matrix", lambda space: projection_matrix(
+        space).scale(space.denominator or 1))
+
+
 def draws_swap_w_and_its_complement(monkeypatch):
     draw = catalog.random_assoc
 
@@ -121,6 +134,9 @@ def declined_closure_stays_proper(monkeypatch):
 # (check id, corruption, witness prefix, family of checks run alongside)
 CONTROLS = [
     ("g2.jacobi", commutator_one_entry_off, "Jacobi fails on a basis triple", None),
+    ("lts.axioms_full", commutator_one_entry_off, "cyclic sum at (0, 1, 2) != 0",
+     None),
+    ("catalog.theta", theta_from_the_complement, "theta(e1) != e1", None),
     ("catalog.adapted", theta_of_another_subalgebra,
      "AdaptednessError: homogeneity says False, intersection dimension says True",
      None),
@@ -128,6 +144,8 @@ CONTROLS = [
      "no non-adapted subalgebra found in 100 draws", None),
     ("catalog.pasapa", theta_v_is_identity,
      "commutation and invariance criteria disagree", None),
+    ("catalog.pasapa", projection_scaled_by_the_denominator,
+     "theta_W is not an involution", "catalog.*"),
     ("catalog.profile", draws_swap_w_and_its_complement,
      "unexpected intersection profile (0, 0, 1, 0)", None),
     ("catalog.associative", associativity_tests_a_cross_a,

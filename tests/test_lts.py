@@ -243,6 +243,14 @@ def ambient_coords(space, ambient):
     return Subspace.span([ambient.space.coords(r) for r in space.rows], ambient.dim)
 
 
+def ambient_and_families(ws, ambient_name):
+    """The odd part with T1-T4, or sl(3) with their 3x3 partners."""
+    if ambient_name == "sl3":
+        return matmodel.sl3_catalog("full"), [
+            matmodel.sl3_catalog(kind) for _, _, kind in catalog.FAMILIES.values()]
+    return ws.m4v, [ws.t_carrier(kind) for kind in catalog.FAMILIES]
+
+
 @pytest.mark.parametrize("ambient_name", ["m4v", "sl3"])
 def test_certified_closures_equal_the_reference_closure(ws, ambient_name):
     """Seeds T + x (full closures) and pairs of elements of T (proper
@@ -250,13 +258,7 @@ def test_certified_closures_equal_the_reference_closure(ws, ambient_name):
     coordinates: the quotient test passes exactly the x whose T + x the
     reference loop closes to the ambient, and no element of T, and every
     closure equals the reference's."""
-    if ambient_name == "sl3":
-        ambient = matmodel.sl3_catalog("full")
-        parts = [matmodel.sl3_catalog(kind)
-                 for _, _, kind in catalog.FAMILIES.values()]
-    else:
-        ambient = ws.m4v
-        parts = [ws.t_carrier(kind) for kind in catalog.FAMILIES]
+    ambient, parts = ambient_and_families(ws, ambient_name)
     tests = [lts.quotient_module_test(ambient_coords(t.space, ambient), ambient)
              for t in parts]
     rng = random.Random(19)
@@ -337,22 +339,29 @@ def test_echelon_mod_p_checks_the_vector_length():
         with pytest.raises(ValueError):
             e.add(bad)
     assert e.dim == 1
-    with pytest.raises(ValueError):
-        lts._EchelonModP(7, 2, [[1, 0, 0]])
 
 
-@pytest.mark.parametrize("rows", [
-    [[1, 7]], [[1, -1]],     # an entry outside [0, p)
-    [[0, 0]], [[2, 1]],      # no first nonzero entry, or one that is not 1
-    [[0, 1], [1, 0]],        # decreasing pivots
-    [[1, 1], [1, 0]],        # a repeated pivot
-    [[1, 1], [0, 1]],        # the first row is not 0 at the second pivot
-], ids=["entry-p", "entry-negative", "zero-row", "leading-2",
-        "decreasing-pivots", "repeated-pivot", "unreduced"])
-def test_echelon_mod_p_rejects_rows_that_are_not_reduced(rows):
-    with pytest.raises(ValueError, match="reduced echelon"):
-        lts._EchelonModP(7, 2, rows)
-    assert lts._EchelonModP(7, 2, [[1, 0], [0, 1]]).dim == 2
+@pytest.mark.parametrize("ambient_name", ["m4v", "sl3"])
+def test_the_add_seeded_t_bar_is_t_mod_p(ws, monkeypatch, ambient_name):
+    """The quotient test seeds T-bar by `add`: T's canonical rows mod p are
+    reduced already, so each goes in as it is, at its own pivot."""
+    ambient, parts = ambient_and_families(ws, ambient_name)
+    made = []
+
+    class Recorded(lts._EchelonModP):
+        def __init__(self, p, n):
+            super().__init__(p, n)
+            made.append(self)
+    monkeypatch.setattr(lts, "_EchelonModP", Recorded)
+    for t in parts:
+        made.clear()
+        space = ambient_coords(t.space, ambient)
+        lts.quotient_module_test(space, ambient)
+        rows = [[x.mod_p() for x in r] for r in space.rows]
+        assert made and not any(None in r for r in rows)
+        t_bar = made[0]  # the first echelon the test builds
+        assert (t_bar.p, t_bar.n) == (scalar.PRIME, ambient.dim)
+        assert t_bar.rows == rows and t_bar.pivots == space.pivots
 
 
 @pytest.mark.parametrize("name, nonzero", [("m4v", 232), ("sl3", 236), ("T1", None)])
