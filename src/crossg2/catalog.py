@@ -67,7 +67,8 @@ class AssocSubalg:
 
     @classmethod
     def from_pair(cls, u: Sequence[Scalar], w: Sequence[Scalar]) -> "AssocSubalg":
-        """span{u, w, u x w}: associative for any independent u, w."""
+        """span{u, w, u x w}: associative for any independent u, w, given as
+        Scalars or as ints (as `random_assoc` draws them)."""
         uxw = cross(list(u), list(w))
         space = Subspace.span([list(u), list(w), uxw], 7)
         if space.dim != 3:
@@ -99,8 +100,8 @@ def _split_failure(space: Subspace, comp: Subspace) -> str | None:
 def random_assoc(rng: random.Random) -> AssocSubalg:
     """Random associative subalgebra from small-integer spanning vectors."""
     while True:
-        u = [Scalar.of(rng.randint(-3, 3)) for _ in range(7)]
-        w = [Scalar.of(rng.randint(-3, 3)) for _ in range(7)]
+        u = [rng.randint(-3, 3) for _ in range(7)]
+        w = [rng.randint(-3, 3) for _ in range(7)]
         try:
             return AssocSubalg.from_pair(u, w)
         except ValueError:

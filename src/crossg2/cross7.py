@@ -5,15 +5,15 @@ usual notation, 0-based here):
 
     e_i x e_{i+1} = e_{i+3},  e_{i+1} x e_{i+3} = e_i,  e_{i+3} x e_i = e_{i+1}.
 
-Also provides the exterior-algebra construction that turns an alternating
-trilinear form gamma into a symmetric bilinear form: the coefficient of
-e1^...^e7 in -(1/3) * gamma(u,.,.) ^ gamma(v,.,.) ^ gamma, with the
-isomorphism from 7-forms to scalars fixed by e1^...^e7 -> 1.
+Also turns an alternating trilinear form gamma into a symmetric bilinear
+form: the coefficient of e1^...^e7 in -(1/3) * gamma(u,.,.) ^ gamma(v,.,.)
+^ gamma, with the isomorphism from 7-forms to scalars fixed by
+e1^...^e7 -> 1, read off as a signed sum over index splits.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .linalg import Matrix, Vec, dot, is_zero_vec, vadd, vscale, zero_of
@@ -123,95 +123,56 @@ def oct_associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
 Trilinear = Callable[[Vec, Vec, Vec], Scalar]
 
 
+def _sort_sign(s: tuple[int, ...]) -> int:
+    """Sign of the permutation that sorts s; 0 when an index repeats."""
+    if len(set(s)) < len(s):
+        return 0
+    return (-1) ** sum(x > y for x, y in combinations(s, 2))
+
+
+def _basis_table(gamma: Trilinear) -> dict[tuple[int, int, int], Scalar] | None:
+    """gamma on all 343 basis index triples s, or None unless every value is
+    sign(s) gamma(sorted s), so that gamma is alternating."""
+    e = [basis_vector(i) for i in range(7)]
+    values = {s: gamma(e[s[0]], e[s[1]], e[s[2]])
+              for s in product(range(7), repeat=3)}
+    alternating = all(v == _sort_sign(s) * values[tuple(sorted(s))]
+                      for s, v in values.items())
+    return values if alternating else None
+
+
 def triple_is_alternating(gamma: Trilinear) -> bool:
     """Exhaustive check gamma(e_s) = sign(s) gamma(sorted s) on basis triples."""
-    e = [basis_vector(i) for i in range(7)]
-    for i, j, k in combinations(range(7), 3):
-        base = gamma(e[i], e[j], e[k])
-        for perm, sign in _SIGNED_PERMS:
-            a, b, c = (i, j, k)[perm[0]], (i, j, k)[perm[1]], (i, j, k)[perm[2]]
-            expected = base if sign > 0 else -base
-            if gamma(e[a], e[b], e[c]) != expected:
-                return False
-    # repeated arguments
-    for i in range(7):
-        for j in range(7):
-            if gamma(e[i], e[i], e[j]) or gamma(e[i], e[j], e[j]) or gamma(e[i], e[j], e[i]):
-                return False
-    return True
-
-
-def _perm_sign(p: tuple[int, ...]) -> int:
-    sign = 1
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
-
-
-_SIGNED_PERMS = [(p, _perm_sign(p)) for p in permutations(range(3))]
-
-
-def _wedge(f1: dict, f2: dict) -> dict:
-    out: dict[tuple, Scalar] = {}
-    for m1, c1 in f1.items():
-        s1 = set(m1)
-        for m2, c2 in f2.items():
-            if s1 & set(m2):
-                continue
-            seq = m1 + m2
-            merged = tuple(sorted(seq))
-            coeff = c1 * c2
-            if _perm_sign(seq) < 0:
-                coeff = -coeff
-            if merged in out:
-                out[merged] = out[merged] + coeff
-            else:
-                out[merged] = coeff
-    return {k: v for k, v in out.items() if v}
+    return _basis_table(gamma) is not None
 
 
 def induced_bilinear(gamma: Trilinear) -> Matrix:
     """Symmetric 7x7 matrix of the bilinear form induced by an alternating gamma.
 
     beta(u, v) is the coefficient of e1^...^e7 in
-    -(1/3) * gamma(u,.,.) ^ gamma(v,.,.) ^ gamma.
+    -(1/3) * gamma(u,.,.) ^ gamma(v,.,.) ^ gamma.  As gamma(u,.,.) is the sum
+    of gamma(u, a) e^a over pairs a0 < a1, beta(e_i, e_j) is -(1/3) times the
+    sum of sign(a b c) gamma(e_i, a) gamma(e_j, b) gamma(c) over the splits of
+    {1..7} into two pairs a, b and a triple c.
     """
-    if not triple_is_alternating(gamma):
+    g = _basis_table(gamma)
+    if g is None:
         raise ValueError("gamma is not alternating")
-    e = [basis_vector(i) for i in range(7)]
-    gamma3 = {}
-    for tri in combinations(range(7), 3):
-        val = gamma(e[tri[0]], e[tri[1]], e[tri[2]])
-        if val:
-            gamma3[tri] = val
-
-    def contract(u: Vec) -> dict:
-        out: dict[tuple, Scalar] = {}
-        for tri, cval in gamma3.items():
-            for pos in range(3):
-                coeff = u[tri[pos]]
-                if not coeff:
-                    continue
-                rest = tuple(x for p, x in enumerate(tri) if p != pos)
-                term = cval * coeff
-                if pos == 1:
-                    term = -term
-                if rest in out:
-                    out[rest] = out[rest] + term
-                else:
-                    out[rest] = term
-        return {k: v for k, v in out.items() if v}
-
-    top = tuple(range(7))
+    sums = [[ZERO] * 7 for _ in range(7)]
+    for c in combinations(range(7), 3):
+        if not g[c]:
+            continue
+        rest = [x for x in range(7) if x not in c]
+        for a in combinations(rest, 2):
+            b = tuple(x for x in rest if x not in a)
+            coeff = _sort_sign(a + b + c) * g[c]
+            for i in range(7):
+                gia = g[(i,) + a]
+                if gia:
+                    for j in range(7):
+                        sums[i][j] = sums[i][j] + coeff * gia * g[(j,) + b]
     third = Scalar.rational(-1, 3)
-    contracted = [contract(e[i]) for i in range(7)]
-    beta = Matrix.zeros(7, 7)
-    for i in range(7):
-        for j in range(7):
-            seven = _wedge(_wedge(contracted[i], contracted[j]), gamma3)
-            beta.rows[i][j] = third * seven.get(top, ZERO)
+    beta = Matrix([[third * x for x in row] for row in sums])
     # symmetry of the construction, asserted rather than imposed
     if beta != beta.transpose():
         raise AssertionError("induced form is not symmetric")

@@ -14,11 +14,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from crossg2 import catalog, g2alg, lts
+from crossg2 import catalog, checks, cross7, g2alg, lts
 from crossg2.checks import run_checks, select_checks
-from crossg2.cross7 import basis_vector, cross
+from crossg2.cross7 import Octonion, basis_vector, cross
 from crossg2.g2alg import Frame
-from crossg2.linalg import Subspace, projection_matrix
+from crossg2.linalg import Subspace, char_poly, dot, kernel, projection_matrix
+from crossg2.scalar import Scalar
 
 E = [basis_vector(i) for i in range(7)]
 V_STD = Subspace.span([E[0], E[1], E[3]], 7)  # V of the standard frame
@@ -131,8 +132,137 @@ def declined_closure_stays_proper(monkeypatch):
     monkeypatch.setattr(catalog, "generated_subtriple", lambda seed, ambient: seed)
 
 
+# -- foundations: the field, linear algebra, the cross product, the octonions
+
+def division_multiplies(monkeypatch):
+    monkeypatch.setattr(Scalar, "__truediv__", lambda self, o: self * Scalar.of(o))
+
+
+def inverse_forgets_the_denominator(monkeypatch):
+    # right for the integral values (1/r6 still r6/6), wrong for x/q
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda self: inverse(
+        Scalar(self.na, self.nb, self.nc, self.nd)))
+
+
+def sign_reads_the_rational_part(monkeypatch):
+    monkeypatch.setattr(Scalar, "sign", lambda self: (self.na > 0) - (self.na < 0))
+
+
+def show_tags_r15_as_r10(monkeypatch):
+    show = Scalar.show
+    monkeypatch.setattr(Scalar, "show", lambda self: show(self).replace("*r15", "*r10"))
+
+
+def kernel_of_a_zero_matrix_is_zero(monkeypatch):
+    monkeypatch.setattr(checks, "kernel", lambda rows, ncols=None: kernel(
+        rows, ncols) if any(any(r) for r in rows) else Subspace.zero(ncols))
+
+
+def rank_counts_the_rows(monkeypatch):
+    monkeypatch.setattr(checks, "rank", len)
+
+
+def meet_loses_a_dimension(monkeypatch):
+    intersect = Subspace.intersect
+    monkeypatch.setattr(Subspace, "intersect", lambda self, other: Subspace.span(
+        intersect(self, other).rows[:-1], self.n))
+
+
+def char_poly_coefficients_reversed(monkeypatch):
+    # palindromic for I2, so only diag(0, 2, -2) tells
+    monkeypatch.setattr(checks, "char_poly", lambda m: char_poly(m)[::-1])
+
+
+def cross_table_one_sign_flipped(monkeypatch):
+    table = [row[:] for row in cross7.CROSS_TABLE]
+    k, sg = table[0][1]
+    table[0][1] = (k, -sg)
+    monkeypatch.setattr(cross7, "CROSS_TABLE", table)
+
+
+def cross_doubled(monkeypatch):
+    # still alternating and orthogonal to its factors
+    product = cross7.cross
+    monkeypatch.setattr(cross7, "cross", lambda x, y: [2 * c for c in product(x, y)])
+
+
+def e1_x_e2_gains_e3(monkeypatch):
+    # an antisymmetric term x1 y2 - x2 y1 along e3: <e1 x e2, e3> = 1, but
+    # <e1, e2 x e3> = 0
+    product = cross7.cross
+
+    def skewed(x, y):
+        out = product(x, y)
+        out[2] = out[2] + x[0] * y[1] - x[1] * y[0]
+        return out
+    monkeypatch.setattr(cross7, "cross", skewed)
+
+
+def omega_pulled_back(monkeypatch, diagonal=(1,) * 7, swap=()):
+    # omega(g x, g y, g z) for g the coordinate swaps times a diagonal
+    def move(v):
+        v = [d * x for d, x in zip(diagonal, v)]
+        for a, b in swap:
+            v[a], v[b] = v[b], v[a]
+        return v
+    omega = cross7.omega
+    monkeypatch.setattr(cross7, "omega", lambda x, y, z: omega(move(x), move(y), move(z)))
+
+
+def omega_relabelled(monkeypatch):
+    # e1 <-> e2 and e3 <-> e4: orthogonal with det 1, so beta is still 2 I
+    omega_pulled_back(monkeypatch, swap=((0, 1), (2, 3)))
+
+
+def omega_doubled(monkeypatch):
+    # beta is cubic in omega: 16 I
+    omega = cross7.omega
+    monkeypatch.setattr(cross7, "omega", lambda x, y, z: 2 * omega(x, y, z))
+
+
+def e3_stretched_in_omega(monkeypatch):
+    # g = diag(1, 1, 2, 1, 1, 1, 1) fixes omega(e1,e2,e4) and omega(e1,e2,e3) = 0,
+    # and beta = det(g) g^T (2 I) g = diag(4, 4, 16, 4, 4, 4, 4)
+    omega_pulled_back(monkeypatch, diagonal=(1, 1, 2, 1, 1, 1, 1))
+
+
+def octonion_real_part_sign_flipped(monkeypatch):
+    # xy = +<x, y> 1 + x cross y on pure parts: 2 <x, y> added to the real part
+    mul = Octonion.__mul__
+    monkeypatch.setattr(Octonion, "__mul__", lambda p, o: mul(p, o) + Octonion(
+        2 * dot(p.im, o.im), [0] * 7))
+
+
+def octonion_norm_split(monkeypatch):
+    monkeypatch.setattr(Octonion, "norm", lambda p: p.re * p.re - dot(p.im, p.im))
+
+
 # (check id, corruption, witness prefix, family of checks run alongside)
 CONTROLS = [
+    ("scalar.arith", division_multiplies, "1/r6 != r6/6", "scalar.*"),
+    ("scalar.field_axioms", inverse_forgets_the_denominator, "inverse fails at ",
+     "scalar.*"),
+    ("scalar.sign", sign_reads_the_rational_part, "sign(r6 - 2) != +1", "scalar.*"),
+    ("scalar.text_roundtrip", show_tags_r15_as_r10, "roundtrip fails for ",
+     "scalar.*"),
+    ("linalg.kernel", kernel_of_a_zero_matrix_is_zero, "kernel of 0 is not everything",
+     "linalg.*"),
+    ("linalg.rank_nullity", rank_counts_the_rows, "rank-nullity fails", "linalg.*"),
+    ("linalg.subspaces", meet_loses_a_dimension, "plane meet fails", "linalg.*"),
+    ("linalg.charpoly", char_poly_coefficients_reversed,
+     "char poly of diag(0,2,-2) wrong", "linalg.*"),
+    ("cross.table", cross_table_one_sign_flipped, "e1 x e2 != e4", None),
+    ("cross.double_product", cross_doubled, "double product expansion fails", None),
+    ("cross.associative_form", e1_x_e2_gains_e3, "associative form fails at (0, 1, 2)",
+     None),
+    ("cross.gram", cross_doubled, "Gram determinant identity fails", None),
+    ("cross.omega", omega_relabelled, "omega(e1,e2,e4) != 1", "cross.*"),
+    ("cross.induced_form", omega_doubled, "beta != 2 I: beta[0][0] = 16 ", None),
+    ("cross.induced_form", e3_stretched_in_omega, "beta != 2 I: beta[0][0] = 4 ",
+     "cross.*"),
+    ("oct.algebra", octonion_real_part_sign_flipped, "e1^2 != -1", None),
+    ("oct.norm", octonion_norm_split, "norm multiplicativity fails", "oct.*"),
     ("g2.jacobi", commutator_one_entry_off, "Jacobi fails on a basis triple", None),
     ("lts.axioms_full", commutator_one_entry_off, "cyclic sum at (0, 1, 2) != 0",
      None),

@@ -1,11 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from crossg2.cross7 import (CROSS_TABLE, Octonion, basis_vector, cross,
                             induced_bilinear, oct_associator, omega,
                             triple_is_alternating)
-from crossg2.linalg import Matrix, dot, is_zero_vec
+from crossg2.linalg import Matrix, char_poly, dot, is_zero_vec
 from crossg2.scalar import ONE, ZERO, Scalar
 
 E = [basis_vector(i) for i in range(7)]
@@ -99,3 +100,68 @@ def test_induced_bilinear_zero_and_rejection():
     not_alternating = lambda x, y, z: dot(x, y) * dot(z, z)
     with pytest.raises(ValueError):
         induced_bilinear(not_alternating)
+
+
+def form_on_sorted_triples(values):
+    """The alternating trilinear form with the given values on the 35 sorted
+    basis triples: the sum of value * det(x, y, z restricted to the triple)."""
+    def gamma(x, y, z):
+        total = ZERO
+        for (i, j, k), v in values.items():
+            if v:
+                total = total + v * (x[i] * (y[j] * z[k] - y[k] * z[j])
+                                     - x[j] * (y[i] * z[k] - y[k] * z[i])
+                                     + x[k] * (y[i] * z[j] - y[j] * z[i]))
+        return total
+    return gamma
+
+
+def random_alternating(seed):
+    rng = random.Random(seed)
+    return form_on_sorted_triples({c: rng.randint(-2, 2)
+                                   for c in combinations(range(7), 3)})
+
+
+# e_i -> e_{3i+1}, upper unitriangular with entries -1, 0, 1, and det 12
+PERMUTATION = Matrix([[ONE if j == (3 * i + 1) % 7 else ZERO for j in range(7)]
+                      for i in range(7)])
+UNIPOTENT = Matrix([[Scalar.of(1 if i == j else (i + 2 * j) % 3 - 1 if i < j else 0)
+                     for j in range(7)] for i in range(7)])
+DIAGONAL = Matrix([[(1, 2, -1, 3, 1, -2, 1)[i] if i == j else 0 for j in range(7)]
+                   for i in range(7)])
+
+
+@pytest.mark.parametrize("g", [PERMUTATION, UNIPOTENT, DIAGONAL],
+                         ids=["permutation", "unipotent", "diagonal"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_induced_bilinear_is_gl7_equivariant(seed, g):
+    # beta of gamma(g., g., g.) is det(g) g^T beta_gamma g
+    gamma = random_alternating(seed)
+    moved = lambda x, y, z: gamma(g.apply(x), g.apply(y), g.apply(z))
+    det = -char_poly(g)[0]  # char_poly(g)[0] = det(-g), and g is 7x7
+    expected = (g.transpose() @ induced_bilinear(gamma) @ g).scale(det)
+    assert induced_bilinear(moved) == expected
+
+
+def test_induced_bilinear_is_cubic_in_gamma():
+    gamma = random_alternating(3)
+    doubled = lambda x, y, z: Scalar.of(2) * gamma(x, y, z)
+    assert induced_bilinear(doubled) == induced_bilinear(gamma).scale(Scalar.of(8))
+
+
+NOT_ALTERNATING = {
+    # antisymmetric in its first two slots only
+    "first-two-slots": lambda x, y, z: (x[0] * y[1] - x[1] * y[0]) * z[2],
+    # alternating except at (e1, e1, e1)
+    "repeated-index": lambda x, y, z: omega(x, y, z) + x[0] * y[0] * z[0],
+    # alternating except on the triples with e1 twice and e2 once
+    "repeated-pair": lambda x, y, z: omega(x, y, z) + (
+        x[0] * y[0] * z[1] - x[0] * y[1] * z[0] + x[1] * y[0] * z[0]),
+}
+
+
+@pytest.mark.parametrize("gamma", NOT_ALTERNATING.values(), ids=NOT_ALTERNATING)
+def test_forms_that_do_not_alternate_are_rejected(gamma):
+    assert not triple_is_alternating(gamma)
+    with pytest.raises(ValueError, match="gamma is not alternating"):
+        induced_bilinear(gamma)
