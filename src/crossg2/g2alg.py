@@ -126,14 +126,9 @@ class G2:
         return dot(self.coords(m1), self.killing_form.apply(self.coords(m2)))
 
     def killing_trace_ratio(self) -> Scalar:
-        """Observed constant kappa / tr-form; recorded, not asserted."""
-        k = self.killing_form
-        t = self.trace_form
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if t.rows[i][j]:
-                    return k.rows[i][j] / t.rows[i][j]
-        raise ArithmeticError("trace form vanished")  # unreachable
+        """Observed constant kappa / tr-form at (b_0, b_0), where
+        tr(b_0 b_0) = -|b_0|^2 != 0 for the skew b_0; recorded, not asserted."""
+        return self.killing_form.rows[0][0] / self.trace_form.rows[0][0]
 
     # -- normalizer / centralizer ---------------------------------------
 
@@ -204,7 +199,8 @@ def _d_basis() -> tuple:
 
 class Frame:
     """An orthonormal associative triple {i, j, k = i x j} plus a unit l
-    orthogonal to it; carries the derived basis {i, j, k, l, ixl, jxl, kxl}."""
+    orthogonal to it; carries the derived basis {i, j, k, l, ixl, jxl, kxl},
+    whose matrix F of columns must satisfy F^t F = I."""
 
     __slots__ = ("i", "j", "k", "l", "vectors")
 
@@ -215,11 +211,9 @@ class Frame:
         l = [Scalar.of(x) for x in l]
         k = cross(i, j)
         vectors = [i, j, k, l, cross(i, l), cross(j, l), cross(k, l)]
-        for a in range(7):
-            for b in range(a, 7):
-                expected = ONE if a == b else ZERO
-                if dot(vectors[a], vectors[b]) != expected:
-                    raise ValueError("frame is not orthonormal")
+        ft = Matrix(vectors)
+        if ft @ ft.transpose() != Matrix.identity(7):
+            raise ValueError("frame is not orthonormal")
         self.i, self.j, self.k, self.l = i, j, k, l
         self.vectors = vectors
 

@@ -125,34 +125,20 @@ def ms_tangent(p: Projection, frame: Frame) -> Subspace:
 
 
 def row_matrix(d: Matrix, frame: Frame) -> Matrix:
-    """3x4 coordinates of d restricted to V0: entry (r, c) = <d f_r, v_c>,
+    """3x4 coordinates of d restricted to V0, F^t d^t V: entry (r, c) is
+    <d f_r, v_c>, where F has the columns f = i, j, k and V the columns
     v0..v3 = l, i x l, j x l, k x l = frame.vectors[3:]."""
-    vs = frame.vectors[3:]
-    out = []
-    for f in (frame.i, frame.j, frame.k):
-        img = d.apply(f)
-        out.append([dot(img, v) for v in vs])
-    return Matrix(out)
+    return (Matrix(frame.vectors[:3]) @ d.transpose()
+            @ Matrix.from_columns(frame.vectors[3:]))
 
 
 def from_row_matrix(rm: Matrix, frame: Frame) -> Matrix:
-    """The self-adjoint odd extension of the row-matrix data."""
+    """The self-adjoint odd extension of the row-matrix data, X + X^t for
+    X = F rm V^t (F and V as in `row_matrix`)."""
     if rm.shape != (3, 4):
         raise ValueError("row matrix must be 3x4")
-    vs = frame.vectors[3:]
-    fs = [frame.i, frame.j, frame.k]
-    out = Matrix.zeros(7, 7)
-    for r in range(3):
-        for c in range(4):
-            coeff = rm.rows[r][c]
-            if not coeff:
-                continue
-            for a in range(7):
-                for b in range(7):
-                    term = coeff * (vs[c][a] * fs[r][b] + fs[r][a] * vs[c][b])
-                    if term:
-                        out.rows[a][b] = out.rows[a][b] + term
-    return out
+    x = Matrix.from_columns(frame.vectors[:3]) @ rm @ Matrix(frame.vectors[3:])
+    return x + x.transpose()
 
 
 def matches_template(rm: Matrix) -> bool:

@@ -20,7 +20,7 @@ The maximality certificate (`lts.quotient_module_test`) computes ranks there.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
 
 __all__ = ["Scalar", "ZERO", "ONE", "SQRT6", "SQRT10", "SQRT15",
            "PRIME", "PRIME_R6", "PRIME_R10", "PRIME_R15"]
@@ -31,6 +31,19 @@ PRIME = 2147483587
 PRIME_R6 = 1815018666
 PRIME_R10 = 608383731
 PRIME_R15 = 436197702
+
+
+def _root_sign(su: int, sv: int, norm: int) -> int:
+    """Sign of u + v*sqrt(m), for u, v in a field without sqrt(m), from the
+    signs su, sv of u, v and an int norm of the sign of u*u - m*v*v."""
+    if su * sv >= 0:
+        return su or sv
+    return su if norm > 0 else -su
+
+
+def _sign6(p: int, s: int) -> int:
+    """Sign of p + s*r6 for ints p and s."""
+    return _root_sign((p > 0) - (p < 0), (s > 0) - (s < 0), p * p - 6 * s * s)
 
 
 class Scalar:
@@ -71,9 +84,7 @@ class Scalar:
 
     @classmethod
     def from_coeffs(cls, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> "Scalar":
-        q = 1
-        for f in (a, b, c, d):
-            q = q * f.denominator // gcd(q, f.denominator)
+        q = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
         return cls(a.numerator * (q // a.denominator),
                    b.numerator * (q // b.denominator),
                    c.numerator * (q // c.denominator),
@@ -210,37 +221,14 @@ class Scalar:
         return bool(self.na or self.nb or self.nc or self.nd)
 
     def sign(self) -> int:
-        """Sign under the real embedding, certified by interval refinement.
-
-        The rational intervals around r6, r10, r15 are narrowed until the
-        interval around the value excludes zero; a nonzero element of a real
-        number field has nonzero embedding, so this terminates.
-        """
-        if not self:
-            return 0
-        na, nb, nc, nd = self.na, self.nb, self.nc, self.nd
-        if nb == 0 and nc == 0 and nd == 0:
-            return 1 if na > 0 else -1
-        scale = 100  # 10**k
-        while True:
-            lo = na * scale
-            hi = lo
-            for coeff, radicand in ((nb, 6), (nc, 10), (nd, 15)):
-                if coeff == 0:
-                    continue
-                rlo = isqrt(radicand * scale * scale)
-                rhi = rlo + 1
-                if coeff > 0:
-                    lo += coeff * rlo
-                    hi += coeff * rhi
-                else:
-                    lo += coeff * rhi
-                    hi += coeff * rlo
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            scale *= scale
+        """Sign under the real embedding, decided on the tower Q(r6)(r10):
+        as r15 = r6*r10/2, 2*q*x = u + v*r10 for u = p + s*r6, v = r + t*r6,
+        with (p, s, r, t) = (2na, 2nb, 2nc, nd), and u*u - 10*v*v is
+        (p*p + 6*s*s - 10*r*r - 60*t*t) + (2*p*s - 20*r*t)*r6."""
+        p, s, r, t = 2 * self.na, 2 * self.nb, 2 * self.nc, self.nd
+        return _root_sign(_sign6(p, s), _sign6(r, t),
+                          _sign6(p * p + 6 * s * s - 10 * r * r - 60 * t * t,
+                                 2 * p * s - 20 * r * t))
 
     def __lt__(self, o):
         return (self - Scalar.of(o)).sign() < 0

@@ -14,11 +14,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from crossg2 import catalog, checks, cross7, g2alg, lts
+from crossg2 import catalog, checks, cross7, g2alg, lts, matmodel
 from crossg2.checks import run_checks, select_checks
 from crossg2.cross7 import Octonion, basis_vector, cross
 from crossg2.g2alg import Frame
-from crossg2.linalg import Subspace, char_poly, dot, kernel, projection_matrix
+from crossg2.linalg import (Matrix, Subspace, char_poly, dot, kernel,
+                            projection_matrix)
 from crossg2.scalar import Scalar
 
 E = [basis_vector(i) for i in range(7)]
@@ -130,6 +131,27 @@ def declined_closure_stays_proper(monkeypatch):
     monkeypatch.setattr(catalog, "quotient_module_test",
                         lambda t, ambient: lambda x: False)
     monkeypatch.setattr(catalog, "generated_subtriple", lambda seed, ambient: seed)
+
+
+def trace_form_doubled(monkeypatch):
+    trace_form = g2alg.G2.trace_form
+    doubled = cached_property(lambda g2: trace_form.func(g2).scale(2))
+    doubled.__set_name__(g2alg.G2, "trace_form")
+    monkeypatch.setattr(g2alg.G2, "trace_form", doubled)
+
+
+def row_data_extends_without_its_transpose(monkeypatch):
+    # X = F rm V^t alone: not symmetric, so no tangent element
+    monkeypatch.setattr(matmodel, "from_row_matrix", lambda rm, frame: (
+        Matrix.from_columns(frame.vectors[:3]) @ rm @ Matrix(frame.vectors[3:])))
+
+
+def row_matrix_reads_d_for_its_transpose(monkeypatch):
+    # tangent elements are symmetric, so only the images of skew
+    # derivations move: they change sign
+    row_matrix = matmodel.row_matrix
+    monkeypatch.setattr(matmodel, "row_matrix",
+                        lambda d, frame: row_matrix(d.transpose(), frame))
 
 
 # -- foundations: the field, linear algebra, the cross product, the octonions
@@ -264,6 +286,8 @@ CONTROLS = [
     ("oct.algebra", octonion_real_part_sign_flipped, "e1^2 != -1", None),
     ("oct.norm", octonion_norm_split, "norm multiplicativity fails", "oct.*"),
     ("g2.jacobi", commutator_one_entry_off, "Jacobi fails on a basis triple", None),
+    ("g2.killing", trace_form_doubled,
+     "recorded ratio changed: 2 + 0*r6 + 0*r10 + 0*r15", "g2.*"),
     ("lts.axioms_full", commutator_one_entry_off, "cyclic sum at (0, 1, 2) != 0",
      None),
     ("catalog.theta", theta_from_the_complement, "theta(e1) != e1", None),
@@ -286,6 +310,10 @@ CONTROLS = [
     ("catalog.non_maximal_witness", closure_reports_the_full_ambient,
      "crafted extension closed to the full space", "catalog.*"),
     ("catalog.maximality", declined_closure_stays_proper, "T1: ", "catalog.*"),
+    ("matmodel.ms_tangent", row_data_extends_without_its_transpose,
+     "row-matrix data does not determine the tangent element", "matmodel.*"),
+    ("matmodel.sphere", row_matrix_reads_d_for_its_transpose,
+     "h2 does not map to d_{-r6/2, 0}", "matmodel.*"),
 ]
 
 

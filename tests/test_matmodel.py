@@ -9,7 +9,8 @@ from crossg2.catalog import FAMILIES
 from crossg2.checks import (CHECKS, CheckFailure, Workspace, run_checks,
                             select_checks)
 from crossg2.cross7 import basis_vector
-from crossg2.linalg import Matrix, Subspace
+from crossg2.g2alg import Frame
+from crossg2.linalg import Matrix, Subspace, dot
 from crossg2.lts import GL7
 from crossg2.scalar import ONE, SQRT6, ZERO, Scalar
 
@@ -61,6 +62,36 @@ def test_ms_tangent_dim_and_template(tangent, frame):
         rm = matmodel.row_matrix(d, frame)
         assert matmodel.matches_template(rm)
         assert matmodel.from_row_matrix(rm, frame) == d
+
+
+def rotated_frame():
+    """i = (3 e1 + 4 e2)/5, j = e3, l = e4: a frame off the standard one."""
+    i = [Scalar.rational(3, 5), Scalar.rational(4, 5)] + [ZERO] * 5
+    return Frame(i, E[2], E[3])
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_row_matrix_pairs_d_f_with_v(frame, rotated):
+    # d is not symmetric, so reading d for d^t moves the entries
+    fr, rng = rotated_frame() if rotated else frame, random.Random(3)
+    d = Matrix([[Scalar(rng.randint(-3, 3), rng.randint(-1, 1), 0, 0)
+                 for _ in range(7)] for _ in range(7)])
+    assert d != d.transpose()
+    assert matmodel.row_matrix(d, fr).rows == [
+        [dot(d.apply(f), v) for v in fr.vectors[3:]] for f in fr.vectors[:3]]
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_from_row_matrix_is_symmetric_odd_and_inverts_row_matrix(frame, rotated):
+    fr, rng = rotated_frame() if rotated else frame, random.Random(4)
+    rm = Matrix([[Scalar(rng.randint(-3, 3), rng.randint(-1, 1), 0, 0)
+                  for _ in range(4)] for _ in range(3)])
+    d = matmodel.from_row_matrix(rm, fr)
+    assert d == d.transpose()
+    assert matmodel.row_matrix(d, fr) == rm
+    # odd: d maps V0 into its complement and the complement into V0
+    for block in (fr.vectors[:3], fr.vectors[3:]):
+        assert not any(dot(d.apply(x), y) for x in block for y in block)
 
 
 def test_dk_closed_form(tangent, frame):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, isqrt
 
 import numpy as np
@@ -74,11 +75,13 @@ def test_sign_examples():
     assert (five * five - two_r6 * two_r6) == Scalar.of(1)
     assert (five - two_r6).sign() == 1
     assert (two_r6 - five).sign() == -1
-    # a nearly-cancelling combination, forced through refinement
+    # the radical part outweighs the rational one: 2 - r6, 3 - r10, 3 - r15 < 0
+    for x in (Scalar(2, -1, 0, 0), Scalar(3, 0, -1, 0), Scalar(3, 0, 0, -1)):
+        assert x.sign() == refinement_sign(x) == -1
+        assert (-x).sign() == 1
+    # a nearly-cancelling combination: 4 r6 - 3 r10 - 1/4 = 0.061...
     tight = Scalar.of(4) * SQRT6 - Scalar.of(3) * SQRT10 - Scalar(1, 0, 0, 0, 4)
-    approx = (tight.na + tight.nb * 6 ** 0.5 + tight.nc * 10 ** 0.5
-              + tight.nd * 15 ** 0.5) / tight.q   # float oracle
-    assert tight.sign() == (1 if approx > 0 else -1)
+    assert tight.sign() == refinement_sign(tight) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,6 +89,75 @@ def test_sign_examples():
 def test_sign_multiplicative(x, y):
     assert (x * y).sign() == x.sign() * y.sign()
     assert (x.sign() * x.sign() == 1) == bool(x)
+
+
+def refinement_sign(x):
+    """The sign by interval refinement, the oracle of the tower rule: the
+    value is bounded with r6, r10 and r15 cut to 2, 4, 8, ... decimals,
+    until the interval excludes 0 (a nonzero x has a nonzero embedding)."""
+    if not x:
+        return 0
+    scale = 100
+    while True:
+        lo = hi = x.na * scale
+        for coeff, radicand in ((x.nb, 6), (x.nc, 10), (x.nd, 15)):
+            root = isqrt(radicand * scale * scale)   # <= sqrt(radicand) * scale
+            lo += coeff * (root if coeff > 0 else root + 1)
+            hi += coeff * (root + 1 if coeff > 0 else root)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        scale *= scale
+
+
+# norm-one units of Q(r6), Q(r10) and Q(r15), each in (0, 1)
+UNITS = (Scalar(5, -2, 0, 0), Scalar(19, 0, -6, 0), Scalar(4, 0, 0, -1))
+
+
+def unit_powers():
+    out = []
+    for u in UNITS:
+        power = ONE
+        for _ in range(12):
+            power = power * u
+            out.append(power)
+    return out
+
+
+def test_sign_near_zero_equals_the_refinement_sign():
+    """Powers 1-12 of the units and the products of two of them, down to
+    0.127**24 < 10**-21, each with both signs."""
+    powers = unit_powers()
+    for u in UNITS:                                     # norm one
+        assert u * Scalar(u.na, -u.nb, -u.nc, -u.nd) == ONE
+    values = powers + [x * y for x, y in combinations_with_replacement(powers, 2)]
+    for x in values:
+        assert x.sign() == refinement_sign(x) == 1
+        assert (-x).sign() == refinement_sign(-x) == -1
+
+
+huge = st.integers(-10 ** 30, 10 ** 30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(huge, huge, huge, huge, st.integers(1, 50))
+def test_sign_equals_the_refinement_sign(na, nb, nc, nd, q):
+    x = Scalar(na, nb, nc, nd, q)
+    assert x.sign() == refinement_sign(x)
+    assert (-x).sign() == -x.sign()
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge, huge, huge, huge, st.integers(1, 50))
+def test_conjugate_signs_multiply_to_the_sign_of_the_norm(na, nb, nc, nd, q):
+    """The signs of the four embeddings r6 -> +-r6, r10 -> +-r10 of x
+    multiply to the sign of the rational norm that `inverse` forms."""
+    x = Scalar(na, nb, nc, nd, q)
+    conjugates = [x, Scalar(na, -nb, nc, -nd, q), Scalar(na, nb, -nc, -nd, q),
+                  Scalar(na, -nb, -nc, nd, q)]
+    norm = conjugates[0] * conjugates[1] * conjugates[2] * conjugates[3]
+    assert not (norm.nb or norm.nc or norm.nd)
+    signs = [c.sign() for c in conjugates]
+    assert signs[0] * signs[1] * signs[2] * signs[3] == (norm.na > 0) - (norm.na < 0)
 
 
 def test_ordering():
