@@ -25,8 +25,8 @@ from .lts import LtsCarrier, generated_subtriple, quotient_module_test
 from .scalar import Scalar
 
 __all__ = [
-    "AssocSubalg", "FAMILIES", "Grading", "PrincipalTds", "ProbeReport",
-    "is_associative", "grading", "verify_grading",
+    "AssocSubalg", "FAMILIES", "Family", "Grading", "PrincipalTds",
+    "ProbeReport", "is_associative", "grading", "verify_grading",
     "annihilator_subalg", "principal_tds", "is_adapted", "maximal_lts",
     "intersection_profile", "maximality_probe", "random_assoc",
     "mapping_space", "is_subalgebra",
@@ -184,7 +184,8 @@ def principal_tds(frame: Frame, g2: G2) -> PrincipalTds:
     The only validation of a principal triple: the bracket relations, the
     eigenvalue ladder char(h1) = lambda (lambda^2 + 1)(lambda^2 + 4)(lambda^2 + 9),
     dimension 3 and self-normalizing.  Violations abort loudly; this guards
-    against transcription errors in the radical coefficients.
+    against transcription errors in the radical coefficients.  The checks
+    `catalog.principal` and `g2.normalizer` do not restate them.
     """
     i, j, k, l = frame.i, frame.j, frame.k, frame.l
     ixl = cross(i, l)
@@ -255,18 +256,29 @@ def is_adapted(h: PrincipalTds, v: AssocSubalg, g2: G2) -> bool:
     return homogeneous
 
 
-# kind -> (dimension, envelope dimension, 3x3 partner in matmodel.sl3_catalog).
+class Family(NamedTuple):
+    """A row of the catalogue: the paper's claims about one maximal family,
+    which only the checks read; the builders build and certify closure."""
+
+    dim: int       # in odd(V), and of the 3x3 partner
+    envelope: int  # of the embedded envelope in g2
+    partner: str   # the 3x3 partner's kind in matmodel.sl3_catalog
+
+
 # Each envelope is a named subalgebra of g2: T1 generates the principal h,
 # T2 ann(l) and T3 ann(i) (both su(3)), T4 the sum T4 + even(W) cap even(V).
-FAMILIES = {"T1": (2, 3, "sphere"), "T2": (5, 8, "sym5"),
-            "T3": (4, 8, "col4"), "T4": (4, 6, "refl4")}
+FAMILIES = {"T1": Family(2, 3, "sphere"), "T2": Family(5, 8, "sym5"),
+            "T3": Family(4, 8, "col4"), "T4": Family(4, 6, "refl4")}
 
 
 def maximal_lts(split: Grading, kind: str,
                 witness: PrincipalTds | Sequence[Scalar] | Grading,
                 g2: G2) -> LtsCarrier:
     """The four maximal families inside odd(V), as closed carriers in g2's
-    basis coordinates.  The witness is h, l, i or W's split by kind:
+    basis coordinates; closure is certified before the carrier is returned.
+    `FAMILIES` only names the kinds: its claims (dimension, envelope) are
+    the `catalog.t_dims` and `catalog.t_envelopes` checks' to compare.
+    The witness is h, l, i or W's split by kind:
 
     T1: h cap odd for a principal subalgebra h (a PrincipalTds) adapted to V.
     T2: {d in odd : d(l) = 0} for 0 != l in the orthogonal complement of V.
@@ -296,9 +308,6 @@ def maximal_lts(split: Grading, kind: str,
         if not inside.contains(u):
             raise ValueError(f"kind {kind} needs the vector {where}")
         space = annihilator_subalg(u, g2).intersect(odd)
-    dim = FAMILIES[kind][0]
-    if space.dim != dim:
-        raise AssertionError(f"{kind} has dimension {space.dim}, expected {dim}")
     carrier = LtsCarrier(g2.lts, space, kind)
     carrier.constants  # closure certificate
     return carrier

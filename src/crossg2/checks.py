@@ -17,8 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import catalog, cross7, g2alg, lts, matmodel
 from .linalg import (Matrix, Subspace, char_poly, commutator, dot,
-                     is_positive_definite, is_zero_vec, kernel,
-                     poly_from_roots_squared, rank)
+                     is_positive_definite, is_zero_vec, kernel, rank)
 from .scalar import ONE, SQRT6, SQRT10, SQRT15, ZERO, Scalar
 
 __all__ = ["CheckResult", "CheckFailure", "SkipCheck", "Workspace",
@@ -146,25 +145,28 @@ def check(id: str, anchor: str):
 
 
 def _require_families(families) -> dict[str, lts.LtsCarrier]:
-    """Dimension, closure and axioms of each (kind, dim, carrier) in turn; a
-    generator builds each carrier just before its checks."""
+    """The dimension its `catalog.FAMILIES` row claims, and the axioms, of
+    each (family, carrier) in turn; a generator builds each just in time."""
     carriers = {}
-    for kind, dim, carrier in families:
-        require(carrier.dim == dim, f"{kind} dim {carrier.dim} != {dim}")
-        require(carrier.is_closed(), f"{kind} is not closed")
+    for fam, carrier in families:
+        kind = carrier.name
+        require(carrier.dim == fam.dim, f"{kind} dim {carrier.dim} != {fam.dim}")
         report = lts.check_axioms(carrier)
         require(report.all_pass(), f"{kind}: {report.witness}")
         carriers[kind] = carrier
     return carriers
 
 
-def _require_maximal(families, ambient, trials, rng):
-    """Adjoin-and-close probes of each (kind, carrier) in turn inside ambient."""
-    for kind, carrier in families:
+def _require_maximal(carriers, ambient, trials, rng):
+    """Adjoin-and-close probes of each carrier in turn inside ambient."""
+    for carrier in carriers:
         report = catalog.maximality_probe(carrier, ambient, trials, rng)
         require(report.all_passed(),
-                f"{kind}: {len(report.failures)} trial(s) closed to a proper "
-                f"subspace (dims {[d for _, d in report.failures]})")
+                f"{carrier.name}: {len(report.failures)} trial(s) closed to "
+                f"a proper subspace (dims {[d for _, d in report.failures]})")
+
+
+E = tuple(cross7.basis_vector(i) for i in range(7))  # read, never written
 
 
 def _rand_scalar(rng: random.Random) -> Scalar:
@@ -252,13 +254,12 @@ def _linalg_rank(ws, rng, trials):
 @check("linalg.subspaces", "modular dimension law; canonical idempotence; "
                            "examples on coordinate planes")
 def _linalg_subspaces(ws, rng, trials):
-    e = [cross7.basis_vector(i) for i in range(7)]
-    u = Subspace.span([e[0], e[1]], 7)
-    w = Subspace.span([e[1], e[2]], 7)
-    require(u.intersect(w) == Subspace.span([e[1]], 7), "plane meet fails")
-    require(Subspace.span([e[0]], 7).sum(Subspace.span([e[1]], 7)) == u,
+    u = Subspace.span([E[0], E[1]], 7)
+    w = Subspace.span([E[1], E[2]], 7)
+    require(u.intersect(w) == Subspace.span([E[1]], 7), "plane meet fails")
+    require(Subspace.span([E[0]], 7).sum(Subspace.span([E[1]], 7)) == u,
             "span sum fails")
-    require(u.contains([x + y for x, y in zip(e[0], e[1])]), "membership fails")
+    require(u.contains([x + y for x, y in zip(E[0], E[1])]), "membership fails")
     for _ in range(15):
         a = Subspace.span([_rand_vec7(rng) for _ in range(rng.randint(0, 4))], 7)
         b = Subspace.span([_rand_vec7(rng) for _ in range(rng.randint(0, 4))], 7)
@@ -292,9 +293,8 @@ def _cross_table(ws, rng, trials):
             require(table[y][x] == (z, -1),
                     f"e{y+1} x e{x+1} != -e{z+1}")
         require(table[i][i] is None, "diagonal entries must vanish")
-    e = [cross7.basis_vector(i) for i in range(7)]
-    require(cross7.cross(e[0], e[1]) == e[3], "e1 x e2 != e4")
-    require(cross7.cross(e[6], e[0]) == e[2], "e7 x e1 != e3")
+    require(cross7.cross(E[0], E[1]) == E[3], "e1 x e2 != e4")
+    require(cross7.cross(E[6], E[0]) == E[2], "e7 x e1 != e3")
     x = _rand_vec7(rng)
     require(is_zero_vec(cross7.cross(x, x)), "x cross x != 0")
 
@@ -302,12 +302,9 @@ def _cross_table(ws, rng, trials):
 @check("cross.double_product",
        "(x cross y) cross z + x cross (y cross z) = 2<x,z>y - <y,z>x - <x,y>z")
 def _cross_double(ws, rng, trials):
-    e = [cross7.basis_vector(i) for i in range(7)]
-    pool = [e[i] for i in range(7)] + [_rand_vec7(rng) for _ in range(4)]
-    for x in pool[:7]:
-        for y in pool[:7]:
-            for z in pool[:7]:
-                _require_double_product(x, y, z)
+    pool = [*E, *(_rand_vec7(rng) for _ in range(4))]
+    for x, y, z in product(E, repeat=3):
+        _require_double_product(x, y, z)
     for _ in range(20):
         x, y, z = (rng.choice(pool) for _ in range(3))
         _require_double_product(x, y, z)
@@ -324,13 +321,10 @@ def _require_double_product(x, y, z):
 
 @check("cross.associative_form", "<x cross y, z> = <x, y cross z> on basis triples")
 def _cross_assoc_form(ws, rng, trials):
-    e = [cross7.basis_vector(i) for i in range(7)]
-    for i in range(7):
-        for j in range(7):
-            for k in range(7):
-                require(dot(cross7.cross(e[i], e[j]), e[k])
-                        == dot(e[i], cross7.cross(e[j], e[k])),
-                        f"associative form fails at ({i}, {j}, {k})")
+    for i, j, k in product(range(7), repeat=3):
+        require(dot(cross7.cross(E[i], E[j]), E[k])
+                == dot(E[i], cross7.cross(E[j], E[k])),
+                f"associative form fails at ({i}, {j}, {k})")
 
 
 @check("cross.gram", "<x cross y, x> = 0; |x cross y|^2 = <x,x><y,y> - <x,y>^2")
@@ -345,9 +339,8 @@ def _cross_gram(ws, rng, trials):
 
 @check("cross.omega", "alternating; omega(e1,e2,e4) = 1; omega(e1,e2,e3) = 0")
 def _cross_omega(ws, rng, trials):
-    e = [cross7.basis_vector(i) for i in range(7)]
-    require(cross7.omega(e[0], e[1], e[3]) == ONE, "omega(e1,e2,e4) != 1")
-    require(cross7.omega(e[0], e[1], e[2]) == ZERO, "omega(e1,e2,e3) != 0")
+    require(cross7.omega(E[0], E[1], E[3]) == ONE, "omega(e1,e2,e4) != 1")
+    require(cross7.omega(E[0], E[1], E[2]) == ZERO, "omega(e1,e2,e3) != 0")
     x, z = _rand_vec7(rng), _rand_vec7(rng)
     require(cross7.omega(x, x, z) == ZERO, "omega(x,x,z) != 0")
     require(cross7.triple_is_alternating(cross7.omega), "omega is not alternating")
@@ -356,7 +349,7 @@ def _cross_omega(ws, rng, trials):
 @check("oct.algebra", "unit law; e1*e1 = -1; e1*e2 = e4; associator alternates, "
                       "and is nonzero at (e1,e2,e3)")
 def _oct_algebra(ws, rng, trials):
-    e = [cross7.Octonion.pure(cross7.basis_vector(i)) for i in range(7)]
+    e = [cross7.Octonion.pure(v) for v in E]
     one = cross7.Octonion.unit()
     require(one * e[0] == e[0] and e[0] * one == e[0], "unit law fails")
     require(e[0] * e[0] == cross7.Octonion(Scalar.of(-1), [ZERO] * 7),
@@ -407,12 +400,11 @@ def _g2_skew(ws, rng, trials):
 
 @check("g2.leibniz", "d(x cross y) = d(x) cross y + x cross d(y) on basis pairs")
 def _g2_leibniz(ws, rng, trials):
-    e = [cross7.basis_vector(i) for i in range(7)]
     for idx, b in enumerate(ws.g2.basis):
         for i, j in combinations(range(7), 2):
-            lhs = b.apply(cross7.cross(e[i], e[j]))
-            rhs = [u + v for u, v in zip(cross7.cross(b.apply(e[i]), e[j]),
-                                         cross7.cross(e[i], b.apply(e[j])))]
+            lhs = b.apply(cross7.cross(E[i], E[j]))
+            rhs = [u + v for u, v in zip(cross7.cross(b.apply(E[i]), E[j]),
+                                         cross7.cross(E[i], b.apply(E[j])))]
             require(lhs == rhs, f"Leibniz fails for basis {idx} at ({i}, {j})")
 
 
@@ -430,11 +422,10 @@ def _g2_jacobi(ws, rng, trials):
 
 @check("g2.d_operator", "D(x,x) = 0; D(e1,e2)(e1) = 4 e2; values are derivations")
 def _g2_d(ws, rng, trials):
-    e = [cross7.basis_vector(i) for i in range(7)]
     x = _rand_vec7(rng)
     require(g2alg.d_operator(x, x).is_zero(), "D(x, x) != 0")
-    d12 = g2alg.d_operator(e[0], e[1])
-    require(d12.apply(e[0]) == [Scalar.of(4) * t for t in e[1]],
+    d12 = g2alg.d_operator(E[0], E[1])
+    require(d12.apply(E[0]) == [Scalar.of(4) * t for t in E[1]],
             "D(e1,e2)(e1) != 4 e2")
     require(ws.g2.contains(d12), "D(e1,e2) is not a derivation")
     for _ in range(5):
@@ -445,10 +436,9 @@ def _g2_d(ws, rng, trials):
 @check("g2.cyclic_sum",
        "D(x cross y, z) + D(y cross z, x) + D(z cross x, y) = 0, all 35 triples")
 def _g2_cyclic(ws, rng, trials):
-    e = [cross7.basis_vector(i) for i in range(7)]
     count = 0
     for i, j, k in combinations(range(7), 3):
-        x, y, z = e[i], e[j], e[k]
+        x, y, z = E[i], E[j], E[k]
         s = (g2alg.d_operator(cross7.cross(x, y), z)
              + g2alg.d_operator(cross7.cross(y, z), x)
              + g2alg.d_operator(cross7.cross(z, x), y))
@@ -508,9 +498,9 @@ def _g2_normalizer(ws, rng, trials):
     g2 = ws.g2
     full = Subspace.full(g2.dim)
     require(g2.normalizer(full) == full, "normalizer of the algebra is smaller")
-    h = ws.tds.space
-    require(g2.normalizer(h) == h, "principal triple is not self-normalizing")
-    require(g2.centralizer(h).dim == 0, "principal triple has a centralizer")
+    # self-normalizing is principal_tds' assertion
+    require(g2.centralizer(ws.tds.space).dim == 0,
+            "principal triple has a centralizer")
 
 
 # ------------------------------------------------------------------- lts
@@ -597,12 +587,11 @@ def _lts_ideals(ws, rng, trials):
 @check("catalog.associative", "<e1,e2,e4> is associative; <e1,e2,e3> is not; "
                               "2-dim subspaces are rejected")
 def _catalog_assoc(ws, rng, trials):
-    e = [cross7.basis_vector(i) for i in range(7)]
-    require(catalog.is_associative(Subspace.span([e[0], e[1], e[3]], 7)),
+    require(catalog.is_associative(Subspace.span([E[0], E[1], E[3]], 7)),
             "<e1,e2,e4> not associative")
-    require(not catalog.is_associative(Subspace.span([e[0], e[1], e[2]], 7)),
+    require(not catalog.is_associative(Subspace.span([E[0], E[1], E[2]], 7)),
             "<e1,e2,e3> should not be associative")
-    require(not catalog.is_associative(Subspace.span([e[0], e[1]], 7)),
+    require(not catalog.is_associative(Subspace.span([E[0], E[1]], 7)),
             "2-dim subspace accepted")
 
 
@@ -611,17 +600,16 @@ def _catalog_assoc(ws, rng, trials):
 def _catalog_theta(ws, rng, trials):
     v = ws.v_std
     th = v.theta()
-    e = [cross7.basis_vector(i) for i in range(7)]
-    require(th.apply(e[0]) == e[0], "theta(e1) != e1")
-    require(th.apply(e[2]) == [-t for t in e[2]], "theta(e3) != -e3")
+    require(th.apply(E[0]) == E[0], "theta(e1) != e1")
+    require(th.apply(E[2]) == [-t for t in E[2]], "theta(e3) != -e3")
     require(th @ th == Matrix.identity(7), "theta^2 != id")
     # against V and its complement, not theta's own formula
     require(all(th.apply(r) == r for r in v.space.rows), "theta is not +1 on V")
     require(all(th.apply(r) == [-t for t in r] for r in v.complement().rows),
             "theta is not -1 on the complement")
     for i, j in combinations(range(7), 2):
-        require(th.apply(cross7.cross(e[i], e[j]))
-                == cross7.cross(th.apply(e[i]), th.apply(e[j])),
+        require(th.apply(cross7.cross(E[i], E[j]))
+                == cross7.cross(th.apply(E[i]), th.apply(E[j])),
                 f"theta(e{i+1} x e{j+1}) != theta(e{i+1}) x theta(e{j+1})")
 
 
@@ -669,14 +657,8 @@ def _catalog_annihilator(ws, rng, trials):
 @check("catalog.principal", "[h_i, h_{i+1}] = h_{i+2}; char(h1) = "
                             "x(x^2+1)(x^2+4)(x^2+9); h1 even, h2 and h3 odd")
 def _catalog_principal(ws, rng, trials):
-    tds = ws.tds
-    hs = tds.matrices()
-    for i in range(3):
-        require(commutator(hs[i], hs[(i + 1) % 3]) == hs[(i + 2) % 3],
-                f"[h{i+1}, h{(i+1)%3+1}] != h{(i+2)%3+1}")
-    require(char_poly(tds.h1) == poly_from_roots_squared([1, 4, 9]),
-            "char(h1) != x^7 + 14x^5 + 49x^3 + 36x")
-    g = ws.grading_std
+    # the bracket relations and char(h1) are principal_tds' assertions
+    tds, g = ws.tds, ws.grading_std
     require(g.even.contains(ws.g2.coords(tds.h1)), "h1 is not even")
     require(g.odd.contains(ws.g2.coords(tds.h2)), "h2 is not odd")
     require(g.odd.contains(ws.g2.coords(tds.h3)), "h3 is not odd")
@@ -691,9 +673,8 @@ def _catalog_adapted(ws, rng, trials):
             "standard pair is not adapted")
     require(tds.space.intersect(ws.grading_std.odd).dim == 2,
             "dim(h cap odd) != 2")
-    e = [cross7.basis_vector(i) for i in range(7)]
     for a, b, c in ((1, 5, 6), (1, 2, 4)):  # adapted, off the standard frame
-        v = catalog.AssocSubalg(Subspace.span([e[a], e[b], e[c]], 7))
+        v = catalog.AssocSubalg(Subspace.span([E[a], E[b], E[c]], 7))
         require(catalog.is_adapted(tds, v, ws.g2),
                 f"<e{a+1},e{b+1},e{c+1}> is not adapted")
     non_adapted = 0
@@ -708,8 +689,8 @@ def _catalog_adapted(ws, rng, trials):
 @check("catalog.t_dims", "the four intersection families have dims 2/5/4/4, "
                          "close under the triple product, and satisfy the axioms")
 def _catalog_t_dims(ws, rng, trials):
-    _require_families((kind, dim, ws.t_carrier(kind))
-                      for kind, (dim, _, _) in catalog.FAMILIES.items())
+    _require_families((fam, ws.t_carrier(kind))
+                      for kind, fam in catalog.FAMILIES.items())
 
 
 @check("catalog.t_envelopes",
@@ -719,7 +700,7 @@ def _catalog_t_dims(ws, rng, trials):
 def _catalog_t_env(ws, rng, trials):
     g2 = ws.g2
     dims = {kind: lts.envelope_dim(ws.t_carrier(kind)) for kind in catalog.FAMILIES}
-    expected = {kind: env for kind, (_, env, _) in catalog.FAMILIES.items()}
+    expected = {kind: fam.envelope for kind, fam in catalog.FAMILIES.items()}
     require(dims == expected, f"envelope dims {dims} != "
             + ", ".join(f"{kind}:{env}" for kind, env in expected.items()))
     fr = ws.frame
@@ -800,7 +781,7 @@ def _catalog_pasapa(ws, rng, trials):
 @check("catalog.maximality", "seeded adjoin-and-close trials: every extension "
                              "of each family generates the full odd part")
 def _catalog_maximality(ws, rng, trials):
-    _require_maximal(((kind, ws.t_carrier(kind)) for kind in catalog.FAMILIES),
+    _require_maximal((ws.t_carrier(kind) for kind in catalog.FAMILIES),
                      ws.m4v, trials, rng)
 
 
@@ -822,10 +803,9 @@ def _catalog_non_maximal(ws, rng, trials):
 @check("matmodel.ms_prime", "projection onto <e1,e2,e4> passes the vanishing "
                             "test; onto <e1,e2,e3> fails; bad trace rejected")
 def _mm_ms_prime(ws, rng, trials):
-    e = [cross7.basis_vector(i) for i in range(7)]
     p_good = matmodel.projection_onto(ws.v_std.space)
     require(matmodel.in_ms_prime(p_good), "projection onto V1 fails")
-    p_bad = matmodel.projection_onto(Subspace.span([e[0], e[1], e[2]], 7))
+    p_bad = matmodel.projection_onto(Subspace.span([E[0], E[1], E[2]], 7))
     require(not matmodel.in_ms_prime(p_bad),
             "projection onto <e1,e2,e3> passes")
     try:
@@ -860,13 +840,12 @@ def _mm_ms_tangent(ws, rng, trials):
     p = matmodel.projection_onto(ws.v_std.space)
     tangent = matmodel.ms_tangent(p, fr)
     require(tangent.dim == 8, f"tangent dim {tangent.dim} != 8")
-    e = [cross7.basis_vector(i) for i in range(7)]
     pc = p.complement_map()
-    pe = [p.mat.apply(v) for v in e]
+    pe = [p.mat.apply(v) for v in E]
     pexpe = [[cross7.cross(a, b) for b in pe] for a in pe]
     for row in tangent.rows:
         d = Matrix.from_flat(row, 7, 7)
-        de = [d.apply(v) for v in e]
+        de = [d.apply(v) for v in E]
         for i in range(7):
             for j in range(7):
                 # complement-projected product rule at the projection point
@@ -909,13 +888,8 @@ def _mm_m34_match(ws, rng, trials):
                         "derivation agreeing on V0; the lift is a bijection "
                         "and intertwines triples with global sign -1")
 def _mm_lift(ws, rng, trials):
-    lift = ws.lift
-    for d, dtilde in zip(lift.basis, lift.lifted):
-        for f in (ws.frame.i, ws.frame.j, ws.frame.k):
-            require(dtilde.apply(f) == d.apply(f), "lift changes values on V0")
-    require(Subspace.span([ws.g2.coords(m) for m in lift.lifted], 14)
-            == ws.grading_std.odd, "lift image is not the odd part")
-    nonzero = False
+    # agreement on V0 and the odd image are LiftMap's assertions
+    lift, nonzero = ws.lift, False
     for x, y, z, lhs, rhs in lift.triple_images(lift.lifted, lts.GL7.operator):
         require(lhs == [-t for t in rhs], f"sign -1 fails at ({x},{y},{z})")
         nonzero = nonzero or any(rhs)
@@ -1002,8 +976,8 @@ def _mm_metric(ws, rng, trials):
                                "refl4 orthogonal to gotro; gotro closed; "
                                "symmetric family reduces to the plain product")
 def _mm_sl3_catalog(ws, rng, trials):
-    carriers = _require_families((kind, dim, ws.sl3_carrier(kind))
-                                 for dim, _, kind in catalog.FAMILIES.values())
+    carriers = _require_families((fam, ws.sl3_carrier(fam.partner))
+                                 for fam in catalog.FAMILIES.values())
     gotro = ws.sl3_carrier("gotro")  # built only if it closes
     for a in carriers["refl4"].space.rows:
         for b in gotro.space.rows:
@@ -1020,8 +994,8 @@ def _mm_sl3_catalog(ws, rng, trials):
                                   "extension of each 3x3 family generates the "
                                   "full traceless space")
 def _mm_sl3_max(ws, rng, trials):
-    _require_maximal(((kind, ws.sl3_carrier(kind))
-                      for _, _, kind in catalog.FAMILIES.values()),
+    _require_maximal((ws.sl3_carrier(fam.partner)
+                      for fam in catalog.FAMILIES.values()),
                      ws.sl3_carrier("full"), trials, rng)
 
 

@@ -26,6 +26,8 @@ from .scalar import ONE, ZERO, Scalar
 __all__ = ["G2", "Frame", "derivation_algebra", "leibniz_rows", "d_operator",
            "lambda_operator", "rho_operator"]
 
+_UNIT = tuple(tuple(int(r == c) for c in range(7)) for r in range(7))  # on ints
+
 
 def leibniz_rows(pairs: Sequence[tuple[Vec, Vec]]) -> list[Vec]:
     """Rows of d(x cross y) = d(x) cross y + x cross d(y), 7 per pair (x, y),
@@ -33,12 +35,11 @@ def leibniz_rows(pairs: Sequence[tuple[Vec, Vec]]) -> list[Vec]:
 
     The unknown is a 7x7 matrix d; entry (r, c) is flat index 7*r + c.
     """
-    e = [[int(r == c) for c in range(7)] for r in range(7)]
     rows = []
     for x, y in pairs:
         target = cross(x, y)
-        ey = [cross(e[r], y) for r in range(7)]   # e_r x y
-        xe = [cross(x, e[r]) for r in range(7)]   # x x e_r
+        ey = [cross(e, y) for e in _UNIT]   # e_r x y
+        xe = [cross(x, e) for e in _UNIT]   # x x e_r
         lx, ly = _nonzeros(x, 7), _nonzeros(y, 7)
         for m in range(7):
             # d(x cross y) - d(x) cross y - x cross d(y), component m
@@ -54,8 +55,7 @@ class G2:
     """The 14-dimensional derivation algebra with cached structure data."""
 
     def __init__(self):
-        e = [[int(i == j) for j in range(7)] for i in range(7)]
-        pairs = [(e[i], e[j]) for i, j in combinations(range(7), 2)]
+        pairs = [(_UNIT[i], _UNIT[j]) for i, j in combinations(range(7), 2)]
         self.space = kernel(leibniz_rows(pairs), 49)
         self.dim = self.space.dim
         self.basis = [Matrix.from_flat(row, 7, 7) for row in self.space.rows]
@@ -181,10 +181,8 @@ def _d_basis() -> tuple:
     real parts of the associator cancel, so D(x, y)z = 4 (x cross y) cross z
     + 3 ((x cross z) cross y - x cross (z cross y) - <x, z> y + <y, z> x),
     here on integer unit vectors."""
-    e = [[int(i == j) for j in range(7)] for i in range(7)]
-
     def d(a: int, b: int, c: int) -> list[int]:  # D(e_a, e_b) e_c
-        x, y, z = e[a], e[b], e[c]
+        x, y, z = _UNIT[a], _UNIT[b], _UNIT[c]
         return [4 * s + 3 * (t - u - (a == c) * yk + (b == c) * xk)
                 for s, t, u, xk, yk in zip(
                     cross(cross(x, y), z), cross(cross(x, z), y),

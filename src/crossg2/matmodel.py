@@ -229,9 +229,11 @@ class LiftMap:
     """The linear bijection from tangent elements to odd derivations.
 
     A tangent element d determines a unique odd derivation agreeing with it
-    on V0.  The bijection intertwines the two triple products up to the
-    global sign -1; the `matmodel.lift` check verifies that sign on every
-    basis triple of `lifted`.
+    on V0.  Building the map certifies the bijection: each lift agrees with
+    its element on V0 (`lift`), and the lifts fill the odd part.  It
+    intertwines the two triple products up to the global sign -1; the
+    `matmodel.lift` check verifies that sign on every basis triple of
+    `lifted`, and restates neither certificate.
 
     `triples[x][y][z]` holds the coordinates of [[d_x, d_y], d_z] on the
     tangent basis `basis`, computed once; building them certifies that the

@@ -274,9 +274,13 @@ def test_adapted_checks_leave_no_g2_alive():
 
 
 def test_family_table_states_the_papers_values():
-    # kind -> (dim, envelope dim, 3x3 partner)
-    assert catalog.FAMILIES == {"T1": (2, 3, "sphere"), "T2": (5, 8, "sym5"),
-                                "T3": (4, 8, "col4"), "T4": (4, 6, "refl4")}
+    Family = catalog.Family
+    assert catalog.FAMILIES == {
+        "T1": Family(dim=2, envelope=3, partner="sphere"),
+        "T2": Family(dim=5, envelope=8, partner="sym5"),
+        "T3": Family(dim=4, envelope=8, partner="col4"),
+        "T4": Family(dim=4, envelope=6, partner="refl4")}
+    assert all(type(fam) is Family for fam in catalog.FAMILIES.values())
 
 
 def test_maximal_lts_dims(ws):
@@ -435,8 +439,8 @@ def ambient_vector_probe(t, ambient, trials, rng, extra_candidates=()):
 
 def test_probe_equals_the_ambient_vector_probe(ws, g2, tds):
     cases = [(ws.t_carrier(kind), ws.m4v) for kind in catalog.FAMILIES]
-    cases += [(ws.sl3_carrier(kind), ws.sl3_carrier("full"))
-              for _, _, kind in catalog.FAMILIES.values()]
+    cases += [(ws.sl3_carrier(fam.partner), ws.sl3_carrier("full"))
+              for fam in catalog.FAMILIES.values()]
     for t, ambient in cases:
         for seed in range(5):
             rng, oracle_rng = random.Random(seed), random.Random(seed)
@@ -474,7 +478,7 @@ def test_quotient_test_declines_candidates_with_a_proper_closure(ws, g2, tds):
 
 
 PROBE_PAIRS = [(kind, "m4v") for kind in catalog.FAMILIES] + [
-    (partner, "full") for _, _, partner in catalog.FAMILIES.values()]
+    (fam.partner, "full") for fam in catalog.FAMILIES.values()]
 SPARSE_COORDINATE = st.one_of(st.just(ZERO), st.integers(-2, 2).map(Scalar.of),
                               st.builds(Scalar, *[st.integers(-2, 2)] * 4,
                                         st.integers(1, 3)))

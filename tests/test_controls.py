@@ -6,6 +6,10 @@ run_checks returns) with a witness naming what broke.  A check that no
 control can fail would pass for the wrong reason too.  A control with a
 family runs the family's checks too: the corruption fails only its check,
 and the others pass or skip on a failed prerequisite.
+
+A pin is the converse: a fault that a prerequisite's builder asserts
+against skips the check with the builder's message, since the check does
+not restate what the builder certifies.
 """
 
 from functools import cached_property
@@ -119,6 +123,36 @@ def t_constants_one_entry_off(monkeypatch):
     corrupted = cached_property(off)
     corrupted.__set_name__(lts.LtsCarrier, "constants")
     monkeypatch.setattr(lts.LtsCarrier, "constants", corrupted)
+
+
+def t2_asks_for_dim_6(monkeypatch):
+    # the table's claim alone: the builders read no claim column
+    monkeypatch.setitem(catalog.FAMILIES, "T2", catalog.Family(6, 8, "sym5"))
+
+
+def principal_triple_rotated(monkeypatch):
+    # (h2, h3, h1) keeps the bracket relations, and char(h2) = char(h1), so
+    # it passes principal_tds' validation; only the grading tells
+    build = catalog.principal_tds
+
+    def rotated(frame, g2):
+        h1, h2, h3, space = build(frame, g2)
+        return catalog.PrincipalTds(h2, h3, h1, space)
+    monkeypatch.setattr(catalog, "principal_tds", rotated)
+
+
+def centralizer_is_the_normalizer(monkeypatch):
+    monkeypatch.setattr(g2alg.G2, "centralizer", g2alg.G2.normalizer)
+
+
+def first_lift_negated(monkeypatch):
+    # after LiftMap's own certificates: only the sign sweep sees it
+    init = matmodel.LiftMap.__init__
+
+    def negated(lift, *args):
+        init(lift, *args)
+        lift.lifted[0] = -lift.lifted[0]
+    monkeypatch.setattr(matmodel.LiftMap, "__init__", negated)
 
 
 def closure_reports_the_full_ambient(monkeypatch):
@@ -288,6 +322,8 @@ CONTROLS = [
     ("g2.jacobi", commutator_one_entry_off, "Jacobi fails on a basis triple", None),
     ("g2.killing", trace_form_doubled,
      "recorded ratio changed: 2 + 0*r6 + 0*r10 + 0*r15", "g2.*"),
+    ("g2.normalizer", centralizer_is_the_normalizer,
+     "principal triple has a centralizer", "g2.*"),
     ("lts.axioms_full", commutator_one_entry_off, "cyclic sum at (0, 1, 2) != 0",
      None),
     ("catalog.theta", theta_from_the_complement, "theta(e1) != e1", None),
@@ -307,6 +343,9 @@ CONTROLS = [
     ("catalog.annihilator", annihilator_leaves_e7_free,
      "annihilator dim 9 != 8", "catalog.*"),
     ("catalog.t_dims", t_constants_one_entry_off, "T1: [b0, b", "catalog.*"),
+    ("catalog.t_dims", t2_asks_for_dim_6, "T2 dim 5 != 6", "catalog.*"),
+    # non_maximal_witness probes h2's line too, so it fails with it
+    ("catalog.principal", principal_triple_rotated, "h1 is not even", None),
     ("catalog.non_maximal_witness", closure_reports_the_full_ambient,
      "crafted extension closed to the full space", "catalog.*"),
     ("catalog.maximality", declined_closure_stays_proper, "T1: ", "catalog.*"),
@@ -314,6 +353,8 @@ CONTROLS = [
      "row-matrix data does not determine the tangent element", "matmodel.*"),
     ("matmodel.sphere", row_matrix_reads_d_for_its_transpose,
      "h2 does not map to d_{-r6/2, 0}", "matmodel.*"),
+    ("matmodel.sl3_catalog", t2_asks_for_dim_6, "sym5 dim 5 != 6", "matmodel.*"),
+    ("matmodel.lift", first_lift_negated, "sign -1 fails at (0,1,2)", "matmodel.*"),
 ]
 
 
@@ -330,6 +371,49 @@ def test_the_check_fails_under_its_control(monkeypatch, check_id, corrupt, witne
     assert set(others) == {c.id for c in select_checks([family])} - {check_id} if (
         family) else not others
     assert set(others.values()) <= {"pass", "skipped"}, others
+
+
+def d_operator_doubled(monkeypatch):
+    d_operator = catalog.d_operator
+    monkeypatch.setattr(catalog, "d_operator", lambda x, y: d_operator(x, y).scale(2))
+
+
+def normalizer_one_too_big_on_3_spaces(monkeypatch):
+    normalizer = g2alg.G2.normalizer
+
+    def bigger(g2, s):
+        n = normalizer(g2, s)
+        if s.dim != 3:
+            return n
+        extra = next(r for r in Subspace.full(g2.dim).rows if not n.contains(r))
+        return Subspace.span(n.rows + [extra], g2.dim)
+    monkeypatch.setattr(g2alg.G2, "normalizer", bigger)
+
+
+def solve_doubled(monkeypatch):
+    solve = matmodel.solve
+    monkeypatch.setattr(matmodel, "solve", lambda rows, rhs: [
+        2 * x for x in solve(rows, rhs)])
+
+
+# (check id, fault a prerequisite's builder asserts against, witness)
+PINS = [
+    ("catalog.principal", d_operator_doubled,
+     "prerequisite tds failed: [h1, h2] != h3"),
+    ("g2.normalizer", normalizer_one_too_big_on_3_spaces,
+     "prerequisite tds failed: the subalgebra is not self-normalizing"),
+    ("matmodel.lift", solve_doubled,
+     "prerequisite lift failed: lift does not restrict correctly"),
+]
+
+
+@pytest.mark.parametrize("check_id, corrupt, witness", PINS,
+                         ids=[f"{c[0]}-{c[1].__name__}" for c in PINS])
+def test_the_check_skips_on_its_builders_assertion(monkeypatch, check_id, corrupt,
+                                                   witness):
+    corrupt(monkeypatch)
+    [result] = run_checks(select_checks([check_id]), 0, 1)
+    assert (result.status, result.witness) == ("skipped", witness)
 
 
 def test_a_basis_entry_off_fails_g2_jacobi(monkeypatch):

@@ -247,7 +247,7 @@ def ambient_and_families(ws, ambient_name):
     """The odd part with T1-T4, or sl(3) with their 3x3 partners."""
     if ambient_name == "sl3":
         return matmodel.sl3_catalog("full"), [
-            matmodel.sl3_catalog(kind) for _, _, kind in catalog.FAMILIES.values()]
+            matmodel.sl3_catalog(fam.partner) for fam in catalog.FAMILIES.values()]
     return ws.m4v, [ws.t_carrier(kind) for kind in catalog.FAMILIES]
 
 
@@ -292,10 +292,10 @@ def test_proper_closures_keep_their_exact_dimensions(ws, g2, tds):
     h2, h3 = g2.coords(tds.h2), g2.coords(tds.h3)
     cases = [(m4v, Subspace.span([h2], 14), 1), (m4v, Subspace.span([h2, h3], 14), 2),
              (m4v, Subspace.zero(14), 0), (sl3, Subspace.zero(9), 0)]
-    cases += [(m4v, ws.t_carrier(kind).space, dim)
-              for kind, (dim, _, _) in catalog.FAMILIES.items()]
-    cases += [(sl3, matmodel.sl3_catalog(kind).space, dim)
-              for dim, _, kind in catalog.FAMILIES.values()]
+    cases += [(m4v, ws.t_carrier(kind).space, fam.dim)
+              for kind, fam in catalog.FAMILIES.items()]
+    cases += [(sl3, matmodel.sl3_catalog(fam.partner).space, fam.dim)
+              for fam in catalog.FAMILIES.values()]
     for ambient, seed, dim in cases:
         closed = generated_subtriple(seed, ambient)
         assert closed.dim == dim and closed == c_major_closure(seed, ambient)

@@ -490,14 +490,15 @@ def test_refl4_orthogonal_to_gotro():
 def test_sphere_matches_adapted_intersection(ws, frame, g2):
     # each family's image under to_sl3 . row_matrix spans its 3x3 partner;
     # T1's image elements are of the d_{s,t} form
-    for kind, (_, _, partner) in FAMILIES.items():
+    for kind, fam in FAMILIES.items():
         images = []
         for row in ws.t_carrier(kind).space.rows:
             m = matmodel.to_sl3(matmodel.row_matrix(g2.mat(row), frame))
             if kind == "T1":
                 assert m == matmodel.d_st(m.rows[0][0] / Scalar.of(-2), m.rows[1][2])
             images.append(m.flatten())
-        assert Subspace.span(images, 9) == matmodel.sl3_catalog(partner).space, kind
+        partner = matmodel.sl3_catalog(fam.partner)
+        assert Subspace.span(images, 9) == partner.space, kind
 
 
 def test_grid_failure_names_the_metric_identity(monkeypatch):
